@@ -25,9 +25,6 @@ from .experiments import (
     estimate_volume,
     region_grid,
     simulate_shots,
-    write_coherence_csv,
-    write_region_csv,
-    write_volume_csv,
 )
 from .qstate import (
     DensityMatrix,
@@ -54,13 +51,13 @@ from .relations import (
     RELATION_IDS,
     RelationId,
     RelationVerdict,
-    dpi_margin,
     eval_relation,
     eval_with_dual,
     search_counterexample,
     table2_relations,
     universal_bound,
 )
+from .sweeps import dpi_margin
 from .uncertainty import UMEASURE_KINDS, UncertaintySpec, majorizes, umeasure
 
 __version__ = "0.1.0"
@@ -113,7 +110,4 @@ __all__ = [
     "umeasure",
     "universal_bound",
     "von_neumann_entropy",
-    "write_coherence_csv",
-    "write_region_csv",
-    "write_volume_csv",
 ]

@@ -19,7 +19,6 @@ from .divergence import DIVERGENCE_KINDS, DivergenceSpec
 from .errors import DimensionMismatch, QudError, SchemaError
 from .experiments import (
     TABLE2_REFERENCE,
-    _cell as _plain_cell,
     coherence_bounds,
     estimate_coherence,
     estimate_volume,
@@ -28,8 +27,7 @@ from .experiments import (
 )
 from .io import _pairs, load_basis, load_state
 from .qstate import (
-    _ginibre_states,
-    _haar_unitaries,
+    _haar_instances,
     make_basis,
     make_density,
     outcome_dist,
@@ -52,10 +50,31 @@ def _base_value(label: str) -> float:
     return 2.0 if label == "2" else math.e
 
 
+def _int_at_least(low: int):
+    """argparse type for integers >= low, so a bad value fails at parse time."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports unparsable text as "invalid int value"
+    return parse
+
+
 def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return format(value, ".12g")
     if isinstance(value, (dict, list)):
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return _plain_cell(value)
+    return str(value)
 
 
 def _jsonable(value):
@@ -109,11 +128,8 @@ def _load_instance(args):
             raise DimensionMismatch(f"--dim {args.dim} but files have dim {rho.dim}")
         return rho, a, b, "files"
     dim = args.dim if args.dim is not None else 2
-    rng = stream(args.seed)
-    rho = make_density(_ginibre_states(rng, 1, dim)[0])
-    a = make_basis(_haar_unitaries(rng, 1, dim)[0])
-    b = make_basis(_haar_unitaries(rng, 1, dim)[0])
-    return rho, a, b, "sampled"
+    rho, ua, ub = _haar_instances(stream(args.seed), 1, dim)
+    return make_density(rho[0]), make_basis(ua[0]), make_basis(ub[0]), "sampled"
 
 
 def _state_record(rho) -> dict:
@@ -340,8 +356,8 @@ def _add_instance_flags(p) -> None:
     p.add_argument("--state", default=None, help="state JSON file")
     p.add_argument("--basis-a", dest="basis_a", default=None, help="first (dephasing) basis")
     p.add_argument("--basis-b", dest="basis_b", default=None, help="second basis")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=_int_at_least(2), default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -360,17 +376,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dpi", help="data-processing margins over a Haar ensemble")
     p.add_argument("--divergence", required=True, choices=DIVERGENCE_KINDS)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=_int_at_least(2), default=2)
+    p.add_argument("--samples", type=_int_at_least(1), default=1000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_dpi)
 
     p = sub.add_parser("search", help="look for a relation counterexample")
     _add_relation_flags(p)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=_int_at_least(2), default=2)
+    p.add_argument("--samples", type=_int_at_least(1), default=10000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_search)
 
@@ -378,16 +394,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_relation_flags(p)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--samples", type=int, default=1000000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_volume)
 
     p = sub.add_parser("table2", help="volumes for the tabulated relation set")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--samples", type=int, default=1000000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--compare", action="store_true",
                    help="add reference and gap columns")
     _add_output_flags(p)

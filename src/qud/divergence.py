@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRange, DimensionMismatch, NotGaugeable
-from .qstate import RANK_TOL, DensityMatrix, ProbDist, fidelity
+from .qstate import RANK_TOL, ZERO_CUTOFF, DensityMatrix, ProbDist, fidelity
 
 DIVERGENCE_KINDS = (
     "trace",
@@ -29,8 +29,6 @@ GAUGEABLE_KINDS = ("trace", "infidelity", "renyi_sandwiched", "tsallis")
 
 # Orders used when taking suprema over a family of relations.
 DEFAULT_ALPHA_GRID = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
-
-ZERO_CUTOFF = 1e-15
 
 # Mass of rho1 allowed outside the support of rho2 before declaring +inf.
 SUPPORT_LEAK_TOL = 1e-9

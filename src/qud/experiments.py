@@ -5,7 +5,6 @@ streams and integer-count accumulation, so a result depends only on
 (relation, dim, samples, seed) — never on worker count or scheduling.
 """
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from .qstate import (
     DensityMatrix,
     OrthonormalBasis,
     _frozen,
-    _haar_unitaries,
+    _haar_overlaps,
     outcome_dist,
     overlap_matrix,
     sequential_dist,
@@ -72,23 +71,25 @@ def _accept_mask(rel: RelationId, p, q, c):
     return ok
 
 
+def _qubit_rows(x):
+    """Rows (x, 1 - x): qubit distributions from their first entries."""
+    return np.stack([x, 1.0 - x], axis=-1)
+
+
+def _qubit_overlaps(c00):
+    """Doubly stochastic 2x2 overlaps [[c00, 1-c00], [1-c00, c00]]."""
+    rows = _qubit_rows(c00)
+    return np.stack([rows, rows[..., ::-1]], axis=-2)
+
+
 def _draw_parameters(rng, dim: int, count: int):
     """One chunk of the data-parameter measure: (p, q, C) arrays."""
     if dim == 2:
         u = rng.random((count, 3))
-        p = np.stack([u[:, 0], 1.0 - u[:, 0]], axis=1)
-        q = np.stack([u[:, 1], 1.0 - u[:, 1]], axis=1)
-        c00 = u[:, 2]
-        c = np.empty((count, 2, 2))
-        c[:, 0, 0] = c00
-        c[:, 0, 1] = 1.0 - c00
-        c[:, 1, 0] = 1.0 - c00
-        c[:, 1, 1] = c00
-        return p, q, c
+        return _qubit_rows(u[:, 0]), _qubit_rows(u[:, 1]), _qubit_overlaps(u[:, 2])
     p = rng.dirichlet(np.ones(3), count)
     q = rng.dirichlet(np.ones(3), count)
-    c = np.abs(_haar_unitaries(rng, count, 3)) ** 2
-    return p, q, c
+    return p, q, _haar_overlaps(rng, count, 3)
 
 
 def _chunk_sizes(samples: int):
@@ -146,14 +147,8 @@ def region_grid(rel: RelationId, c00: float, resolution: int):
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     axis = np.linspace(0.0, 1.0, resolution)
     p0, q0 = np.meshgrid(axis, axis, indexing="ij")
-    p = np.stack([p0.ravel(), 1.0 - p0.ravel()], axis=1)
-    q = np.stack([q0.ravel(), 1.0 - q0.ravel()], axis=1)
-    count = p.shape[0]
-    c = np.empty((count, 2, 2))
-    c[:, 0, 0] = c00
-    c[:, 0, 1] = 1.0 - c00
-    c[:, 1, 0] = 1.0 - c00
-    c[:, 1, 1] = c00
+    p, q = _qubit_rows(p0.ravel()), _qubit_rows(q0.ravel())
+    c = _qubit_overlaps(np.full(p0.size, float(c00)))
     return _accept_mask(rel, p, q, c).reshape(resolution, resolution)
 
 
@@ -214,65 +209,6 @@ def estimate_coherence(direct: ShotCounts, sequential: ShotCounts,
     lower = float(kl_divergence(q_hat, qp_hat, base=base))
     upper = float(shannon_entropy(p_hat, base=base))
     return lower, upper
-
-
-# ---------------------------------------------------------------------------
-# CSV report writers (schemas shared with the CLI)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".12g")
-    return str(value)
-
-
-def write_volume_csv(fh, estimates) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        ["relation", "variant", "alpha", "dim", "samples", "seed", "volume", "std_error"]
-    )
-    for est in estimates:
-        rel = est.relation
-        writer.writerow(
-            [
-                rel.id,
-                rel.variant,
-                _cell(rel.alpha),
-                est.dim,
-                est.samples,
-                est.seed,
-                _cell(est.volume),
-                _cell(est.std_error),
-            ]
-        )
-
-
-def write_region_csv(fh, rel: RelationId, c00: float, grid) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["relation", "c00", "p0", "q0", "admissible"])
-    resolution = grid.shape[0]
-    axis = np.linspace(0.0, 1.0, resolution)
-    label = rel.label()
-    for i in range(resolution):
-        for j in range(resolution):
-            writer.writerow(
-                [label, _cell(c00), _cell(float(axis[i])), _cell(float(axis[j])),
-                 _cell(bool(grid[i, j]))]
-            )
-
-
-def write_coherence_csv(fh, bounds: CoherenceBounds) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["upper", "exact", "lower", "base"])
-    writer.writerow(
-        [_cell(bounds.upper), _cell(bounds.exact), _cell(bounds.lower), _cell(bounds.base)]
-    )
 
 
 # Reference feasible-region volumes used by the regression suite and the

@@ -27,6 +27,9 @@ VALIDATION_TOL = 1e-8
 # eigenvalues below RANK_TOL * largest are eigh noise on the kernel, not support
 RANK_TOL = 1e-13
 
+# probabilities below ZERO_CUTOFF count as exact zeros before any log or power
+ZERO_CUTOFF = 1e-15
+
 SAMPLE_KINDS = ("haar_state_pure", "haar_state_mixed", "haar_unitary_basis", "simplex")
 
 
@@ -279,6 +282,25 @@ def _ginibre_states(rng, count: int, dim: int):
     m = g @ g.conj().transpose(0, 2, 1)
     tr = np.real(np.einsum("nii->n", m))
     return m / tr[:, None, None]
+
+
+def _haar_overlaps(rng, count: int, dim: int):
+    """Unistochastic matrices |U|^2 of Haar-random unitaries."""
+    return np.abs(_haar_unitaries(rng, count, dim)) ** 2
+
+
+def _haar_instances(rng, count: int, dim: int, pure: bool = False):
+    """(rho, ua, ub): states, then basis A, then basis B, from one stream.
+
+    States are Hilbert-Schmidt mixed, or projectors on Haar kets when pure;
+    bases are Haar unitaries with the QR phase fix (Mezzadri 2007).
+    """
+    if pure:
+        kets = _haar_kets(rng, count, dim)
+        rho = kets[:, :, None] * kets[:, None, :].conj()
+    else:
+        rho = _ginibre_states(rng, count, dim)
+    return rho, _haar_unitaries(rng, count, dim), _haar_unitaries(rng, count, dim)
 
 
 def sample(kind: str, dim: int, seed: int):

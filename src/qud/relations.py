@@ -1,5 +1,5 @@
-"""The trade-off catalog: relations, duals, the universal bound, DPI margins,
-and counterexample search.
+"""The trade-off catalog: relations, duals, the universal bound, and
+counterexample search.
 
 Each relation compares an uncertainty functional of the first measurement's
 statistics p against a disturbance functional of (q, q'), where q is the
@@ -22,9 +22,6 @@ from .divergence import (
     power_overlap,
     renyi_divergence,
     kl_divergence,
-    cdiv,
-    qdiv,
-    DivergenceSpec,
 )
 from .errors import (
     AlphaOutOfRange,
@@ -38,9 +35,7 @@ from .qstate import (
     OrthonormalBasis,
     OverlapMatrix,
     ProbDist,
-    _haar_kets,
-    _haar_unitaries,
-    dephase,
+    _haar_instances,
     make_basis,
     make_density,
     outcome_dist,
@@ -295,22 +290,6 @@ def universal_bound(q: ProbDist, qp: ProbDist, alpha_grid=DEFAULT_ALPHA_GRID) ->
     return float(_universal_bound_array(q.probs, qp.probs, alpha_grid))
 
 
-def dpi_margin(spec: DivergenceSpec, rho: DensityMatrix, a: OrthonormalBasis,
-               b: OrthonormalBasis, base: float = 2.0) -> float:
-    """qdiv(rho, dephased rho) minus its classical counterpart after B.
-
-    Data processing makes this nonnegative (to 1e-8) for every supported
-    divergence; Hilbert-Schmidt is only monotone under the dephasing step
-    checked here, not under general channels.
-    """
-    rho_a = dephase(rho, a)
-    quantum = qdiv(spec, rho, rho_a, base=base)
-    classical = cdiv(spec, outcome_dist(rho, b), outcome_dist(rho_a, b), base=base)
-    if math.isinf(quantum):
-        return math.inf if not math.isinf(classical) else 0.0
-    return quantum - classical
-
-
 def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
                           base: float = 2.0) -> Counterexample | None:
     """Scan Haar-random pure states and basis pairs for a violation.
@@ -326,14 +305,11 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
     offset = 0
     while remaining > 0:
         count = min(SEARCH_CHUNK, remaining)
-        rng = stream(seed, chunk_index)
-        kets = _haar_kets(rng, count, dim)
-        ua = _haar_unitaries(rng, count, dim)
-        ub = _haar_unitaries(rng, count, dim)
-        amp_a = np.einsum("nik,ni->nk", ua.conj(), kets)
-        amp_b = np.einsum("nik,ni->nk", ub.conj(), kets)
-        p = np.abs(amp_a) ** 2
-        q = np.abs(amp_b) ** 2
+        rho, ua, ub = _haar_instances(stream(seed, chunk_index), count, dim, pure=True)
+        # Born probabilities as diagonals of u^dag rho u, clipped at 0
+        p = np.einsum("nik,nik->nk", ua.conj(), np.einsum("nij,njk->nik", rho, ua)).real
+        q = np.einsum("nik,nik->nk", ub.conj(), np.einsum("nij,njk->nik", rho, ub)).real
+        p, q = np.clip(p, 0.0, None), np.clip(q, 0.0, None)
         c = np.abs(np.einsum("nki,nkj->nij", ua.conj(), ub)) ** 2
         qp = np.einsum("ni,nij->nj", p, c)
         cmax = c.max(axis=(1, 2))
@@ -342,7 +318,7 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
             bad = np.nonzero((lhs - rhs) < SEARCH_MARGIN)[0]
         if bad.size:
             i = int(bad[0])
-            state = make_density(np.outer(kets[i], kets[i].conj()))
+            state = make_density(rho[i])
             basis_a = make_basis(ua[i])
             basis_b = make_basis(ub[i])
             overlap = overlap_matrix(basis_a, basis_b)

@@ -4,7 +4,8 @@ These kernels reproduce the scalar qdiv/cdiv/relation results on whole
 ensembles at once (states are rotated into the eigenframe of the first
 basis, where the dephased state is diagonal), which is what makes the
 10^5-sample soundness sweeps affordable. A cross-check test pins the batch
-paths to the scalar implementations.
+paths to the scalar implementations; the scalar `dpi_margin` is a batch of
+one.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import (
+    DivergenceSpec,
     classical_infidelity,
     euclidean_distance,
     kl_divergence,
@@ -19,20 +21,10 @@ from .divergence import (
     renyi_divergence,
     tsallis_divergence,
 )
-from .errors import AlphaOutOfRange
-from .qstate import RANK_TOL, _ginibre_states, _haar_kets, _haar_unitaries
+from .qstate import RANK_TOL, DensityMatrix, OrthonormalBasis, _haar_instances
 from .relations import _universal_bound_array, relation_sides
 from .rng import stream
-from .uncertainty import ZERO_CUTOFF, delta_measure, shannon_entropy
-
-DPI_KINDS = (
-    "trace",
-    "infidelity",
-    "renyi_sandwiched",
-    "tsallis",
-    "relative_entropy",
-    "hilbert_schmidt",
-)
+from .uncertainty import delta_measure, shannon_entropy
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,17 +55,8 @@ class TripleBatch:
         return self.overlap.max(axis=(1, 2))
 
 
-def haar_triples(dim: int, count: int, seed: int, pure: bool = False,
-                 chunk: int | None = None) -> TripleBatch:
-    """Draw an ensemble of states and basis pairs; deterministic in inputs."""
-    rng = stream(seed, chunk)
-    if pure:
-        kets = _haar_kets(rng, count, dim)
-        rho = kets[:, :, None] * kets[:, None, :].conj()
-    else:
-        rho = _ginibre_states(rng, count, dim)
-    ua = _haar_unitaries(rng, count, dim)
-    ub = _haar_unitaries(rng, count, dim)
+def _triples(rho, ua, ub) -> TripleBatch:
+    """Reduce states and basis pairs to their A-frame TripleBatch."""
     ua_h = ua.conj().transpose(0, 2, 1)
     rho_a = ua_h @ rho @ ua
     rho_a = (rho_a + rho_a.conj().transpose(0, 2, 1)) / 2.0
@@ -89,6 +72,12 @@ def haar_triples(dim: int, count: int, seed: int, pure: bool = False,
     return TripleBatch(rho_a, p, q, qp, overlap, spectrum)
 
 
+def haar_triples(dim: int, count: int, seed: int, pure: bool = False,
+                 chunk: int | None = None) -> TripleBatch:
+    """Draw an ensemble of states and basis pairs; deterministic in inputs."""
+    return _triples(*_haar_instances(stream(seed, chunk), count, dim, pure))
+
+
 def relation_margins(rel, batch: TripleBatch, base: float = 2.0):
     """lhs - rhs over the batch (inf-aware subtraction)."""
     lhs, rhs = relation_sides(rel, batch.p, batch.q, batch.qp, batch.cmax, base)
@@ -99,10 +88,6 @@ def relation_margins(rel, batch: TripleBatch, base: float = 2.0):
 def _pseudo_power(values, exponent: float):
     on = values > values.max(axis=-1, keepdims=True) * RANK_TOL
     return np.where(on, values, 1.0) ** exponent * on
-
-
-def _entropy_of(spectrum, base: float):
-    return shannon_entropy(spectrum, base=base)
 
 
 def _infidelity_to_dephased(batch: TripleBatch):
@@ -127,8 +112,7 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
     version; the classical one between the B statistics before and after
     dephasing. Data processing keeps every margin >= -1e-8.
     """
-    if kind not in DPI_KINDS:
-        raise ValueError(f"unknown divergence kind {kind!r}")
+    DivergenceSpec(kind, alpha)  # rejects unknown kinds and orders
     p, q, qp = batch.p, batch.q, batch.qp
     if kind == "trace":
         diff = batch.rho.copy()
@@ -143,11 +127,10 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
     if kind == "infidelity":
         return _infidelity_to_dephased(batch) - classical_infidelity(q, qp)
     if kind == "relative_entropy":
-        quantum = shannon_entropy(p, base=base) - _entropy_of(batch.spectrum, base)
+        quantum = (shannon_entropy(p, base=base)
+                   - shannon_entropy(batch.spectrum, base=base))
         return quantum - kl_divergence(q, qp, base=base)
     if kind == "renyi_sandwiched":
-        if alpha is None or not 0.5 <= alpha < 1.0:
-            raise AlphaOutOfRange("renyi_sandwiched needs 0.5 <= alpha < 1")
         scale = _pseudo_power(p, (1.0 - alpha) / (2.0 * alpha))
         core = batch.rho * scale[:, :, None] * scale[:, None, :]
         lam = np.clip(np.linalg.eigvalsh(core), 0.0, None)
@@ -156,14 +139,24 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
         with np.errstate(divide="ignore"):
             quantum = np.log(total) / (np.log(base) * (alpha - 1.0))
         return quantum - renyi_divergence(q, qp, alpha, base=base)
-    if alpha is None or not 0.0 <= alpha < 1.0:
-        raise AlphaOutOfRange("tsallis needs 0 <= alpha < 1")
     lam, vec = np.linalg.eigh(batch.rho)
     lam_a = _pseudo_power(np.clip(lam, 0.0, None), alpha)
     diag_pow = np.einsum("nik,nk->ni", np.abs(vec) ** 2, lam_a)
     cross = (diag_pow * _pseudo_power(p, 1.0 - alpha)).sum(axis=1)
     quantum = (1.0 - cross) / (1.0 - alpha)
     return quantum - tsallis_divergence(q, qp, alpha)
+
+
+def dpi_margin(spec: DivergenceSpec, rho: DensityMatrix, a: OrthonormalBasis,
+               b: OrthonormalBasis, base: float = 2.0) -> float:
+    """qdiv(rho, dephased rho) minus its classical counterpart after B.
+
+    Data processing makes this nonnegative (to 1e-8) for every supported
+    divergence; Hilbert-Schmidt is only monotone under the dephasing step
+    checked here, not under general channels.
+    """
+    batch = _triples(rho.matrix[None], a.kets[None], b.kets[None])
+    return float(dpi_margins(spec.kind, spec.alpha, batch, base=base)[0])
 
 
 def chain_margins(batch: TripleBatch):

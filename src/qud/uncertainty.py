@@ -11,11 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRange, DimensionMismatch
-from .qstate import ProbDist
+from .qstate import ZERO_CUTOFF, ProbDist
 
 UMEASURE_KINDS = ("delta", "renyi", "shannon", "half_norm")
-
-ZERO_CUTOFF = 1e-15
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,14 @@ notes in README.md carry the analysis; the check is kept faithful rather
 than adjusted to pass.
 """
 
+import contextlib
 import csv
 import io
 import time
-from pathlib import Path
 
 import numpy as np
 
+from qud.cli import main
 from qud.divergence import DivergenceSpec, cdiv, qdiv
 from qud.experiments import (
     TABLE2_REFERENCE,
@@ -24,7 +25,6 @@ from qud.experiments import (
     estimate_coherence,
     estimate_volume,
     simulate_shots,
-    write_volume_csv,
 )
 from qud.qstate import (
     _ginibre_states,
@@ -55,7 +55,6 @@ from qud.uncertainty import (
 
 from conftest import RT2, triple_of
 
-REPORTS = Path(__file__).resolve().parents[1] / "reports"
 MILLION = 1_000_000
 
 
@@ -126,7 +125,7 @@ def test_volume_table_d2():
 #    discrepancy report as the accepted alternative
 
 
-def test_volume_table_d3():
+def test_volume_table_d3(tmp_path):
     estimates = {
         rel.label(): estimate_volume(rel, 3, MILLION, seed=1)
         for rel in table2_relations()
@@ -141,8 +140,7 @@ def test_volume_table_d3():
         if not within:
             outside.append(f"{label} {gap:+.4f}")
     if outside:
-        REPORTS.mkdir(exist_ok=True)
-        path = REPORTS / "table2_d3_discrepancy.csv"
+        path = tmp_path / "table2_d3_discrepancy.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
@@ -154,7 +152,7 @@ def test_volume_table_d3():
         detail = (
             f"{len(outside)} of 7 outside +/-0.015 under the simplex^2 x Haar "
             f"measure ({', '.join(outside)}); per-relation gaps quantified in "
-            f"{path.relative_to(REPORTS.parent)}"
+            f"{path.name}"
         )
     else:
         detail = "all 7 volumes within +/-0.015 of the reference values"
@@ -377,10 +375,15 @@ def test_limits_and_structure():
     rel = RelationId("EUR_MU", alpha=1.0, beta=1.0)
     e1 = estimate_volume(rel, 2, 100_000, seed=9)
     e2 = estimate_volume(rel, 2, 100_000, seed=9)
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    write_volume_csv(buf1, [e1])
-    write_volume_csv(buf2, [e2])
-    if e1 != e2 or buf1.getvalue() != buf2.getvalue():
+    argv = ["volume", "--relation", "EUR_MU", "--alpha", "1", "--beta", "1",
+            "--dim", "2", "--samples", "100000", "--seed", "9"]
+    reports = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(argv)
+        reports.append(buf.getvalue())
+    if e1 != e2 or reports[0] != reports[1]:
         problems.append("repeated seeded volume runs are not byte-identical")
     w1 = estimate_volume(RelationId("U_re"), 3, 100_000, seed=9, workers=1)
     w4 = estimate_volume(RelationId("U_re"), 3, 100_000, seed=9, workers=4)

@@ -175,6 +175,19 @@ def test_volume_schema(capsys):
     assert float(row["std_error"]) > 0
 
 
+def test_volume_report_format(capsys):
+    code, out, _ = run(
+        ["volume", "--relation", "U_rd", "--alpha", "0.5", "--dim", "2", "--samples",
+         "1000", "--seed", "60"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "relation,variant,alpha,dim,samples,seed,volume,std_error",
+        "U_rd,canonical,0.5,2,1000,60,0.787,0.0129472390879",
+    ]
+
+
 def test_volume_worker_invariance(capsys):
     base = ["volume", "--relation", "U_re", "--dim", "3", "--samples", "30000", "--seed", "6"]
     serial = run(base + ["--workers", "1"], capsys)
@@ -219,6 +232,19 @@ def test_region_csv(capsys):
     assert rows[0]["c00"] == "1"
 
 
+def test_region_report_format(capsys):
+    code, out, _ = run(
+        ["region", "--relation", "U_tr", "--c00", "0.5", "--resolution", "3"], capsys
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "relation,c00,p0,q0,admissible"
+    assert lines[1] == "U_tr,0.5,0,0,false"
+    assert lines[2] == "U_tr,0.5,0,0.5,true"
+    assert lines[-1] == "U_tr,0.5,1,1,false"
+    assert len(lines) == 10
+
+
 # ---------------------------------------------------------------------------
 # coherence and shots
 
@@ -231,6 +257,13 @@ def test_coherence_exact(instance_files, capsys):
     assert float(row["upper"]) == pytest.approx(1.0, abs=1e-9)
     assert float(row["exact"]) == pytest.approx(1.0, abs=1e-9)
     assert float(row["lower"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_coherence_report_format(instance_files, capsys):
+    _, out, _ = run(["coherence", *FILE_FLAGS(instance_files)], capsys)
+    assert out.splitlines() == ["upper,exact,lower,base", "1,1,1,2"]
+    _, out, _ = run(["coherence", "--log-base", "e", *FILE_FLAGS(instance_files)], capsys)
+    assert out.splitlines()[1] == "0.69314718056,0.69314718056,0.69314718056,2.71828182846"
 
 
 def test_coherence_shots(instance_files, capsys):
@@ -334,6 +367,35 @@ def test_unknown_subcommand_exits_two(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["dpi", "--divergence", "trace", "--samples", "0"], "--samples"),
+    (["dpi", "--divergence", "trace", "--dim", "1"], "--dim"),
+    (["search", "--relation", "U_tr", "--samples", "0"], "--samples"),
+    (["search", "--relation", "U_tr", "--dim", "1"], "--dim"),
+    (["verify", "--relation", "U_tr", "--dim", "1"], "--dim"),
+    (["coherence", "--dim", "1"], "--dim"),
+    (["shots", "--dim", "1"], "--dim"),
+    (["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "0"], "--workers"),
+    (["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "-3"], "--workers"),
+    (["table2", "--samples", "1000", "--workers", "0"], "--workers"),
+    (["dpi", "--divergence", "trace", "--seed", "-1"], "--seed"),
+    (["search", "--relation", "U_tr", "--seed", "-1"], "--seed"),
+    (["verify", "--relation", "U_tr", "--seed", "-1"], "--seed"),
+    (["volume", "--relation", "U_tr", "--seed", "-1"], "--seed"),
+    (["table2", "--seed", "-1"], "--seed"),
+    (["coherence", "--seed", "-1"], "--seed"),
+    (["shots", "--seed", "-1"], "--seed"),
+    (["dpi", "--divergence", "trace", "--samples", "ten"], "--samples"),
+])
+def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
 
 
 def test_unknown_relation_exits_two(capsys):

@@ -1,0 +1,79 @@
+"""Golden CLI reports: seeded commands whose stdout and exit code are fixed.
+
+Every report is a pure function of its argv, so these files pin the
+determinism contract byte for byte. A change that moves any of them must
+say why in CHANGES.md and regenerate the files with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from qud.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "verify_d2_csv": ["verify", "--relation", "U_ts", "--alpha", "0.5", "--dim", "2",
+                      "--seed", "11"],
+    "verify_d3_json": ["verify", "--relation", "EUR_MU", "--alpha", "1", "--beta", "1",
+                       "--dim", "3", "--seed", "5", "--format", "json"],
+    "search_uts_printed_hit6": ["search", "--relation", "U_ts", "--variant", "printed",
+                                "--alpha", "0.5", "--dim", "2", "--samples", "2000",
+                                "--seed", "1"],
+    "search_uts_printed_hit17": ["search", "--relation", "U_ts", "--variant", "printed",
+                                 "--alpha", "0.5", "--dim", "2", "--samples", "10000",
+                                 "--seed", "1"],
+    "search_eur_ts_printed_hit43": ["search", "--relation", "EUR_TS", "--variant",
+                                    "printed", "--alpha", "0.5", "--dim", "2",
+                                    "--samples", "10000", "--seed", "1", "--format",
+                                    "json"],
+    "search_canonical_d3": ["search", "--relation", "U_ts", "--alpha", "0.5", "--dim",
+                            "3", "--samples", "20000", "--seed", "2"],
+    "dpi_renyi_sandwiched_d3": ["dpi", "--divergence", "renyi_sandwiched", "--alpha",
+                                "0.75", "--dim", "3", "--samples", "100", "--seed", "4"],
+    "dpi_tsallis_d4_json": ["dpi", "--divergence", "tsallis", "--alpha", "0.5", "--dim",
+                            "4", "--samples", "40", "--seed", "5", "--format", "json"],
+    "volume_d3_workers2": ["volume", "--relation", "U_re", "--dim", "3", "--samples",
+                           "100000", "--seed", "6", "--workers", "2"],
+    "table2_d2_compare": ["table2", "--dim", "2", "--samples", "20000", "--seed", "1",
+                          "--compare"],
+    "table2_d3_json": ["table2", "--dim", "3", "--samples", "20000", "--seed", "1",
+                       "--format", "json"],
+    "region_u_tr": ["region", "--relation", "U_tr", "--c00", "0.3", "--resolution", "11"],
+    "coherence_exact": ["coherence", "--dim", "3", "--seed", "7"],
+    "coherence_shots": ["coherence", "--dim", "3", "--seed", "7", "--shots", "5000"],
+    "shots_sequential_ab": ["shots", "--kind", "sequential_AB", "--dim", "3", "--n",
+                            "1000", "--seed", "8"],
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_report(name):
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    code, out = _run(COMMANDS[name])
+    assert code == expected_codes[name]
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in sorted(COMMANDS.items()):
+        codes[name], out = _run(argv)
+        (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
+    (GOLDEN / "exit_codes.json").write_text(
+        json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )

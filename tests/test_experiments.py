@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,9 +10,7 @@ from qud.errors import (
 )
 from qud.experiments import (
     TABLE2_REFERENCE,
-    CoherenceBounds,
     ShotCounts,
-    VolumeEstimate,
     _accept_mask,
     _draw_parameters,
     _volume_from_mask,
@@ -23,9 +19,6 @@ from qud.experiments import (
     estimate_volume,
     region_grid,
     simulate_shots,
-    write_coherence_csv,
-    write_region_csv,
-    write_volume_csv,
 )
 from qud.qstate import make_density, make_overlap, make_prob, sample
 from qud.relations import RelationId, eval_with_dual, table2_relations
@@ -235,36 +228,3 @@ def test_estimate_coherence_error_paths(f1):
     other = ShotCounts("sequential_AB", 3, np.zeros((3, 3), dtype=int) + 1, 9, 0)
     with pytest.raises(DimensionMismatch):
         estimate_coherence(direct, other)
-
-
-# ---------------------------------------------------------------------------
-# CSV writers
-
-
-def test_write_volume_csv_format():
-    est = VolumeEstimate(
-        RelationId("U_rd", alpha=0.5), 2, 1000, 787, 0.787, 0.012946786472, 5
-    )
-    buf = io.StringIO()
-    write_volume_csv(buf, [est])
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "relation,variant,alpha,dim,samples,seed,volume,std_error"
-    assert lines[1] == "U_rd,canonical,0.5,2,1000,5,0.787,0.012946786472"
-
-
-def test_write_region_csv_format():
-    rel = RelationId("U_tr")
-    buf = io.StringIO()
-    write_region_csv(buf, rel, 0.5, np.array([[True, False], [False, True]]))
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "relation,c00,p0,q0,admissible"
-    assert lines[1] == "U_tr,0.5,0,0,true"
-    assert lines[2] == "U_tr,0.5,0,1,false"
-    assert lines[-1] == "U_tr,0.5,1,1,true"
-    assert len(lines) == 5
-
-
-def test_write_coherence_csv_format():
-    buf = io.StringIO()
-    write_coherence_csv(buf, CoherenceBounds(1.0, 0.5, 0.25, 2.0))
-    assert buf.getvalue().splitlines() == ["upper,exact,lower,base", "1,0.5,0.25,2"]

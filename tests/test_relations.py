@@ -24,7 +24,6 @@ from qud.relations import (
     RELATION_IDS,
     Counterexample,
     RelationId,
-    dpi_margin,
     eval_relation,
     eval_with_dual,
     relation_sides,
@@ -33,7 +32,13 @@ from qud.relations import (
     table2_relations,
     universal_bound,
 )
-from qud.sweeps import chain_margins, dpi_margins, haar_triples, relation_margins
+from qud.sweeps import (
+    chain_margins,
+    dpi_margin,
+    dpi_margins,
+    haar_triples,
+    relation_margins,
+)
 
 from conftest import RT2, triple_of
 
@@ -268,10 +273,17 @@ def test_dpi_margin_nonnegative_and_consistent(f1):
         rho_r = sample("haar_state_mixed", 3, 300 + seed)
         a_r = sample("haar_unitary_basis", 3, 400 + seed)
         b_r = sample("haar_unitary_basis", 3, 500 + seed)
+        rho_a = dephase(rho_r, a_r)
         for kind, alpha in (("trace", None), ("infidelity", None),
                             ("renyi_sandwiched", 0.75), ("tsallis", 0.5),
                             ("relative_entropy", None), ("hilbert_schmidt", None)):
-            assert dpi_margin(DivergenceSpec(kind, alpha), rho_r, a_r, b_r) >= -1e-8
+            spec = DivergenceSpec(kind, alpha)
+            margin = dpi_margin(spec, rho_r, a_r, b_r)
+            assert margin >= -1e-8
+            direct = qdiv(spec, rho_r, rho_a) - cdiv(
+                spec, outcome_dist(rho_r, b_r), outcome_dist(rho_a, b_r)
+            )
+            assert abs(margin - direct) < 1e-8, kind
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +376,16 @@ def test_dpi_margins_match_scalar_eval():
                 )
             )
             assert abs(margins[k] - margin_direct) < 1e-8, kind
+
+
+def test_dpi_margins_check_orders_like_divergence_spec():
+    batch = haar_triples(2, 4, 15)
+    for kind, alpha in (("trace", 0.5), ("renyi_sandwiched", 0.4),
+                        ("renyi_sandwiched", None), ("tsallis", 1.0)):
+        with pytest.raises(AlphaOutOfRange):
+            dpi_margins(kind, alpha, batch)
+    with pytest.raises(ValueError):
+        dpi_margins("bures", None, batch)
 
 
 def test_chain_margins_match_scalar_eval():
