@@ -18,14 +18,17 @@ import sys
 from .divergence import DIVERGENCE_KINDS, DivergenceSpec
 from .errors import DimensionMismatch, QudError, SchemaError
 from .experiments import (
+    MIN_VOLUME_SAMPLES,
+    SHOT_KINDS,
     TABLE2_REFERENCE,
+    VOLUME_DIMS,
     coherence_bounds,
     estimate_coherence,
     estimate_volume,
     region_grid,
     simulate_shots,
 )
-from .io import _pairs, load_basis, load_state
+from .io import _basis_record, _state_record, load_basis, load_state
 from .qstate import (
     _haar_instances,
     make_basis,
@@ -69,8 +72,6 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".12g")
     if isinstance(value, (dict, list)):
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -78,11 +79,8 @@ def _cell(value) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     return value
 
 
@@ -130,14 +128,6 @@ def _load_instance(args):
     dim = args.dim if args.dim is not None else 2
     rho, ua, ub = _haar_instances(stream(args.seed), 1, dim)
     return make_density(rho[0]), make_basis(ua[0]), make_basis(ub[0]), "sampled"
-
-
-def _state_record(rho) -> dict:
-    return {"dim": rho.dim, "rho": _pairs(rho.matrix)}
-
-
-def _basis_record(basis) -> dict:
-    return {"dim": basis.dim, "columns": _pairs(basis.kets.T)}
 
 
 def _cmd_verify(args) -> int:
@@ -360,6 +350,11 @@ def _add_instance_flags(p) -> None:
     p.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
+def _add_volume_flags(p) -> None:
+    p.add_argument("--dim", type=int, choices=VOLUME_DIMS, default=2)
+    p.add_argument("--samples", type=_int_at_least(MIN_VOLUME_SAMPLES), default=1000000)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qud",
@@ -392,16 +387,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="Monte-Carlo feasible-region volume")
     _add_relation_flags(p)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=1000000)
+    _add_volume_flags(p)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_volume)
 
     p = sub.add_parser("table2", help="volumes for the tabulated relation set")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=1000000)
+    _add_volume_flags(p)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--compare", action="store_true",
@@ -412,21 +405,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="admissible (p0, q0) grid at fixed c00")
     _add_relation_flags(p)
     p.add_argument("--c00", type=float, required=True)
-    p.add_argument("--resolution", type=int, default=101)
+    p.add_argument("--resolution", type=_int_at_least(2), default=101)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_region)
 
     p = sub.add_parser("coherence", help="coherence bounds, exact or from shots")
     _add_instance_flags(p)
-    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--shots", type=_int_at_least(1), default=None)
     p.add_argument("--smoothing", type=float, default=0.5)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_coherence)
 
     p = sub.add_parser("shots", help="simulate measurement shot counts")
     _add_instance_flags(p)
-    p.add_argument("--kind", choices=("direct_B", "sequential_AB"), default="direct_B")
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--kind", choices=SHOT_KINDS, default="direct_B")
+    p.add_argument("--n", type=_int_at_least(0), default=1000)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_shots)
 

@@ -3,9 +3,10 @@
 Six kinds are supported: trace, infidelity, renyi_sandwiched, tsallis,
 relative_entropy, hilbert_schmidt. The first four admit a gauge G putting
 them on the common [0, 1] distance scale used by the trade-off relations;
-`gauge_inverse` maps a divergence value back through G^{-1}. Divergences
-that can diverge return math.inf, and every consumer of these values
-(gauges, verdicts) handles inf.
+`gauge_inverse` maps a divergence value back through G^{-1}. `qdiv`, `cdiv`
+and `gauge_inverse` work in bits; the array kernels take a log base.
+Divergences that can diverge return math.inf, and every consumer of these
+values (gauges, verdicts) handles inf.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRange, DimensionMismatch, NotGaugeable
-from .qstate import RANK_TOL, ZERO_CUTOFF, DensityMatrix, ProbDist, fidelity
+from .qstate import ZERO_CUTOFF, DensityMatrix, ProbDist, _pseudo_power, fidelity
 
 DIVERGENCE_KINDS = (
     "trace",
@@ -63,31 +64,31 @@ def _check_dims(x, y):
 # classical kernels (reduce over the last axis, accept any batch shape)
 
 
-def l1_distance(q, qp, axis: int = -1):
+def l1_distance(q, qp):
     q = np.asarray(q, dtype=np.float64)
     qp = np.asarray(qp, dtype=np.float64)
-    return 0.5 * np.abs(q - qp).sum(axis=axis)
+    return 0.5 * np.abs(q - qp).sum(axis=-1)
 
 
-def euclidean_distance(q, qp, axis: int = -1):
+def euclidean_distance(q, qp):
     q = np.asarray(q, dtype=np.float64)
     qp = np.asarray(qp, dtype=np.float64)
-    return np.sqrt(((q - qp) ** 2).sum(axis=axis))
+    return np.sqrt(((q - qp) ** 2).sum(axis=-1))
 
 
-def bhattacharyya(q, qp, axis: int = -1):
+def bhattacharyya(q, qp):
     """Classical fidelity sum sqrt(q q')."""
     q = np.asarray(q, dtype=np.float64)
     qp = np.asarray(qp, dtype=np.float64)
-    return np.sqrt(np.clip(q * qp, 0.0, None)).sum(axis=axis)
+    return np.sqrt(np.clip(q * qp, 0.0, None)).sum(axis=-1)
 
 
-def classical_infidelity(q, qp, axis: int = -1):
-    f = bhattacharyya(q, qp, axis=axis)
+def classical_infidelity(q, qp):
+    f = bhattacharyya(q, qp)
     return np.sqrt(np.clip(1.0 - f**2, 0.0, None))
 
 
-def power_overlap(q, qp, alpha: float, axis: int = -1):
+def power_overlap(q, qp, alpha: float):
     """sum over {q_i > 0} of q^alpha q'^(1-alpha).
 
     For alpha < 1 a vanishing q' makes the term 0; for alpha > 1 it makes
@@ -100,27 +101,27 @@ def power_overlap(q, qp, alpha: float, axis: int = -1):
         terms = np.where(on, q, 1.0) ** alpha * np.where(
             on | (qp > ZERO_CUTOFF), qp, 1.0
         ) ** (1.0 - alpha)
-    return np.where(on, terms, 0.0).sum(axis=axis)
+    return np.where(on, terms, 0.0).sum(axis=-1)
 
 
-def renyi_divergence(q, qp, alpha: float, base: float = 2.0, axis: int = -1):
+def renyi_divergence(q, qp, alpha: float, base: float = 2.0):
     """log(sum q^alpha q'^(1-alpha)) / (alpha - 1); +inf on support clash."""
     if alpha < 0 or alpha == 1.0:
         raise AlphaOutOfRange(f"need alpha >= 0, alpha != 1, got {alpha}")
-    s = power_overlap(q, qp, alpha, axis=axis)
+    s = power_overlap(q, qp, alpha)
     with np.errstate(divide="ignore"):
         out = np.log(s) / (np.log(base) * (alpha - 1.0))
     return out
 
 
-def tsallis_divergence(q, qp, alpha: float, axis: int = -1):
+def tsallis_divergence(q, qp, alpha: float):
     """(1 - sum q^alpha q'^(1-alpha)) / (1 - alpha) for 0 <= alpha < 1."""
     if not 0.0 <= alpha < 1.0:
         raise AlphaOutOfRange(f"need 0 <= alpha < 1, got {alpha}")
-    return (1.0 - power_overlap(q, qp, alpha, axis=axis)) / (1.0 - alpha)
+    return (1.0 - power_overlap(q, qp, alpha)) / (1.0 - alpha)
 
 
-def kl_divergence(q, qp, base: float = 2.0, axis: int = -1):
+def kl_divergence(q, qp, base: float = 2.0):
     """sum q log(q/q'); +inf when q puts mass where q' has none."""
     q = np.asarray(q, dtype=np.float64)
     qp = np.asarray(qp, dtype=np.float64)
@@ -128,7 +129,7 @@ def kl_divergence(q, qp, base: float = 2.0, axis: int = -1):
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(np.where(on, q, 1.0)) - np.log(np.where(qp > 0, qp, 0.0))
         terms = np.where(on, q * logs, 0.0)
-    return terms.sum(axis=axis) / np.log(base)
+    return terms.sum(axis=-1) / np.log(base)
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +141,15 @@ def _trace_distance(rho1, rho2):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def _sandwiched_renyi(rho1, rho2, alpha, base):
+def _sandwiched_renyi(rho1, rho2, alpha):
     c = (1.0 - alpha) / (2.0 * alpha)
     half = rho2.power(c)
     core = half @ rho1.matrix @ half
     lam = np.clip(np.linalg.eigvalsh((core + core.conj().T) / 2.0), 0.0, None)
-    lam = lam * (lam > lam.max() * RANK_TOL)
-    total = float((lam**alpha).sum())
+    total = float(_pseudo_power(lam, alpha).sum())
     if total <= ZERO_CUTOFF:
         return math.inf
-    return math.log(total) / (math.log(base) * (alpha - 1.0))
+    return math.log(total) / (math.log(2.0) * (alpha - 1.0))
 
 
 def _tsallis_quantum(rho1, rho2, alpha):
@@ -157,7 +157,7 @@ def _tsallis_quantum(rho1, rho2, alpha):
     return (1.0 - cross) / (1.0 - alpha)
 
 
-def _relative_entropy(rho1, rho2, base):
+def _relative_entropy(rho1, rho2):
     lam1 = rho1.eigenvalues
     lam2 = rho2.eigenvalues
     # mass of rho1 on the kernel of rho2
@@ -172,12 +172,11 @@ def _relative_entropy(rho1, rho2, base):
     term1 = float((lam1[on1] * np.log(lam1[on1])).sum())
     on2 = ~kernel
     term2 = float((weights[on2] * np.log(lam2[on2])).sum())
-    return (term1 - term2) / math.log(base)
+    return (term1 - term2) / math.log(2.0)
 
 
-def qdiv(spec: DivergenceSpec, rho1: DensityMatrix, rho2: DensityMatrix,
-         base: float = 2.0) -> float:
-    """Divergence between two states; entropic kinds use the given log base."""
+def qdiv(spec: DivergenceSpec, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
+    """Divergence between two states; entropic kinds are in bits."""
     _check_dims(rho1, rho2)
     if spec.kind == "trace":
         return _trace_distance(rho1, rho2)
@@ -185,16 +184,16 @@ def qdiv(spec: DivergenceSpec, rho1: DensityMatrix, rho2: DensityMatrix,
         f = fidelity(rho1, rho2)
         return float(np.sqrt(max(1.0 - f * f, 0.0)))
     if spec.kind == "renyi_sandwiched":
-        return _sandwiched_renyi(rho1, rho2, spec.alpha, base)
+        return _sandwiched_renyi(rho1, rho2, spec.alpha)
     if spec.kind == "tsallis":
         return _tsallis_quantum(rho1, rho2, spec.alpha)
     if spec.kind == "relative_entropy":
-        return _relative_entropy(rho1, rho2, base)
+        return _relative_entropy(rho1, rho2)
     return float(np.linalg.norm(rho1.matrix - rho2.matrix))
 
 
-def cdiv(spec: DivergenceSpec, q: ProbDist, qp: ProbDist, base: float = 2.0) -> float:
-    """Classical counterpart of `qdiv` on outcome distributions."""
+def cdiv(spec: DivergenceSpec, q: ProbDist, qp: ProbDist) -> float:
+    """Classical counterpart of `qdiv` on outcome distributions, in bits."""
     _check_dims(q, qp)
     a, b = q.probs, qp.probs
     if spec.kind == "trace":
@@ -202,20 +201,20 @@ def cdiv(spec: DivergenceSpec, q: ProbDist, qp: ProbDist, base: float = 2.0) -> 
     if spec.kind == "infidelity":
         return float(classical_infidelity(a, b))
     if spec.kind == "renyi_sandwiched":
-        return float(renyi_divergence(a, b, spec.alpha, base=base))
+        return float(renyi_divergence(a, b, spec.alpha))
     if spec.kind == "tsallis":
         return float(tsallis_divergence(a, b, spec.alpha))
     if spec.kind == "relative_entropy":
-        return float(kl_divergence(a, b, base=base))
+        return float(kl_divergence(a, b))
     return float(euclidean_distance(a, b))
 
 
-def gauge_inverse(spec: DivergenceSpec, value: float, base: float = 2.0) -> float:
+def gauge_inverse(spec: DivergenceSpec, value: float) -> float:
     """Map a divergence value back to the common [0, 1] distance scale.
 
     trace and infidelity are already on that scale (identity gauge). For
-    renyi_sandwiched the gauge is G(x) = (alpha/(alpha-1)) log(1 - x^2), so
-    G^{-1}(y) = sqrt(1 - base^((alpha-1) y / alpha)); for tsallis
+    renyi_sandwiched the gauge is G(x) = (alpha/(alpha-1)) log2(1 - x^2), so
+    G^{-1}(y) = sqrt(1 - 2^((alpha-1) y / alpha)); for tsallis
     G(x) = x^2 / (1 - alpha), so G^{-1}(y) = sqrt((1 - alpha) y). Infinite
     input maps to 1.
     """
@@ -228,7 +227,7 @@ def gauge_inverse(spec: DivergenceSpec, value: float, base: float = 2.0) -> floa
     if spec.kind == "renyi_sandwiched":
         if math.isinf(value):
             return 1.0
-        inner = 1.0 - base ** ((spec.alpha - 1.0) * value / spec.alpha)
+        inner = 1.0 - 2.0 ** ((spec.alpha - 1.0) * value / spec.alpha)
         return float(np.sqrt(min(max(inner, 0.0), 1.0)))
     if math.isinf(value):
         return 1.0

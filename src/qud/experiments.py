@@ -23,11 +23,13 @@ from .qstate import (
     sequential_dist,
     von_neumann_entropy,
 )
-from .relations import RelationId, relation_sides, satisfied_mask, table2_relations
-from .rng import stream
+from .relations import RelationId, relation_sides, satisfied_mask
+from .rng import _chunks, stream
 from .uncertainty import shannon_entropy
 
 VOLUME_CHUNK = 1 << 16
+VOLUME_DIMS = (2, 3)
+MIN_VOLUME_SAMPLES = 1000
 
 SHOT_KINDS = ("direct_B", "sequential_AB")
 
@@ -92,31 +94,6 @@ def _draw_parameters(rng, dim: int, count: int):
     return p, q, _haar_overlaps(rng, count, 3)
 
 
-def _chunk_sizes(samples: int):
-    full, rest = divmod(samples, VOLUME_CHUNK)
-    sizes = [VOLUME_CHUNK] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
-
-
-def _volume_from_mask(mask_fn, dim: int, samples: int, seed: int, workers: int = 1):
-    """Shared Monte-Carlo driver; mask_fn(p, q, c) -> boolean accept array."""
-
-    def one_chunk(item):
-        index, count = item
-        p, q, c = _draw_parameters(stream(seed, index), dim, count)
-        return int(np.count_nonzero(mask_fn(p, q, c)))
-
-    jobs = list(enumerate(_chunk_sizes(samples)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accepted = sum(pool.map(one_chunk, jobs))
-    else:
-        accepted = sum(map(one_chunk, jobs))
-    return accepted
-
-
 def estimate_volume(rel: RelationId, dim: int, samples: int, seed: int,
                     workers: int = 1) -> VolumeEstimate:
     """Fraction of the data-parameter space admitted by relation + dual.
@@ -124,13 +101,22 @@ def estimate_volume(rel: RelationId, dim: int, samples: int, seed: int,
     d=2 draws (p0, q0, c00) uniform on the cube; d=3 draws p, q from the
     flat simplex measure and C from a Haar-random unitary.
     """
-    if dim not in (2, 3):
-        raise UnsupportedDim(f"volume estimation supports dim 2 and 3, got {dim}")
-    if samples < 1000:
-        raise ValueError(f"samples must be >= 1000, got {samples}")
-    accepted = _volume_from_mask(
-        lambda p, q, c: _accept_mask(rel, p, q, c), dim, samples, seed, workers
-    )
+    if dim not in VOLUME_DIMS:
+        raise UnsupportedDim(f"volume estimation supports dim in {VOLUME_DIMS}, got {dim}")
+    if samples < MIN_VOLUME_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_VOLUME_SAMPLES}, got {samples}")
+
+    def one_chunk(chunk):
+        index, _, count = chunk
+        p, q, c = _draw_parameters(stream(seed, index), dim, count)
+        return int(np.count_nonzero(_accept_mask(rel, p, q, c)))
+
+    chunks = _chunks(samples, VOLUME_CHUNK)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            accepted = sum(pool.map(one_chunk, chunks))
+    else:
+        accepted = sum(map(one_chunk, chunks))
     volume = accepted / samples
     std_error = math.sqrt(volume * (1.0 - volume) / samples)
     return VolumeEstimate(rel, dim, samples, accepted, volume, std_error, seed)
@@ -200,8 +186,8 @@ def estimate_coherence(direct: ShotCounts, sequential: ShotCounts,
         raise DimensionMismatch(f"dimensions differ: {direct.dim} vs {sequential.dim}")
     if direct.total == 0 or sequential.total == 0:
         raise EmptyCounts("need at least one shot in each record")
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    if not 0.0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     d = direct.dim
     q_hat = (direct.counts + smoothing) / (direct.total + d * smoothing)
     p_hat = (sequential.counts.sum(axis=1) + smoothing) / (sequential.total + d * smoothing)

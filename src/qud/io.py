@@ -84,13 +84,21 @@ def _pairs(matrix):
     ]
 
 
+def _state_record(rho: DensityMatrix) -> dict:
+    return {"dim": rho.dim, "rho": _pairs(rho.matrix)}
+
+
+def _basis_record(basis: OrthonormalBasis) -> dict:
+    return {"dim": basis.dim, "columns": _pairs(basis.kets.T)}
+
+
 def save_state(path, rho: DensityMatrix) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"dim": rho.dim, "rho": _pairs(rho.matrix)}, fh)
+        json.dump(_state_record(rho), fh)
         fh.write("\n")
 
 
 def save_basis(path, basis: OrthonormalBasis) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"dim": basis.dim, "columns": _pairs(basis.kets.T)}, fh)
+        json.dump(_basis_record(basis), fh)
         fh.write("\n")

@@ -33,6 +33,15 @@ ZERO_CUTOFF = 1e-15
 SAMPLE_KINDS = ("haar_state_pure", "haar_state_mixed", "haar_unitary_basis", "simplex")
 
 
+def _pseudo_power(values, exponent: float):
+    """values**exponent on the support, 0 off it; reduces over the last axis.
+
+    An entry at or below RANK_TOL times the largest one is off the support.
+    """
+    on = values > values.max(axis=-1, keepdims=True) * RANK_TOL
+    return np.where(on, values, 1.0) ** exponent * on
+
+
 def _frozen(arr):
     arr.setflags(write=False)
     return arr
@@ -73,9 +82,7 @@ class DensityMatrix:
 
     def power(self, exponent: float) -> np.ndarray:
         """Pseudo-power on the support: kernel eigenvalues stay zero."""
-        lam = self.eigenvalues
-        on = lam > lam.max() * RANK_TOL
-        powered = np.where(on, lam, 1.0) ** exponent * on
+        powered = _pseudo_power(self.eigenvalues, exponent)
         return (self.eigenvectors * powered) @ self.eigenvectors.conj().T
 
 
@@ -258,7 +265,7 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
     lam = rho.eigenvalues
-    lam = lam[lam > 1e-15]
+    lam = lam[lam > ZERO_CUTOFF]
     return float(-(lam * np.log(lam)).sum() / np.log(base))
 
 

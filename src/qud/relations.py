@@ -42,7 +42,7 @@ from .qstate import (
     overlap_matrix,
     sequential_dist,
 )
-from .rng import stream
+from .rng import _chunks, stream
 from .uncertainty import (
     delta_measure,
     half_norm_measure,
@@ -96,8 +96,8 @@ class RelationId:
             if a is None or not 0.0 <= a < 1.0:
                 raise AlphaOutOfRange(f"{self.id} needs 0 <= alpha < 1")
         elif self.id == "EUR_MU":
-            if a is None or b is None or a < 0.5 or b < 0.5:
-                raise AlphaOutOfRange("EUR_MU needs alpha, beta >= 1/2")
+            if a is None or b is None or not (0.5 <= a < math.inf and 0.5 <= b < math.inf):
+                raise AlphaOutOfRange("EUR_MU needs finite alpha, beta >= 1/2")
             if abs(1.0 / a + 1.0 / b - 2.0) > 1e-9:
                 raise AlphaOutOfRange("EUR_MU needs conjugate orders 1/alpha + 1/beta = 2")
         elif a is not None:
@@ -115,14 +115,6 @@ class RelationId:
         if self.variant != "canonical":
             parts.append(self.variant)
         return self.id if not parts else f"{self.id}[{','.join(parts)}]"
-
-    def to_dict(self) -> dict:
-        out = {"id": self.id, "variant": self.variant}
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.beta is not None:
-            out["beta"] = self.beta
-        return out
 
 
 @dataclass(frozen=True)
@@ -155,8 +147,7 @@ def table2_relations() -> tuple[RelationId, ...]:
     )
 
 
-def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0,
-                   alpha_grid=DEFAULT_ALPHA_GRID):
+def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0):
     """Vectorized (lhs, rhs) arrays for batches of distributions.
 
     p, q, qp reduce over the last axis; cmax (same leading shape) is needed
@@ -183,7 +174,7 @@ def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0,
     if rid == "U_hs":
         return delta_measure(p), euclidean_distance(q, qp)
     if rid == "THM1_UNIVERSAL":
-        return delta_measure(p), _universal_bound_array(q, qp, alpha_grid)
+        return delta_measure(p), _universal_bound_array(q, qp)
     if cmax is None:
         raise MissingOverlap(f"{rid} needs the overlap matrix (cmax)")
     rhs = -np.log(np.asarray(cmax, dtype=np.float64)) / np.log(base)
@@ -213,17 +204,6 @@ def satisfied_mask(lhs, rhs):
     return ok
 
 
-def _verdict(lhs: float, rhs: float) -> RelationVerdict:
-    lhs, rhs = float(lhs), float(rhs)
-    if math.isinf(lhs) and lhs > 0:
-        return RelationVerdict(lhs, rhs, math.inf, True)
-    if math.isinf(rhs) and rhs > 0:
-        return RelationVerdict(lhs, rhs, -math.inf, False)
-    margin = lhs - rhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return RelationVerdict(lhs, rhs, margin, margin >= -VERDICT_RTOL * scale)
-
-
 def eval_relation(rel: RelationId, p: ProbDist, q: ProbDist, qp: ProbDist,
                   c: OverlapMatrix | None = None, base: float = 2.0) -> RelationVerdict:
     """Evaluate one relation on the statistics triple (p, q, q').
@@ -250,7 +230,8 @@ def eval_relation(rel: RelationId, p: ProbDist, q: ProbDist, qp: ProbDist,
     lhs, rhs = relation_sides(
         rel, p.probs[None, :], q.probs[None, :], qp.probs[None, :], cmax, base
     )
-    return _verdict(float(np.asarray(lhs).ravel()[0]), float(np.asarray(rhs).ravel()[0]))
+    lhs, rhs = float(lhs[0]), float(rhs[0])
+    return RelationVerdict(lhs, rhs, lhs - rhs, bool(satisfied_mask(lhs, rhs)))
 
 
 def eval_with_dual(rel: RelationId, p: ProbDist, q: ProbDist, c: OverlapMatrix,
@@ -269,25 +250,25 @@ def eval_with_dual(rel: RelationId, p: ProbDist, q: ProbDist, c: OverlapMatrix,
     return forward, dual
 
 
-def _universal_bound_array(q, qp, alpha_grid=DEFAULT_ALPHA_GRID):
+def _universal_bound_array(q, qp):
     best = np.maximum(l1_distance(q, qp), classical_infidelity(q, qp))
-    for a in alpha_grid:
+    for a in DEFAULT_ALPHA_GRID:
         s = np.clip(power_overlap(q, qp, a), 0.0, 1.0)
         best = np.maximum(best, np.sqrt(np.clip(1.0 - s ** (1.0 / a), 0.0, None)))
         best = np.maximum(best, np.sqrt(1.0 - s))
     return np.clip(best, 0.0, 1.0)
 
 
-def universal_bound(q: ProbDist, qp: ProbDist, alpha_grid=DEFAULT_ALPHA_GRID) -> float:
-    """Largest gauged disturbance over trace, infidelity, and the alpha grids.
+def universal_bound(q: ProbDist, qp: ProbDist) -> float:
+    """Largest gauged disturbance over trace, infidelity, and the alpha grid.
 
-    Maximum of 1/2 sum|q-q'|, sqrt(1-(sum sqrt(qq'))^2), and for each grid
-    alpha both sqrt(1 - S^(1/alpha)) and sqrt(1 - S) with
+    Maximum of 1/2 sum|q-q'|, sqrt(1-(sum sqrt(qq'))^2), and for each alpha
+    in DEFAULT_ALPHA_GRID both sqrt(1 - S^(1/alpha)) and sqrt(1 - S) with
     S = sum q^alpha q'^(1-alpha).
     """
     if q.dim != qp.dim:
         raise DimensionMismatch(f"dimensions differ: {q.dim} vs {qp.dim}")
-    return float(_universal_bound_array(q.probs, qp.probs, alpha_grid))
+    return float(_universal_bound_array(q.probs, qp.probs))
 
 
 def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
@@ -300,12 +281,8 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    remaining = budget
-    chunk_index = 0
-    offset = 0
-    while remaining > 0:
-        count = min(SEARCH_CHUNK, remaining)
-        rho, ua, ub = _haar_instances(stream(seed, chunk_index), count, dim, pure=True)
+    for index, offset, count in _chunks(budget, SEARCH_CHUNK):
+        rho, ua, ub = _haar_instances(stream(seed, index), count, dim, pure=True)
         # Born probabilities as diagonals of u^dag rho u, clipped at 0
         p = np.einsum("nik,nik->nk", ua.conj(), np.einsum("nij,njk->nik", rho, ua)).real
         q = np.einsum("nik,nik->nk", ub.conj(), np.einsum("nij,njk->nik", rho, ub)).real
@@ -332,7 +309,4 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
                 base=base,
             )
             return Counterexample(state, basis_a, basis_b, verdict, offset + i)
-        offset += count
-        remaining -= count
-        chunk_index += 1
     return None

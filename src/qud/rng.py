@@ -13,3 +13,9 @@ def stream(seed: int, chunk: int | None = None) -> np.random.Generator:
     if chunk is None:
         return np.random.default_rng(np.random.SeedSequence(seed))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+
+
+def _chunks(samples: int, size: int):
+    """Yield (index, offset, count) for full chunks of `size`, then the rest."""
+    for index, offset in enumerate(range(0, samples, size)):
+        yield index, offset, min(size, samples - offset)

@@ -21,7 +21,7 @@ from .divergence import (
     renyi_divergence,
     tsallis_divergence,
 )
-from .qstate import RANK_TOL, DensityMatrix, OrthonormalBasis, _haar_instances
+from .qstate import DensityMatrix, OrthonormalBasis, _haar_instances, _pseudo_power
 from .relations import _universal_bound_array, relation_sides
 from .rng import stream
 from .uncertainty import delta_measure, shannon_entropy
@@ -78,29 +78,28 @@ def haar_triples(dim: int, count: int, seed: int, pure: bool = False,
     return _triples(*_haar_instances(stream(seed, chunk), count, dim, pure))
 
 
-def relation_margins(rel, batch: TripleBatch, base: float = 2.0):
-    """lhs - rhs over the batch (inf-aware subtraction)."""
-    lhs, rhs = relation_sides(rel, batch.p, batch.q, batch.qp, batch.cmax, base)
+def relation_margins(rel, batch: TripleBatch):
+    """lhs - rhs over the batch in bits (inf-aware subtraction)."""
+    lhs, rhs = relation_sides(rel, batch.p, batch.q, batch.qp, batch.cmax)
     with np.errstate(invalid="ignore"):
         return lhs - rhs
 
 
-def _pseudo_power(values, exponent: float):
-    on = values > values.max(axis=-1, keepdims=True) * RANK_TOL
-    return np.where(on, values, 1.0) ** exponent * on
+def _sandwiched_trace(batch: TripleBatch, alpha: float):
+    """tr (s rho s)^alpha with s = diag(p)^((1-alpha)/(2 alpha)) on the support.
+
+    In the A frame the dephased state is diag(p), so this is the sandwiched
+    Renyi trace against the dephased state, from one batched eigh.
+    """
+    scale = _pseudo_power(batch.p, (1.0 - alpha) / (2.0 * alpha))
+    core = batch.rho * scale[:, :, None] * scale[:, None, :]
+    lam = np.clip(np.linalg.eigvalsh(core), 0.0, None)
+    return _pseudo_power(lam, alpha).sum(axis=1)
 
 
 def _infidelity_to_dephased(batch: TripleBatch):
-    """sqrt(1 - F^2) between each state and its A-dephased version.
-
-    In the A frame the dephased state is diag(p), so
-    F = tr sqrt(sqrt(diag p) rho sqrt(diag p)) comes from one batched eigh.
-    """
-    root = np.sqrt(batch.p)
-    core = batch.rho * root[:, :, None] * root[:, None, :]
-    lam = np.clip(np.linalg.eigvalsh(core), 0.0, None)
-    lam = lam * (lam > lam.max(axis=1, keepdims=True) * RANK_TOL)
-    f = np.clip(np.sqrt(lam).sum(axis=1), 0.0, 1.0)
+    """sqrt(1 - F^2) between each state and its A-dephased version."""
+    f = np.clip(_sandwiched_trace(batch, 0.5), 0.0, 1.0)
     return np.sqrt(np.clip(1.0 - f**2, 0.0, None))
 
 
@@ -131,11 +130,7 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
                    - shannon_entropy(batch.spectrum, base=base))
         return quantum - kl_divergence(q, qp, base=base)
     if kind == "renyi_sandwiched":
-        scale = _pseudo_power(p, (1.0 - alpha) / (2.0 * alpha))
-        core = batch.rho * scale[:, :, None] * scale[:, None, :]
-        lam = np.clip(np.linalg.eigvalsh(core), 0.0, None)
-        lam = lam * (lam > lam.max(axis=1, keepdims=True) * RANK_TOL)
-        total = (lam**alpha).sum(axis=1)
+        total = _sandwiched_trace(batch, alpha)
         with np.errstate(divide="ignore"):
             quantum = np.log(total) / (np.log(base) * (alpha - 1.0))
         return quantum - renyi_divergence(q, qp, alpha, base=base)
@@ -148,15 +143,15 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
 
 
 def dpi_margin(spec: DivergenceSpec, rho: DensityMatrix, a: OrthonormalBasis,
-               b: OrthonormalBasis, base: float = 2.0) -> float:
-    """qdiv(rho, dephased rho) minus its classical counterpart after B.
+               b: OrthonormalBasis) -> float:
+    """qdiv(rho, dephased rho) minus its classical counterpart after B, in bits.
 
     Data processing makes this nonnegative (to 1e-8) for every supported
     divergence; Hilbert-Schmidt is only monotone under the dephasing step
     checked here, not under general channels.
     """
     batch = _triples(rho.matrix[None], a.kets[None], b.kets[None])
-    return float(dpi_margins(spec.kind, spec.alpha, batch, base=base)[0])
+    return float(dpi_margins(spec.kind, spec.alpha, batch)[0])
 
 
 def chain_margins(batch: TripleBatch):

@@ -6,6 +6,7 @@ below 1e-15 are treated as exact zeros before any log or power, so the
 0 log 0 = 0 and 0^alpha = 0 conventions hold for every order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,38 +34,38 @@ class UncertaintySpec:
             raise AlphaOutOfRange(f"{self.kind} takes no alpha")
 
 
-def delta_measure(p, axis: int = -1):
+def delta_measure(p):
     """sqrt(1 - sum p^2): purity deficit of the dephased state."""
     p = np.asarray(p, dtype=np.float64)
-    return np.sqrt(np.clip(1.0 - (p**2).sum(axis=axis), 0.0, None))
+    return np.sqrt(np.clip(1.0 - (p**2).sum(axis=-1), 0.0, None))
 
 
-def shannon_entropy(p, base: float = 2.0, axis: int = -1):
+def shannon_entropy(p, base: float = 2.0):
     p = np.asarray(p, dtype=np.float64)
     safe = np.maximum(p, ZERO_CUTOFF)
     terms = np.where(p > ZERO_CUTOFF, p * np.log(safe), 0.0)
-    return -terms.sum(axis=axis) / np.log(base)
+    return -terms.sum(axis=-1) / np.log(base)
 
 
-def renyi_entropy(p, alpha: float, base: float = 2.0, axis: int = -1):
+def renyi_entropy(p, alpha: float, base: float = 2.0):
     """Order-alpha entropy log(sum p^alpha) / (1 - alpha); alpha=1 is Shannon.
 
     alpha=0 counts the support, per the zero-probability convention.
     """
-    if alpha < 0:
-        raise AlphaOutOfRange(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise AlphaOutOfRange(f"alpha must be finite and >= 0, got {alpha}")
     if alpha == 1.0:
-        return shannon_entropy(p, base=base, axis=axis)
+        return shannon_entropy(p, base=base)
     p = np.asarray(p, dtype=np.float64)
     safe = np.maximum(p, ZERO_CUTOFF)
     powered = np.where(p > ZERO_CUTOFF, safe**alpha, 0.0)
-    return np.log(powered.sum(axis=axis)) / (np.log(base) * (1.0 - alpha))
+    return np.log(powered.sum(axis=-1)) / (np.log(base) * (1.0 - alpha))
 
 
-def half_norm_measure(p, axis: int = -1):
+def half_norm_measure(p):
     """Half of ((sum sqrt(p))^2 - 1), the 1/2-quasinorm overshoot."""
     p = np.asarray(p, dtype=np.float64)
-    root_sum = np.sqrt(np.clip(p, 0.0, None)).sum(axis=axis)
+    root_sum = np.sqrt(np.clip(p, 0.0, None)).sum(axis=-1)
     return 0.5 * (root_sum**2 - 1.0)
 
 

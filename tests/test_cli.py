@@ -388,6 +388,13 @@ def test_unknown_subcommand_exits_two(capsys):
     (["coherence", "--seed", "-1"], "--seed"),
     (["shots", "--seed", "-1"], "--seed"),
     (["dpi", "--divergence", "trace", "--samples", "ten"], "--samples"),
+    (["volume", "--relation", "U_tr", "--dim", "4"], "--dim"),
+    (["table2", "--dim", "1"], "--dim"),
+    (["volume", "--relation", "U_tr", "--samples", "999"], "--samples"),
+    (["table2", "--samples", "0"], "--samples"),
+    (["region", "--relation", "U_tr", "--c00", "0.5", "--resolution", "1"], "--resolution"),
+    (["coherence", "--shots", "0"], "--shots"),
+    (["shots", "--n", "-1"], "--n"),
 ])
 def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -396,6 +403,21 @@ def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--dim", "2", "--seed", "1", "--shots", "100", "--smoothing", "nan"],
+    ["coherence", "--dim", "2", "--seed", "1", "--shots", "100", "--smoothing", "inf"],
+    ["verify", "--relation", "EUR_MU", "--alpha", "inf", "--beta", "0.5", "--dim", "2",
+     "--seed", "3"],
+    ["verify", "--relation", "EUR_MU", "--alpha", "0.5", "--beta", "inf", "--dim", "2",
+     "--seed", "3"],
+])
+def test_non_finite_float_is_an_input_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_unknown_relation_exits_two(capsys):

@@ -13,7 +13,6 @@ from qud.experiments import (
     ShotCounts,
     _accept_mask,
     _draw_parameters,
-    _volume_from_mask,
     coherence_bounds,
     estimate_coherence,
     estimate_volume,
@@ -65,9 +64,13 @@ def test_draw_parameters_structure():
     assert_allclose(c3.sum(axis=2), 1.0, atol=1e-8)
 
 
-def test_volume_from_mask_tautology():
-    accepted = _volume_from_mask(lambda p, q, c: np.ones(p.shape[0], bool), 2, 70_000, 5)
-    assert accepted == 70_000
+def test_estimate_volume_counts_the_short_last_chunk():
+    rel = RelationId("U_re")
+    by_hand = 0
+    for index, count in ((0, 65_536), (1, 70_000 - 65_536)):
+        p, q, c = _draw_parameters(stream(5, index), 2, count)
+        by_hand += int(np.count_nonzero(_accept_mask(rel, p, q, c)))
+    assert estimate_volume(rel, 2, 70_000, 5).accepted == by_hand
 
 
 def test_estimate_volume_fields_and_determinism():
@@ -220,8 +223,9 @@ def test_estimate_coherence_error_paths(f1):
         estimate_coherence(sequential, direct)
     with pytest.raises(KindMismatch):
         estimate_coherence(direct, direct)
-    with pytest.raises(ValueError):
-        estimate_coherence(direct, sequential, smoothing=-0.5)
+    for smoothing in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            estimate_coherence(direct, sequential, smoothing=smoothing)
     empty = ShotCounts("direct_B", 2, np.zeros(2, dtype=int), 0, 0)
     with pytest.raises(EmptyCounts):
         estimate_coherence(empty, sequential)

@@ -89,6 +89,10 @@ def test_relation_id_validation():
         RelationId("EUR_MU", alpha=2.0, beta=0.7)
     with pytest.raises(AlphaOutOfRange):
         RelationId("EUR_MU", alpha=0.4, beta=1.0)
+    # 1/inf + 1/0.5 = 2 passes the conjugate check; finiteness must catch it
+    for alpha, beta in ((np.inf, 0.5), (0.5, np.inf), (np.nan, 1.0)):
+        with pytest.raises(AlphaOutOfRange):
+            RelationId("EUR_MU", alpha=alpha, beta=beta)
     RelationId("EUR_MU", alpha=2.0, beta=2.0 / 3.0)
 
 
@@ -97,16 +101,6 @@ def test_relation_id_labels():
     assert RelationId("U_rd", alpha=0.5).label() == "U_rd[alpha=0.5]"
     assert RelationId("U_ts", "printed", 0.5).label() == "U_ts[alpha=0.5,printed]"
     assert RelationId("EUR_MU", alpha=1.0, beta=1.0).label() == "EUR_MU[alpha=1,beta=1]"
-
-
-def test_relation_id_to_dict():
-    assert RelationId("U_tr").to_dict() == {"id": "U_tr", "variant": "canonical"}
-    assert RelationId("EUR_MU", alpha=1.0, beta=1.0).to_dict() == {
-        "id": "EUR_MU",
-        "variant": "canonical",
-        "alpha": 1.0,
-        "beta": 1.0,
-    }
 
 
 def test_catalog_contents():

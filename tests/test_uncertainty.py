@@ -64,6 +64,14 @@ def test_renyi_rejects_negative_alpha():
         renyi_entropy(np.array([0.5, 0.5]), -0.5)
 
 
+@pytest.mark.parametrize("alpha", [np.inf, np.nan])
+def test_renyi_rejects_non_finite_alpha(alpha):
+    with pytest.raises(AlphaOutOfRange):
+        renyi_entropy(np.array([0.5, 0.5]), alpha)
+    with pytest.raises(AlphaOutOfRange):
+        umeasure(UncertaintySpec("renyi", alpha), make_prob([0.5, 0.5]))
+
+
 def test_zero_exactly_on_deterministic_distributions():
     point = make_prob([0.0, 1.0, 0.0])
     spread = make_prob([0.8, 0.1, 0.1])
