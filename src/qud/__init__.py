@@ -23,6 +23,7 @@ from .experiments import (
     coherence_bounds,
     estimate_coherence,
     estimate_volume,
+    estimate_volumes,
     region_grid,
     simulate_shots,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "dpi_margin",
     "estimate_coherence",
     "estimate_volume",
+    "estimate_volumes",
     "eval_relation",
     "eval_with_dual",
     "fidelity",

@@ -25,6 +25,7 @@ from .experiments import (
     coherence_bounds,
     estimate_coherence,
     estimate_volume,
+    estimate_volumes,
     region_grid,
     simulate_shots,
 )
@@ -249,9 +250,9 @@ def _cmd_table2(args) -> int:
     relations.append(RelationId("U_ts", "printed", 0.5))
     rows = []
     reference = TABLE2_REFERENCE.get(args.dim, {})
-    for rel in relations:
-        est = estimate_volume(rel, args.dim, args.samples, args.seed,
-                              workers=args.workers)
+    estimates = estimate_volumes(relations, args.dim, args.samples, args.seed,
+                                 workers=args.workers)
+    for rel, est in zip(relations, estimates):
         row = _volume_row(est)
         if args.compare:
             ref = reference.get(rel.label())

@@ -106,8 +106,8 @@ def power_overlap(q, qp, alpha: float):
 
 def renyi_divergence(q, qp, alpha: float, base: float = 2.0):
     """log(sum q^alpha q'^(1-alpha)) / (alpha - 1); +inf on support clash."""
-    if alpha < 0 or alpha == 1.0:
-        raise AlphaOutOfRange(f"need alpha >= 0, alpha != 1, got {alpha}")
+    if not 0 <= alpha < math.inf or alpha == 1.0:
+        raise AlphaOutOfRange(f"need finite alpha >= 0, alpha != 1, got {alpha}")
     s = power_overlap(q, qp, alpha)
     with np.errstate(divide="ignore"):
         out = np.log(s) / (np.log(base) * (alpha - 1.0))

@@ -2,7 +2,8 @@
 
 Monte-Carlo loops run over fixed-size chunks with per-chunk derived RNG
 streams and integer-count accumulation, so a result depends only on
-(relation, dim, samples, seed) — never on worker count or scheduling.
+(relation, dim, samples, seed) — never on worker count or scheduling, nor on
+which other relations share the draw.
 """
 
 import math
@@ -62,15 +63,22 @@ class ShotCounts:
     seed: int
 
 
-def _accept_mask(rel: RelationId, p, q, c):
-    """Admissibility of batched (p, q, C): relation AND dual (EUR_MU once)."""
-    qp = np.einsum("ni,nij->nj", p, c)
-    cmax = c.max(axis=(1, 2))
+def _shared_arrays(p, q, c):
+    """Relation-independent arrays of batched (p, q, C): qp = C^T p, pp = C q, max C."""
+    return np.einsum("ni,nij->nj", p, c), np.einsum("nij,nj->ni", c, q), c.max(axis=(1, 2))
+
+
+def _accepts(rel: RelationId, p, q, qp, pp, cmax):
+    """Admissibility from the shared arrays: relation AND dual (EUR_MU once)."""
     ok = satisfied_mask(*relation_sides(rel, p, q, qp, cmax))
     if rel.id != "EUR_MU":
-        pp = np.einsum("nij,nj->ni", c, q)
         ok = ok & satisfied_mask(*relation_sides(rel, q, p, pp, cmax))
     return ok
+
+
+def _accept_mask(rel: RelationId, p, q, c):
+    """Admissibility of batched (p, q, C): relation AND dual (EUR_MU once)."""
+    return _accepts(rel, p, q, *_shared_arrays(p, q, c))
 
 
 def _qubit_rows(x):
@@ -94,13 +102,16 @@ def _draw_parameters(rng, dim: int, count: int):
     return p, q, _haar_overlaps(rng, count, 3)
 
 
-def estimate_volume(rel: RelationId, dim: int, samples: int, seed: int,
-                    workers: int = 1) -> VolumeEstimate:
-    """Fraction of the data-parameter space admitted by relation + dual.
+def estimate_volumes(rels, dim: int, samples: int, seed: int,
+                     workers: int = 1) -> tuple[VolumeEstimate, ...]:
+    """Fraction of the data-parameter space admitted by each relation + dual.
 
     d=2 draws (p0, q0, c00) uniform on the cube; d=3 draws p, q from the
-    flat simplex measure and C from a Haar-random unitary.
+    flat simplex measure and C from a Haar-random unitary. Each chunk is
+    drawn once and every relation is evaluated on it, so each estimate
+    equals the one a separate run for its relation alone would give.
     """
+    rels = tuple(rels)
     if dim not in VOLUME_DIMS:
         raise UnsupportedDim(f"volume estimation supports dim in {VOLUME_DIMS}, got {dim}")
     if samples < MIN_VOLUME_SAMPLES:
@@ -109,17 +120,27 @@ def estimate_volume(rel: RelationId, dim: int, samples: int, seed: int,
     def one_chunk(chunk):
         index, _, count = chunk
         p, q, c = _draw_parameters(stream(seed, index), dim, count)
-        return int(np.count_nonzero(_accept_mask(rel, p, q, c)))
+        shared = _shared_arrays(p, q, c)
+        return [int(np.count_nonzero(_accepts(rel, p, q, *shared))) for rel in rels]
 
     chunks = _chunks(samples, VOLUME_CHUNK)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            accepted = sum(pool.map(one_chunk, chunks))
+            per_chunk = list(pool.map(one_chunk, chunks))
     else:
-        accepted = sum(map(one_chunk, chunks))
-    volume = accepted / samples
-    std_error = math.sqrt(volume * (1.0 - volume) / samples)
-    return VolumeEstimate(rel, dim, samples, accepted, volume, std_error, seed)
+        per_chunk = list(map(one_chunk, chunks))
+    estimates = []
+    for rel, accepted in zip(rels, map(sum, zip(*per_chunk))):
+        volume = accepted / samples
+        std_error = math.sqrt(volume * (1.0 - volume) / samples)
+        estimates.append(VolumeEstimate(rel, dim, samples, accepted, volume, std_error, seed))
+    return tuple(estimates)
+
+
+def estimate_volume(rel: RelationId, dim: int, samples: int, seed: int,
+                    workers: int = 1) -> VolumeEstimate:
+    """Fraction of the data-parameter space admitted by one relation + dual."""
+    return estimate_volumes((rel,), dim, samples, seed, workers=workers)[0]
 
 
 def region_grid(rel: RelationId, c00: float, resolution: int):

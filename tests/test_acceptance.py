@@ -24,6 +24,7 @@ from qud.experiments import (
     coherence_bounds,
     estimate_coherence,
     estimate_volume,
+    estimate_volumes,
     simulate_shots,
 )
 from qud.qstate import (
@@ -69,12 +70,17 @@ def _report(label: str, ok: bool, detail: str) -> bool:
 
 
 def test_volume_table_d2():
+    table = table2_relations()
+    extra = (
+        RelationId("U_ts", "printed", 0.5),
+        RelationId("U_if"),
+        RelationId("U_if", "printed"),
+    )
     start = time.perf_counter()
-    volumes = {
-        rel.label(): estimate_volume(rel, 2, MILLION, seed=1).volume
-        for rel in table2_relations()
-    }
+    estimates = estimate_volumes(table + extra, 2, MILLION, seed=1)
     elapsed = time.perf_counter() - start
+    volumes = {rel.label(): est.volume for rel, est in zip(table, estimates)}
+    uts_printed, uif_canon, uif_printed = (est.volume for est in estimates[len(table):])
     problems = []
     for label, ref in TABLE2_REFERENCE[2].items():
         gap = volumes[label] - ref
@@ -88,13 +94,6 @@ def test_volume_table_d2():
     uts_ref = TABLE2_REFERENCE[2]["U_ts[alpha=0.5]"]
     uif_ref = TABLE2_REFERENCE[2]["U_rd[alpha=0.5]"]
     uts_canon = volumes["U_ts[alpha=0.5]"]
-    uts_printed = estimate_volume(
-        RelationId("U_ts", "printed", 0.5), 2, MILLION, seed=1
-    ).volume
-    uif_canon = estimate_volume(RelationId("U_if"), 2, MILLION, seed=1).volume
-    uif_printed = estimate_volume(
-        RelationId("U_if", "printed"), 2, MILLION, seed=1
-    ).volume
     if abs(uts_canon - uts_ref) >= abs(uts_printed - uts_ref):
         problems.append(
             f"U_ts adjudication: canonical {uts_canon:.4f} not closer to "
@@ -126,9 +125,10 @@ def test_volume_table_d2():
 
 
 def test_volume_table_d3(tmp_path):
+    table = table2_relations()
     estimates = {
-        rel.label(): estimate_volume(rel, 3, MILLION, seed=1)
-        for rel in table2_relations()
+        rel.label(): est
+        for rel, est in zip(table, estimate_volumes(table, 3, MILLION, seed=1))
     }
     rows, outside = [], []
     for label, ref in TABLE2_REFERENCE[3].items():

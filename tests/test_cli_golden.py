@@ -5,11 +5,17 @@ determinism contract byte for byte. A change that moves any of them must
 say why in CHANGES.md and regenerate the files with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+Given golden names, the script rewrites only those files and their exit
+codes, so a new golden can be captured without touching the others:
+
+    PYTHONPATH=src python tests/test_cli_golden.py table2_d3_workers2_multichunk
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +51,8 @@ COMMANDS = {
                           "--compare"],
     "table2_d3_json": ["table2", "--dim", "3", "--samples", "20000", "--seed", "1",
                        "--format", "json"],
+    "table2_d3_workers2_multichunk": ["table2", "--dim", "3", "--samples", "140000",
+                                      "--seed", "3", "--workers", "2"],
     "region_u_tr": ["region", "--relation", "U_tr", "--c00", "0.3", "--resolution", "11"],
     "coherence_exact": ["coherence", "--dim", "3", "--seed", "7"],
     "coherence_shots": ["coherence", "--dim", "3", "--seed", "7", "--shots", "5000"],
@@ -68,12 +76,20 @@ def test_golden_report(name):
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
-if __name__ == "__main__":
+def _rewrite(names):
+    unknown = sorted(set(names) - set(COMMANDS))
+    if unknown:
+        raise SystemExit(f"unknown golden names: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for name, argv in sorted(COMMANDS.items()):
-        codes[name], out = _run(argv)
+    codes_path = GOLDEN / "exit_codes.json"
+    old = json.loads(codes_path.read_text(encoding="utf-8")) if codes_path.exists() else {}
+    codes = {name: code for name, code in old.items() if name in COMMANDS}
+    for name in sorted(names):
+        codes[name], out = _run(COMMANDS[name])
         (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
-    (GOLDEN / "exit_codes.json").write_text(
-        json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    codes_path.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _rewrite(sys.argv[1:] or COMMANDS)

@@ -199,6 +199,12 @@ def test_power_overlap_alpha_above_one():
     assert np.isfinite(power_overlap(qp, q, 2.0))
 
 
+@pytest.mark.parametrize("alpha", [np.inf, np.nan])
+def test_renyi_divergence_rejects_non_finite_alpha(alpha):
+    with pytest.raises(AlphaOutOfRange):
+        renyi_divergence(np.array([0.3, 0.7]), np.array([0.5, 0.5]), alpha)
+
+
 def test_cdiv_matches_qdiv_on_diagonal_states():
     rng = stream(11)
     for _ in range(40):

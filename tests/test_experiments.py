@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qud import cli, experiments
 from qud.errors import (
     DimensionMismatch,
     EmptyCounts,
@@ -16,6 +17,7 @@ from qud.experiments import (
     coherence_bounds,
     estimate_coherence,
     estimate_volume,
+    estimate_volumes,
     region_grid,
     simulate_shots,
 )
@@ -89,6 +91,42 @@ def test_estimate_volume_worker_invariance():
     serial = estimate_volume(rel, 3, 40_000, 2, workers=1)
     threaded = estimate_volume(rel, 3, 40_000, 2, workers=3)
     assert serial.accepted == threaded.accepted
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_estimate_volumes_matches_estimate_volume(dim, workers):
+    rels = (
+        RelationId("U_if", "printed"),
+        RelationId("EUR_MU", alpha=1.0, beta=1.0),
+        RelationId("THM1_UNIVERSAL"),
+    )
+    shared = estimate_volumes(rels, dim, 70_000, 4, workers=workers)
+    assert [est.relation for est in shared] == list(rels)
+    for rel, est in zip(rels, shared):
+        assert est == estimate_volume(rel, dim, 70_000, 4, workers=workers)
+    assert estimate_volumes(rels[::-1], dim, 70_000, 4, workers=workers) == shared[::-1]
+
+
+def test_estimate_volumes_worker_invariance():
+    rels = table2_relations()
+    serial = estimate_volumes(rels, 3, 70_000, 8, workers=1)
+    for workers in (2, 3):
+        assert estimate_volumes(rels, 3, 70_000, 8, workers=workers) == serial
+
+
+def test_table2_draws_each_chunk_once(monkeypatch, capsys):
+    draws = []
+
+    def counted(rng, dim, count):
+        draws.append(count)
+        return _draw_parameters(rng, dim, count)
+
+    monkeypatch.setattr(experiments, "_draw_parameters", counted)
+    assert cli.main(["table2", "--dim", "3", "--samples", "140000", "--seed", "3",
+                     "--workers", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    assert sorted(draws) == [140_000 - 2 * 65_536, 65_536, 65_536]
 
 
 def test_estimate_volume_rejects_bad_arguments():
