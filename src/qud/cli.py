@@ -3,9 +3,11 @@
 Eight subcommands: verify, dpi, search, volume, table2, region, coherence,
 shots. Reports are CSV (default) or JSON with identical records, carry full
 provenance (seed, samples, variant, log base), contain no timestamps, and
-are therefore byte-identical across repeated invocations. Exit codes:
-0 completed (relation satisfied / no counterexample), 1 violation or
-counterexample found, 2 input error.
+are therefore byte-identical across repeated invocations. Every report is one
+table: each row carries every column, an absent value is an empty CSV cell
+and a JSON null, and a non-finite float is a JSON string ("inf", "-inf",
+"nan"). Exit codes: 0 completed (relation satisfied / no counterexample),
+1 violation or counterexample found, 2 input error.
 """
 
 import argparse
@@ -14,6 +16,8 @@ import io
 import json
 import math
 import sys
+
+import numpy as np
 
 from .divergence import DIVERGENCE_KINDS, DivergenceSpec
 from .errors import DimensionMismatch, QudError, SchemaError
@@ -24,7 +28,6 @@ from .experiments import (
     VOLUME_DIMS,
     coherence_bounds,
     estimate_coherence,
-    estimate_volume,
     estimate_volumes,
     region_grid,
     simulate_shots,
@@ -68,6 +71,7 @@ def _int_at_least(low: int):
 
 
 def _cell(value) -> str:
+    """One CSV cell."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -79,25 +83,41 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    return value
+def _json_cell(value) -> str:
+    """One JSON cell as json.dumps(payload, indent=2, sort_keys=True) writes it
+    in a row, six spaces deep; a non-finite float becomes a string."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else f'"{value}"'
+    if isinstance(value, dict):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n      ")
+    return int.__repr__(value) if type(value) is int else json.dumps(value)
 
 
-def _emit(columns, rows, args) -> None:
+def _column(value, rows: int, render) -> list:
+    """A list holds one value per row; any other value is a constant, rendered once."""
+    return list(map(render, value)) if isinstance(value, list) else [render(value)] * rows
+
+
+def _emit(table: dict, args) -> None:
+    """Write one report. `table` maps each column name, in output order, to a
+    constant (str, int, float, bool, None or a dict record) or to a list or
+    1-d array with one value per row; a table of constants is one row."""
+    table = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in table.items()}
+    rows = next((len(v) for v in table.values() if isinstance(v, list)), 1)
     if args.format == "json":
-        payload = {
-            "columns": list(columns),
-            "rows": [{k: _jsonable(v) for k, v in row.items()} for row in rows],
-        }
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # the text of json.dumps(payload, indent=2, sort_keys=True), laid out
+        # from cells rendered column by column
+        keys = sorted(table)
+        row = ",\n".join(f"      {json.dumps(k)}: {{}}" for k in keys)
+        cells = zip(*(_column(table[k], rows, _json_cell) for k in keys), strict=True)
+        body = "\n    },\n    {\n".join(row.format(*c) for c in cells)
+        head = json.dumps({"columns": list(table)}, indent=2)[:-2]
+        body = f'{head},\n  "rows": [\n    {{\n{body}\n    }}\n  ]\n}}\n'
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(column)) for column in columns])
+        writer.writerow(list(table))
+        writer.writerows(zip(*(_column(v, rows, _cell) for v in table.values()), strict=True))
         body = buf.getvalue()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -138,27 +158,21 @@ def _cmd_verify(args) -> int:
     forward, dual = eval_with_dual(
         rel, outcome_dist(rho, a), outcome_dist(rho, b), overlap_matrix(a, b), base=base
     )
-    columns = (
-        "relation", "variant", "alpha", "beta", "direction", "lhs", "rhs",
-        "margin", "satisfied", "dim", "source", "seed", "log_base",
-    )
-    shared = {
+    _emit({
         "relation": rel.id,
         "variant": rel.variant,
         "alpha": rel.alpha,
         "beta": rel.beta,
+        "direction": ["forward", "dual"],
+        "lhs": [forward.lhs, dual.lhs],
+        "rhs": [forward.rhs, dual.rhs],
+        "margin": [forward.margin, dual.margin],
+        "satisfied": [forward.satisfied, dual.satisfied],
         "dim": rho.dim,
         "source": source,
         "seed": args.seed if source == "sampled" else None,
         "log_base": args.log_base,
-    }
-    rows = [
-        dict(shared, direction="forward", lhs=forward.lhs, rhs=forward.rhs,
-             margin=forward.margin, satisfied=forward.satisfied),
-        dict(shared, direction="dual", lhs=dual.lhs, rhs=dual.rhs,
-             margin=dual.margin, satisfied=dual.satisfied),
-    ]
-    _emit(columns, rows, args)
+    }, args)
     return 0 if forward.satisfied and dual.satisfied else 1
 
 
@@ -167,22 +181,16 @@ def _cmd_dpi(args) -> int:
     base = _base_value(args.log_base)
     batch = haar_triples(args.dim, args.samples, args.seed)
     margins = dpi_margins(spec.kind, spec.alpha, batch, base=base)
-    columns = ("divergence", "alpha", "dim", "samples", "seed", "index", "margin",
-               "log_base")
-    rows = [
-        {
-            "divergence": spec.kind,
-            "alpha": spec.alpha,
-            "dim": args.dim,
-            "samples": args.samples,
-            "seed": args.seed,
-            "index": i,
-            "margin": float(m),
-            "log_base": args.log_base,
-        }
-        for i, m in enumerate(margins)
-    ]
-    _emit(columns, rows, args)
+    _emit({
+        "divergence": spec.kind,
+        "alpha": spec.alpha,
+        "dim": args.dim,
+        "samples": args.samples,
+        "seed": args.seed,
+        "index": np.arange(len(margins)),
+        "margin": margins,
+        "log_base": args.log_base,
+    }, args)
     return 0 if float(margins.min()) >= DPI_EXIT_TOL else 1
 
 
@@ -190,12 +198,12 @@ def _cmd_search(args) -> int:
     rel = _relation_from_args(args)
     base = _base_value(args.log_base)
     found = search_counterexample(rel, args.dim, args.samples, args.seed, base=base)
-    columns = (
-        "relation", "variant", "alpha", "beta", "dim", "samples", "seed",
-        "found", "sample_index", "lhs", "rhs", "margin", "state", "basis_a",
-        "basis_b", "log_base",
+    hit = (None,) * 7 if found is None else (
+        found.sample_index, found.verdict.lhs, found.verdict.rhs, found.verdict.margin,
+        _state_record(found.state), _basis_record(found.basis_a),
+        _basis_record(found.basis_b),
     )
-    row = {
+    _emit({
         "relation": rel.id,
         "variant": rel.variant,
         "alpha": rel.alpha,
@@ -204,78 +212,60 @@ def _cmd_search(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
         "found": found is not None,
+        **dict(zip(("sample_index", "lhs", "rhs", "margin", "state", "basis_a",
+                    "basis_b"), hit)),
         "log_base": args.log_base,
-    }
-    if found is not None:
-        row.update(
-            sample_index=found.sample_index,
-            lhs=found.verdict.lhs,
-            rhs=found.verdict.rhs,
-            margin=found.verdict.margin,
-            state=_state_record(found.state),
-            basis_a=_basis_record(found.basis_a),
-            basis_b=_basis_record(found.basis_b),
-        )
-    _emit(columns, [row], args)
+    }, args)
     return 1 if found is not None else 0
 
 
-VOLUME_COLUMNS = ("relation", "variant", "alpha", "dim", "samples", "seed",
-                  "volume", "std_error")
-
-
-def _volume_row(est) -> dict:
-    rel = est.relation
+def _volume_table(estimates, args) -> dict:
+    """The volume and table2 report: one row per estimate."""
     return {
-        "relation": rel.id,
-        "variant": rel.variant,
-        "alpha": rel.alpha,
-        "dim": est.dim,
-        "samples": est.samples,
-        "seed": est.seed,
-        "volume": est.volume,
-        "std_error": est.std_error,
+        "relation": [est.relation.id for est in estimates],
+        "variant": [est.relation.variant for est in estimates],
+        "alpha": [est.relation.alpha for est in estimates],
+        "dim": args.dim,
+        "samples": args.samples,
+        "seed": args.seed,
+        "volume": [est.volume for est in estimates],
+        "std_error": [est.std_error for est in estimates],
     }
 
 
 def _cmd_volume(args) -> int:
-    rel = _relation_from_args(args)
-    est = estimate_volume(rel, args.dim, args.samples, args.seed, workers=args.workers)
-    _emit(VOLUME_COLUMNS, [_volume_row(est)], args)
+    estimates = estimate_volumes([_relation_from_args(args)], args.dim, args.samples,
+                                 args.seed, workers=args.workers)
+    _emit(_volume_table(estimates, args), args)
     return 0
 
 
 def _cmd_table2(args) -> int:
-    relations = list(table2_relations())
-    relations.append(RelationId("U_ts", "printed", 0.5))
-    rows = []
-    reference = TABLE2_REFERENCE.get(args.dim, {})
+    relations = [*table2_relations(), RelationId("U_ts", "printed", 0.5)]
     estimates = estimate_volumes(relations, args.dim, args.samples, args.seed,
                                  workers=args.workers)
-    for rel, est in zip(relations, estimates):
-        row = _volume_row(est)
-        if args.compare:
-            ref = reference.get(rel.label())
-            row["reference"] = ref
-            row["gap"] = None if ref is None else est.volume - ref
-        rows.append(row)
-    columns = VOLUME_COLUMNS + (("reference", "gap") if args.compare else ())
-    _emit(columns, rows, args)
+    table = _volume_table(estimates, args)
+    if args.compare:
+        reference = TABLE2_REFERENCE.get(args.dim, {})
+        refs = [reference.get(rel.label()) for rel in relations]
+        table["reference"] = refs
+        table["gap"] = [None if ref is None else est.volume - ref
+                        for ref, est in zip(refs, estimates)]
+    _emit(table, args)
     return 0
 
 
 def _cmd_region(args) -> int:
     rel = _relation_from_args(args)
     grid = region_grid(rel, args.c00, args.resolution)
-    axis = [i / (args.resolution - 1) for i in range(args.resolution)]
-    label = rel.label()
-    rows = [
-        {"relation": label, "c00": args.c00, "p0": axis[i], "q0": axis[j],
-         "admissible": bool(grid[i, j])}
-        for i in range(args.resolution)
-        for j in range(args.resolution)
-    ]
-    _emit(("relation", "c00", "p0", "q0", "admissible"), rows, args)
+    axis = np.arange(args.resolution) / (args.resolution - 1)
+    _emit({
+        "relation": rel.label(),
+        "c00": args.c00,
+        "p0": np.repeat(axis, args.resolution),
+        "q0": np.tile(axis, args.resolution),
+        "admissible": grid.ravel(),
+    }, args)
     return 0
 
 
@@ -289,7 +279,7 @@ def _cmd_coherence(args) -> int:
         if math.isinf(lower):
             print("warn: lower estimate unbounded (empirical support violation)",
                   file=sys.stderr)
-        rows = [{
+        _emit({
             "lower_estimate": lower,
             "upper_estimate": upper,
             "shots": args.shots,
@@ -298,35 +288,30 @@ def _cmd_coherence(args) -> int:
             "source": source,
             "base": base,
             "unbounded": math.isinf(lower),
-        }]
-        _emit(("lower_estimate", "upper_estimate", "shots", "smoothing", "seed",
-               "source", "base", "unbounded"), rows, args)
+        }, args)
         return 0
     bounds = coherence_bounds(rho, a, b, base=base)
-    rows = [{"upper": bounds.upper, "exact": bounds.exact, "lower": bounds.lower,
-             "base": bounds.base}]
-    _emit(("upper", "exact", "lower", "base"), rows, args)
+    _emit({"upper": bounds.upper, "exact": bounds.exact, "lower": bounds.lower,
+           "base": bounds.base}, args)
     return 0
 
 
 def _cmd_shots(args) -> int:
     rho, a, b, source = _load_instance(args)
-    if args.kind == "direct_B":
-        record = simulate_shots(rho, None, b, args.n, args.seed)
-        cells = [(i, None, int(record.counts[i])) for i in range(record.dim)]
-    else:
-        record = simulate_shots(rho, a, b, args.n, args.seed)
-        cells = [
-            (i, j, int(record.counts[i, j]))
-            for i in range(record.dim)
-            for j in range(record.dim)
-        ]
-    rows = [
-        {"kind": record.kind, "dim": record.dim, "total": record.total,
-         "seed": record.seed, "source": source, "i": i, "j": j, "count": count}
-        for i, j, count in cells
-    ]
-    _emit(("kind", "dim", "total", "seed", "source", "i", "j", "count"), rows, args)
+    record = simulate_shots(rho, a if args.kind == "sequential_AB" else None, b, args.n,
+                            args.seed)
+    # direct_B counts are indexed by i alone, sequential_AB counts by (i, j)
+    i, *j = np.indices(record.counts.shape).reshape(record.counts.ndim, -1)
+    _emit({
+        "kind": record.kind,
+        "dim": record.dim,
+        "total": record.total,
+        "seed": record.seed,
+        "source": source,
+        "i": i,
+        "j": j[0] if j else None,
+        "count": record.counts.ravel(),
+    }, args)
     return 0
 
 

@@ -37,6 +37,10 @@ class NotNormalized(ValidationError):
     pass
 
 
+class NotFinite(ValidationError):
+    pass
+
+
 class DimensionMismatch(QudError, ValueError):
     """Two objects that must share a dimension do not."""
 

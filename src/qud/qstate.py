@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
     NotDoublyStochastic,
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotOrthonormal,
@@ -47,11 +48,18 @@ def _frozen(arr):
     return arr
 
 
-def _check_square(m, what):
+def _check_finite(m, what):
+    # every comparison with NaN is False, so the tolerance checks would pass it
+    if not np.isfinite(m).all():
+        raise NotFinite(f"{what} has a non-finite entry")
+
+
+def _check_matrix(m, what):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionTooSmall(f"{what} must be square, got shape {m.shape}")
     if m.shape[0] < 2:
         raise DimensionTooSmall(f"{what} needs dimension >= 2, got {m.shape[0]}")
+    _check_finite(m, what)
 
 
 def _check_same_dim(x, y):
@@ -133,12 +141,12 @@ class OverlapMatrix:
 def make_density(entries) -> DensityMatrix:
     """Validate a raw matrix and return the cleaned DensityMatrix.
 
-    Rejects non-square or dim<2 input, Hermiticity drift, eigenvalues below
-    -1e-8, and trace off 1 by more than 1e-8. Accepted spectra are clipped
-    to [0, 1] and renormalized.
+    Rejects non-square or dim<2 input, non-finite entries, Hermiticity drift,
+    eigenvalues below -1e-8, and trace off 1 by more than 1e-8. Accepted
+    spectra are clipped to [0, 1] and renormalized.
     """
     m = np.asarray(entries, dtype=np.complex128)
-    _check_square(m, "a density matrix")
+    _check_matrix(m, "a density matrix")
     drift = float(np.max(np.abs(m - m.conj().T)))
     if drift > VALIDATION_TOL:
         raise NotHermitian(f"max Hermiticity drift {drift:.3g} exceeds {VALIDATION_TOL}")
@@ -159,7 +167,7 @@ def make_density(entries) -> DensityMatrix:
 def make_basis(kets) -> OrthonormalBasis:
     """Validate a matrix of ket columns (Gram within 1e-8 of identity)."""
     u = np.asarray(kets, dtype=np.complex128)
-    _check_square(u, "a basis")
+    _check_matrix(u, "a basis")
     drift = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if drift > VALIDATION_TOL:
         raise NotOrthonormal(f"max Gram drift {drift:.3g} exceeds {VALIDATION_TOL}")
@@ -171,6 +179,7 @@ def make_prob(probs) -> ProbDist:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] < 2:
         raise DimensionTooSmall(f"need a 1-d vector of length >= 2, got shape {p.shape}")
+    _check_finite(p, "a probability vector")
     if float(p.min()) < -VALIDATION_TOL or float(p.max()) > 1.0 + VALIDATION_TOL:
         raise NotNormalized(f"entries outside [0, 1]: min {p.min():.3g}, max {p.max():.3g}")
     total = float(p.sum())
@@ -183,7 +192,7 @@ def make_prob(probs) -> ProbDist:
 def make_overlap(entries) -> OverlapMatrix:
     """Validate a doubly stochastic overlap matrix (sums within 1e-8 of 1)."""
     c = np.asarray(entries, dtype=np.float64)
-    _check_square(c, "an overlap matrix")
+    _check_matrix(c, "an overlap matrix")
     if float(c.min()) < -VALIDATION_TOL:
         raise NotDoublyStochastic(f"negative entry {c.min():.3g}")
     rows = np.abs(c.sum(axis=1) - 1.0).max()

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,6 +419,22 @@ def test_non_finite_float_is_an_input_error(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_non_finite_file_entry_is_an_input_error(instance_files, tmp_path, which, bad,
+                                                 capsys):
+    # json reads NaN and Infinity, so the file loads and the validators must refuse it
+    files = list(instance_files)
+    text = Path(files[which]).read_text(encoding="utf-8")
+    files[which] = str(tmp_path / "bad.json")
+    Path(files[which]).write_text(text.replace("0.0", bad, 1), encoding="utf-8")
+    code, out, err = run(["verify", "--relation", "U_tr", *FILE_FLAGS(files)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {files[which]}: ")
+    assert "non-finite" in err
 
 
 def test_unknown_relation_exits_two(capsys):

@@ -13,6 +13,7 @@ codes, so a new golden can be captured without touching the others:
 """
 
 import contextlib
+import csv
 import io
 import json
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from qud.cli import main
+from qud.cli import _cell, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -41,6 +42,9 @@ COMMANDS = {
                                     "json"],
     "search_canonical_d3": ["search", "--relation", "U_ts", "--alpha", "0.5", "--dim",
                             "3", "--samples", "20000", "--seed", "2"],
+    "search_canonical_d3_json": ["search", "--relation", "U_ts", "--alpha", "0.5",
+                                 "--dim", "3", "--samples", "20000", "--seed", "2",
+                                 "--format", "json"],
     "dpi_renyi_sandwiched_d3": ["dpi", "--divergence", "renyi_sandwiched", "--alpha",
                                 "0.75", "--dim", "3", "--samples", "100", "--seed", "4"],
     "dpi_tsallis_d4_json": ["dpi", "--divergence", "tsallis", "--alpha", "0.5", "--dim",
@@ -58,6 +62,14 @@ COMMANDS = {
     "coherence_shots": ["coherence", "--dim", "3", "--seed", "7", "--shots", "5000"],
     "shots_sequential_ab": ["shots", "--kind", "sequential_AB", "--dim", "3", "--n",
                             "1000", "--seed", "8"],
+    "coherence_shots_inf_json": ["coherence", "--dim", "3", "--seed", "7", "--shots",
+                                 "3", "--smoothing", "0", "--format", "json"],
+    "region_u_tr_json": ["region", "--relation", "U_tr", "--c00", "0.3", "--resolution",
+                         "5", "--format", "json"],
+    "shots_direct_json": ["shots", "--kind", "direct_B", "--dim", "3", "--n", "200",
+                          "--seed", "8", "--format", "json"],
+    "table2_d2_compare_json": ["table2", "--dim", "2", "--samples", "20000", "--seed",
+                               "1", "--compare", "--format", "json"],
 }
 
 
@@ -74,6 +86,30 @@ def test_golden_report(name):
     code, out = _run(COMMANDS[name])
     assert code == expected_codes[name]
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def _other_format(argv):
+    if "--format" in argv:
+        at = argv.index("--format")
+        return argv[:at] + argv[at + 2:]
+    return [*argv, "--format", "json"]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_json_and_csv_reports_hold_the_same_table(name):
+    # every JSON row carries every listed column, and each JSON cell, written
+    # by the CSV cell rule, is the CSV cell
+    argv = COMMANDS[name]
+    golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    other = _run(_other_format(argv))[1]
+    text_json, text_csv = (golden, other) if "--format" in argv else (other, golden)
+    payload = json.loads(text_json)
+    header, *rows = csv.reader(io.StringIO(text_csv))
+    assert payload["columns"] == header
+    assert len(payload["rows"]) == len(rows)
+    for record, row in zip(payload["rows"], rows):
+        assert sorted(record) == sorted(header)
+        assert [_cell(record[column]) for column in header] == row
 
 
 def _rewrite(names):

@@ -6,6 +6,7 @@ from qud.errors import (
     DimensionMismatch,
     DimensionTooSmall,
     NotDoublyStochastic,
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotOrthonormal,
@@ -59,6 +60,15 @@ def test_make_density_rejects_non_hermitian():
 def test_make_density_rejects_wrong_trace():
     with pytest.raises(TraceNotOne):
         make_density(np.diag([0.6, 0.6]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_density_and_basis_reject_non_finite(bad):
+    # a NaN fails every tolerance comparison, so only an explicit check catches it
+    with pytest.raises(NotFinite):
+        make_density(np.array([[0.5, bad], [bad, 0.5]]))
+    with pytest.raises(NotFinite):
+        make_basis(np.array([[1.0, 0.0], [0.0, bad]], dtype=complex))
 
 
 def test_make_density_rejects_negative_spectrum():
@@ -121,6 +131,10 @@ def test_make_prob_validation():
         make_prob([0.5, 0.6])
     with pytest.raises(NotNormalized):
         make_prob([-0.2, 1.2])
+    with pytest.raises(NotFinite):
+        make_prob([np.nan, 1.0])
+    with pytest.raises(NotFinite):
+        make_prob([np.inf, 0.0])
 
 
 def test_make_prob_clips_rounding_noise():
@@ -136,6 +150,10 @@ def test_make_overlap_validation():
         make_overlap([[0.5, 0.6], [0.5, 0.4]])
     with pytest.raises(NotDoublyStochastic):
         make_overlap([[-0.1, 1.1], [1.1, -0.1]])
+    with pytest.raises(NotFinite):
+        make_overlap([[np.nan, 1.0], [1.0, 0.0]])
+    with pytest.raises(NotFinite):
+        make_overlap([[np.inf, 0.0], [0.0, 1.0]])
 
 
 def test_overlap_transpose():
