@@ -8,7 +8,6 @@ drivers. All stochastic entry points take explicit integer seeds.
 """
 
 from .divergence import (
-    DEFAULT_ALPHA_GRID,
     DIVERGENCE_KINDS,
     DivergenceSpec,
     cdiv,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoherenceBounds",
     "Counterexample",
-    "DEFAULT_ALPHA_GRID",
     "DIVERGENCE_KINDS",
     "DensityMatrix",
     "DivergenceSpec",

@@ -51,19 +51,23 @@ from .rng import stream
 from .sweeps import dpi_margins, haar_triples
 
 DPI_EXIT_TOL = -1e-8
+MAX_SHOTS = 2**63 - 1  # the most numpy's multinomial draw takes
 
 
 def _base_value(label: str) -> float:
     return 2.0 if label == "2" else math.e
 
 
-def _int_at_least(low: int):
-    """argparse type for integers >= low, so a bad value fails at parse time."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type for integers >= low (and <= high, if given), so a bad
+    value fails at parse time."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse reports unparsable text as "invalid int value"
@@ -318,7 +322,6 @@ def _cmd_shots(args) -> int:
 def _add_output_flags(p) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
-    p.add_argument("--log-base", dest="log_base", choices=("2", "e"), default="2")
 
 
 def _add_relation_flags(p) -> None:
@@ -397,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coherence", help="coherence bounds, exact or from shots")
     _add_instance_flags(p)
-    p.add_argument("--shots", type=_int_at_least(1), default=None)
+    p.add_argument("--shots", type=_int_at_least(1, MAX_SHOTS), default=None)
     p.add_argument("--smoothing", type=float, default=0.5)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_coherence)
@@ -405,10 +408,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shots", help="simulate measurement shot counts")
     _add_instance_flags(p)
     p.add_argument("--kind", choices=SHOT_KINDS, default="direct_B")
-    p.add_argument("--n", type=_int_at_least(0), default=1000)
+    p.add_argument("--n", type=_int_at_least(0, MAX_SHOTS), default=1000)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_shots)
 
+    for name in ("verify", "dpi", "search", "coherence"):  # the commands that take logs
+        sub.choices[name].add_argument("--log-base", dest="log_base", choices=("2", "e"),
+                                       default="2")
     return parser
 
 

@@ -28,9 +28,6 @@ DIVERGENCE_KINDS = (
 
 GAUGEABLE_KINDS = ("trace", "infidelity", "renyi_sandwiched", "tsallis")
 
-# Orders used when taking suprema over a family of relations.
-DEFAULT_ALPHA_GRID = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
-
 # Mass of rho1 allowed outside the support of rho2 before declaring +inf.
 SUPPORT_LEAK_TOL = 1e-9
 

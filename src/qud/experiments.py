@@ -123,12 +123,8 @@ def estimate_volumes(rels, dim: int, samples: int, seed: int,
         shared = _shared_arrays(p, q, c)
         return [int(np.count_nonzero(_accepts(rel, p, q, *shared))) for rel in rels]
 
-    chunks = _chunks(samples, VOLUME_CHUNK)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(one_chunk, chunks))
-    else:
-        per_chunk = list(map(one_chunk, chunks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_chunk = list(pool.map(one_chunk, _chunks(samples, VOLUME_CHUNK)))
     estimates = []
     for rel, accepted in zip(rels, map(sum, zip(*per_chunk))):
         volume = accepted / samples

@@ -49,7 +49,12 @@ def _complex_rows(path, rows, field, dim):
             )
             if not ok:
                 raise SchemaError(f"{path}: '{field}[{i}][{j}]' must be [re, im]")
-            out[i, j] = complex(cell[0], cell[1])
+            try:
+                out[i, j] = complex(cell[0], cell[1])
+            except OverflowError:
+                raise SchemaError(
+                    f"{path}: '{field}[{i}][{j}]' holds an integer too large for a float"
+                ) from None
     return out
 
 

@@ -22,7 +22,7 @@ from .divergence import (
     tsallis_divergence,
 )
 from .qstate import DensityMatrix, OrthonormalBasis, _haar_instances, _pseudo_power
-from .relations import _universal_bound_array, relation_sides
+from .relations import relation_sides
 from .rng import stream
 from .uncertainty import delta_measure, shannon_entropy
 
@@ -157,9 +157,10 @@ def dpi_margin(spec: DivergenceSpec, rho: DensityMatrix, a: OrthonormalBasis,
 def chain_margins(batch: TripleBatch):
     """The two links of the universal chain on each sample:
 
-    delta(p) - IF(rho, rho_A)  and  IF(rho, rho_A) - universal_bound(q, q').
+    delta(p) - IF(rho, rho_A)  and  IF(rho, rho_A) - IF(q, q').
+
+    IF(q, q') is the universal bound, so the second link is the infidelity
+    margin of `dpi_margins`.
     """
     infid = _infidelity_to_dephased(batch)
-    first = delta_measure(batch.p) - infid
-    second = infid - _universal_bound_array(batch.q, batch.qp)
-    return first, second
+    return delta_measure(batch.p) - infid, infid - classical_infidelity(batch.q, batch.qp)

@@ -396,6 +396,10 @@ def test_unknown_subcommand_exits_two(capsys):
     (["region", "--relation", "U_tr", "--c00", "0.5", "--resolution", "1"], "--resolution"),
     (["coherence", "--shots", "0"], "--shots"),
     (["shots", "--n", "-1"], "--n"),
+    # numpy's multinomial takes at most 2^63 - 1 shots
+    (["shots", "--n", str(2**63)], "--n"),
+    (["shots", "--kind", "sequential_AB", "--n", "1" + "0" * 400], "--n"),
+    (["coherence", "--shots", str(2**63)], "--shots"),
 ])
 def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -435,6 +439,35 @@ def test_non_finite_file_entry_is_an_input_error(instance_files, tmp_path, which
     assert out == ""
     assert err.startswith(f"error: {files[which]}: ")
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_oversized_file_entry_is_an_input_error(instance_files, tmp_path, which, capsys):
+    # json reads 1 followed by 400 zeros as an int, which no float can hold
+    files = list(instance_files)
+    text = Path(files[which]).read_text(encoding="utf-8")
+    files[which] = str(tmp_path / "big.json")
+    Path(files[which]).write_text(text.replace("0.0", "1" + "0" * 400, 1), encoding="utf-8")
+    code, out, err = run(["verify", "--relation", "U_tr", *FILE_FLAGS(files)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {files[which]}: '")
+    assert "too large for a float" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--relation", "U_tr", "--samples", "1000"],
+    ["table2", "--samples", "1000"],
+    ["region", "--relation", "U_tr", "--c00", "0.5", "--resolution", "2"],
+    ["shots", "--dim", "2"],
+])
+def test_log_base_is_refused_where_no_log_is_taken(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--log-base", "e"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --log-base" in captured.err
 
 
 def test_unknown_relation_exits_two(capsys):

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qud.divergence import (
-    DEFAULT_ALPHA_GRID,
     DIVERGENCE_KINDS,
     GAUGEABLE_KINDS,
     DivergenceSpec,
@@ -67,12 +66,6 @@ def test_spec_validation():
             DivergenceSpec("tsallis", bad)
     with pytest.raises(AlphaOutOfRange):
         DivergenceSpec("trace", 0.5)
-
-
-def test_default_alpha_grid_spans_half_open_interval():
-    assert DEFAULT_ALPHA_GRID[0] == 0.5
-    assert DEFAULT_ALPHA_GRID[-1] == 0.99
-    assert all(0.5 <= a < 1.0 for a in DEFAULT_ALPHA_GRID)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qud.divergence import DivergenceSpec, cdiv, qdiv
+from qud.divergence import (
+    DivergenceSpec,
+    cdiv,
+    classical_infidelity,
+    l1_distance,
+    power_overlap,
+    qdiv,
+)
 from qud.errors import (
     AlphaOutOfRange,
     InconsistentTriple,
     MissingOverlap,
     ValidationError,
 )
+from qud.experiments import _accept_mask, _draw_parameters
 from qud.qstate import (
     dephase,
     make_density,
@@ -32,6 +40,7 @@ from qud.relations import (
     table2_relations,
     universal_bound,
 )
+from qud.rng import stream
 from qud.sweeps import (
     chain_margins,
     dpi_margin,
@@ -208,16 +217,62 @@ def test_eval_relation_error_paths(f1):
 
 
 def test_u_if_equals_u_rd_half():
-    rng_seeds = range(40)
-    for seed in rng_seeds:
-        rho = sample("haar_state_mixed", 3, seed)
-        a = sample("haar_unitary_basis", 3, 1000 + seed)
-        b = sample("haar_unitary_basis", 3, 2000 + seed)
-        p, q, qp, c = triple_of(rho, a, b)
-        v1 = eval_relation(RelationId("U_if"), p, q, qp, c)
-        v2 = eval_relation(RelationId("U_rd", alpha=0.5), p, q, qp, c)
-        assert_allclose(v1.lhs, v2.lhs, atol=1e-12)
-        assert_allclose(v1.rhs, v2.rhs, atol=1e-12)
+    # both compare H_2(p) with D_(1/2)(q || q'), through the same kernels
+    for dim in (2, 3):
+        for seed in (1, 2):
+            batch = haar_triples(dim, 4096, seed)
+            args = (batch.p, batch.q, batch.qp, batch.cmax)
+            if_lhs, if_rhs = relation_sides(RelationId("U_if"), *args)
+            rd_lhs, rd_rhs = relation_sides(RelationId("U_rd", alpha=0.5), *args)
+            assert np.array_equal(if_lhs, rd_lhs)
+            assert np.array_equal(if_rhs, rd_rhs)
+
+
+def test_thm1_u_rd_half_and_u_if_accept_the_same_points():
+    # delta(p) >= IF(q, q') is H_2(p) >= D_(1/2)(q || q'): the three are one inequality
+    rels = (RelationId("THM1_UNIVERSAL"), RelationId("U_rd", alpha=0.5), RelationId("U_if"))
+    for dim in (2, 3):
+        for seed in (1, 2, 3):
+            p, q, c = _draw_parameters(stream(seed, 0), dim, 2**16)
+            masks = [_accept_mask(rel, p, q, c) for rel in rels]
+            assert np.array_equal(masks[0], masks[1]), (dim, seed)
+            assert np.array_equal(masks[0], masks[2]), (dim, seed)
+
+
+# The universal bound as first written: the largest of 24 gauged classical
+# disturbances (l1, the infidelity, and a Renyi and a Tsallis gauge at each
+# order of this grid). Kept as the reference `universal_bound` must match.
+REFERENCE_ALPHA_GRID = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
+
+
+def _gauged_maximum(q, qp):
+    best = np.maximum(l1_distance(q, qp), classical_infidelity(q, qp))
+    for a in REFERENCE_ALPHA_GRID:
+        s = np.clip(power_overlap(q, qp, a), 0.0, 1.0)
+        best = np.maximum(best, np.sqrt(np.clip(1.0 - s ** (1.0 / a), 0.0, None)))
+        best = np.maximum(best, np.sqrt(1.0 - s))
+    return np.clip(best, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_universal_bound_is_the_gauged_maximum(dim):
+    rng = np.random.default_rng(dim)
+    n = 1 << 14
+    q, qp = rng.dirichlet(np.ones(dim), n), rng.dirichlet(np.ones(dim), n)
+    # zero out entries in a third of the pairs so supports clash or nest
+    q[: n // 3][rng.random((n // 3, dim)) < 0.3] = 0.0
+    qp[n // 6: n // 2][rng.random((n // 2 - n // 6, dim)) < 0.3] = 0.0
+    keep = (q.sum(axis=1) > 0) & (qp.sum(axis=1) > 0)
+    q = q[keep] / q[keep].sum(axis=1, keepdims=True)
+    qp = qp[keep] / qp[keep].sum(axis=1, keepdims=True)
+    _, bound = relation_sides(RelationId("THM1_UNIVERSAL"), q, q, qp)
+    reference = _gauged_maximum(q, qp)
+    assert (reference >= bound).all()
+    assert (reference - bound).max() <= 1e-7
+    assert (classical_infidelity(q, qp) == 1.0).any()  # some supports are disjoint
+    for k in range(0, len(q), len(q) // 16):
+        scalar = universal_bound(make_prob(q[k]), make_prob(qp[k]))
+        assert_allclose(scalar, bound[k], rtol=1e-12, atol=1e-15)
 
 
 def test_universal_bound_fixture(f1):
@@ -395,3 +450,9 @@ def test_chain_margins_match_scalar_eval():
         bound = universal_bound(make_prob(batch.q[k]), make_prob(batch.qp[k]))
         assert abs(first[k] - (delta - infid)) < 1e-9
         assert abs(second[k] - (infid - bound)) < 1e-9
+
+
+def test_chain_second_link_is_the_infidelity_dpi_margin():
+    for dim in (2, 3):
+        batch = haar_triples(dim, 4096, 21)
+        assert np.array_equal(chain_margins(batch)[1], dpi_margins("infidelity", None, batch))
