@@ -284,11 +284,17 @@ def _haar_kets(rng, count: int, dim: int):
 
 
 def _haar_unitaries(rng, count: int, dim: int):
-    """QR of complex Ginibre with the phase convention fixing Haar measure."""
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.einsum("nii->ni", r)
-    q = q * (d / np.abs(d))[:, None, :]
+    """Modified Gram-Schmidt on the columns of complex Ginibre matrices.
+
+    Its R factor has a positive real diagonal, so Q is the QR factor with the
+    phase fix that makes it Haar distributed (Mezzadri 2007).
+    """
+    q = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    for k in range(dim):
+        col = q[:, :, k:k + 1]
+        col /= np.linalg.norm(col, axis=1, keepdims=True)
+        rest = q[:, :, k + 1:]
+        rest -= col @ (col.conj().transpose(0, 2, 1) @ rest)
     return q
 
 

@@ -373,6 +373,28 @@ def test_haar_kets_are_normalized():
     assert_allclose(np.sum(np.abs(kets) ** 2, axis=1), 1.0, atol=1e-12)
 
 
+def _qr_haar_unitaries(rng, count, dim):
+    """Reference sampler: LAPACK QR of the same Ginibre draw, phase fixed."""
+    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.einsum("nii->ni", r)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_haar_unitaries_equal_phase_fixed_qr(dim):
+    gram_schmidt = _haar_unitaries(stream(100 + dim), 4096, dim)
+    reference = _qr_haar_unitaries(stream(100 + dim), 4096, dim)
+    assert np.abs(gram_schmidt - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_haar_unitaries_stay_orthonormal(dim):
+    u = _haar_unitaries(stream(200 + dim), 4096, dim)
+    gram = u.conj().transpose(0, 2, 1) @ u
+    assert np.abs(gram - np.eye(dim)).max() <= 1e-10
+
+
 def test_triple_of_helper_consistency(f1):
     p, q, qp, c = triple_of(*f1)
     assert_allclose(p.probs, [0.5, 0.5], atol=1e-12)
