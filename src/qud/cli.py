@@ -34,11 +34,12 @@ from .experiments import (
 )
 from .io import _basis_record, _state_record, load_basis, load_state
 from .qstate import (
-    _haar_instances,
+    _haar_frames,
     make_basis,
     make_density,
     outcome_dist,
     overlap_matrix,
+    standard_basis,
 )
 from .relations import (
     RELATION_IDS,
@@ -135,7 +136,10 @@ def _relation_from_args(args) -> RelationId:
 
 
 def _load_instance(args):
-    """(state, basis A, basis B, source) from files or a seeded Haar draw."""
+    """(state, basis A, basis B, source) from files or a seeded Haar draw.
+
+    A draw is made in basis A's frame, so a sampled A is the standard basis.
+    """
     paths = (args.state, args.basis_a, args.basis_b)
     if any(paths):
         if not all(paths):
@@ -151,8 +155,8 @@ def _load_instance(args):
             raise DimensionMismatch(f"--dim {args.dim} but files have dim {rho.dim}")
         return rho, a, b, "files"
     dim = args.dim if args.dim is not None else 2
-    rho, ua, ub = _haar_instances(stream(args.seed), 1, dim)
-    return make_density(rho[0]), make_basis(ua[0]), make_basis(ub[0]), "sampled"
+    rho, w = _haar_frames(stream(args.seed), 1, dim, pure=False)
+    return make_density(rho[0]), standard_basis(dim), make_basis(w[0]), "sampled"
 
 
 def _cmd_verify(args) -> int:

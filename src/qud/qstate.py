@@ -311,18 +311,70 @@ def _haar_overlaps(rng, count: int, dim: int):
     return np.abs(_haar_unitaries(rng, count, dim)) ** 2
 
 
-def _haar_instances(rng, count: int, dim: int, pure: bool = False):
-    """(rho, ua, ub): states, then basis A, then basis B, from one stream.
+def _haar_frames(rng, count: int, dim: int, pure: bool):
+    """(rho, w): states written in basis A, then W = U_A^dag U_B, one stream.
 
-    States are Hilbert-Schmidt mixed, or projectors on Haar kets when pure;
-    bases are Haar unitaries with the QR phase fix (Mezzadri 2007).
+    States are Hilbert-Schmidt mixed, or projectors on Haar kets when pure.
+    Both measures and the Haar measure are unitarily invariant, so the
+    A-frame pair (U_A^dag rho U_A, U_A^dag U_B) of an independent draw of
+    rho, U_A and U_B has the law of an independent (rho, W) pair (Zyczkowski
+    & Sommers 2001): the state is drawn in A's frame and only W is drawn.
     """
     if pure:
         kets = _haar_kets(rng, count, dim)
         rho = kets[:, :, None] * kets[:, None, :].conj()
     else:
         rho = _ginibre_states(rng, count, dim)
-    return rho, _haar_unitaries(rng, count, dim), _haar_unitaries(rng, count, dim)
+    return rho, _haar_unitaries(rng, count, dim)
+
+
+@dataclass(frozen=True, eq=False)
+class TripleBatch:
+    """An ensemble of (state, basis A, basis B) triples as A-frame data.
+
+    Basis A is the standard basis, so rho is the state as drawn, the
+    dephased state is diag(p) and overlap is |W|^2; q is the diagonal of
+    W^dag rho W, qp = p C and spectrum holds each state's eigenvalues.
+    """
+
+    rho: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    qp: np.ndarray
+    overlap: np.ndarray
+    spectrum: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.rho.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.rho.shape[1]
+
+    @property
+    def cmax(self):
+        return self.overlap.max(axis=(1, 2))
+
+
+def _triples(rho, w, pure: bool) -> TripleBatch:
+    """Reduce A-frame states and unitaries W to their TripleBatch.
+
+    A pure state's spectrum is exactly (0, ..., 0, 1), so only mixed states
+    pay for an eigvalsh.
+    """
+    overlap = np.abs(w) ** 2
+    p = np.clip(np.real(np.einsum("nii->ni", rho)), 0.0, 1.0)
+    p = p / p.sum(axis=1, keepdims=True)
+    q = np.clip(np.einsum("nik,nik->nk", w.conj(), rho @ w).real, 0.0, 1.0)
+    q = q / q.sum(axis=1, keepdims=True)
+    qp = np.einsum("ni,nij->nj", p, overlap)
+    if pure:
+        spectrum = np.zeros_like(p)
+        spectrum[:, -1] = 1.0
+    else:
+        spectrum = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    return TripleBatch(rho, p, q, qp, overlap, spectrum)
 
 
 def sample(kind: str, dim: int, seed: int):

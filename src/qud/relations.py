@@ -33,12 +33,14 @@ from .qstate import (
     OrthonormalBasis,
     OverlapMatrix,
     ProbDist,
-    _haar_instances,
+    _haar_frames,
+    _triples,
     make_basis,
     make_density,
     outcome_dist,
     overlap_matrix,
     sequential_dist,
+    standard_basis,
 )
 from .rng import _chunks, stream
 from .uncertainty import (
@@ -272,27 +274,24 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
 
     Returns the first instance with margin < -1e-6 (absolute), scanning
     fixed-size chunks with per-chunk derived streams; deterministic in seed
-    and independent of chunk scheduling.
+    and independent of chunk scheduling. Every chunk is drawn whole and a
+    short last chunk scans its first samples, so a larger budget scans a
+    superset of a smaller one. Instances are drawn in basis A's frame: a hit
+    reports A as the standard basis.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     for index, offset, count in _chunks(budget, SEARCH_CHUNK):
-        rho, ua, ub = _haar_instances(stream(seed, index), count, dim, pure=True)
-        # Born probabilities as diagonals of u^dag rho u, clipped at 0
-        p = np.einsum("nik,nik->nk", ua.conj(), np.einsum("nij,njk->nik", rho, ua)).real
-        q = np.einsum("nik,nik->nk", ub.conj(), np.einsum("nij,njk->nik", rho, ub)).real
-        p, q = np.clip(p, 0.0, None), np.clip(q, 0.0, None)
-        c = np.abs(np.einsum("nki,nkj->nij", ua.conj(), ub)) ** 2
-        qp = np.einsum("ni,nij->nj", p, c)
-        cmax = c.max(axis=(1, 2))
-        lhs, rhs = relation_sides(rel, p, q, qp, cmax, base)
+        rho, w = _haar_frames(stream(seed, index), SEARCH_CHUNK, dim, pure=True)
+        batch = _triples(rho[:count], w[:count], pure=True)
+        lhs, rhs = relation_sides(rel, batch.p, batch.q, batch.qp, batch.cmax, base)
         with np.errstate(invalid="ignore"):
             bad = np.nonzero((lhs - rhs) < SEARCH_MARGIN)[0]
         if bad.size:
             i = int(bad[0])
             state = make_density(rho[i])
-            basis_a = make_basis(ua[i])
-            basis_b = make_basis(ub[i])
+            basis_a = standard_basis(dim)
+            basis_b = make_basis(w[i])
             overlap = overlap_matrix(basis_a, basis_b)
             pd = outcome_dist(state, basis_a)
             verdict = eval_relation(

@@ -1,14 +1,12 @@
 """Batched Haar ensembles and vectorized margins for large property sweeps.
 
 These kernels reproduce the scalar qdiv/cdiv/relation results on whole
-ensembles at once (states are rotated into the eigenframe of the first
-basis, where the dephased state is diagonal), which is what makes the
-10^5-sample soundness sweeps affordable. A cross-check test pins the batch
-paths to the scalar implementations; the scalar `dpi_margin` is a batch of
-one.
+ensembles at once, which is what makes the 10^5-sample soundness sweeps
+affordable. Ensembles are drawn already in the frame of the first basis,
+where the dephased state is diagonal, so nothing is rotated. A cross-check
+test pins the batch paths to the scalar implementations; the scalar
+`dpi_margin` is a batch of one, rotated into that frame first.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,61 +19,23 @@ from .divergence import (
     renyi_divergence,
     tsallis_divergence,
 )
-from .qstate import DensityMatrix, OrthonormalBasis, _haar_instances, _pseudo_power
+from .qstate import (
+    DensityMatrix,
+    OrthonormalBasis,
+    TripleBatch,
+    _haar_frames,
+    _pseudo_power,
+    _triples,
+)
 from .relations import relation_sides
 from .rng import stream
 from .uncertainty import delta_measure, shannon_entropy
 
 
-@dataclass(frozen=True, eq=False)
-class TripleBatch:
-    """Haar-random (state, basis A, basis B) ensemble, reduced to A-frame data.
-
-    rho holds the states rotated into basis A (so the dephased state is
-    diag(p)); spectrum holds each state's eigenvalues.
-    """
-
-    rho: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    qp: np.ndarray
-    overlap: np.ndarray
-    spectrum: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.rho.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[1]
-
-    @property
-    def cmax(self):
-        return self.overlap.max(axis=(1, 2))
-
-
-def _triples(rho, ua, ub) -> TripleBatch:
-    """Reduce states and basis pairs to their A-frame TripleBatch."""
-    ua_h = ua.conj().transpose(0, 2, 1)
-    rho_a = ua_h @ rho @ ua
-    rho_a = (rho_a + rho_a.conj().transpose(0, 2, 1)) / 2.0
-    m = ua_h @ ub
-    overlap = np.abs(m) ** 2
-    p = np.clip(np.real(np.einsum("nii->ni", rho_a)), 0.0, 1.0)
-    p = p / p.sum(axis=1, keepdims=True)
-    q = np.real(np.einsum("nik,nij,njk->nk", ub.conj(), rho, ub))
-    q = np.clip(q, 0.0, 1.0)
-    q = q / q.sum(axis=1, keepdims=True)
-    qp = np.einsum("ni,nij->nj", p, overlap)
-    spectrum = np.clip(np.linalg.eigvalsh(rho_a), 0.0, 1.0)
-    return TripleBatch(rho_a, p, q, qp, overlap, spectrum)
-
-
 def haar_triples(dim: int, count: int, seed: int, pure: bool = False,
                  chunk: int | None = None) -> TripleBatch:
-    """Draw an ensemble of states and basis pairs; deterministic in inputs."""
-    return _triples(*_haar_instances(stream(seed, chunk), count, dim, pure))
+    """Draw states and basis pairs in A's frame; deterministic in the inputs."""
+    return _triples(*_haar_frames(stream(seed, chunk), count, dim, pure), pure)
 
 
 def relation_margins(rel, batch: TripleBatch):
@@ -150,7 +110,8 @@ def dpi_margin(spec: DivergenceSpec, rho: DensityMatrix, a: OrthonormalBasis,
     divergence; Hilbert-Schmidt is only monotone under the dephasing step
     checked here, not under general channels.
     """
-    batch = _triples(rho.matrix[None], a.kets[None], b.kets[None])
+    to_a = a.kets.conj().T
+    batch = _triples((to_a @ rho.matrix @ a.kets)[None], (to_a @ b.kets)[None], pure=False)
     return float(dpi_margins(spec.kind, spec.alpha, batch)[0])
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,7 +19,12 @@ from qud.errors import (
     ValidationError,
 )
 from qud.experiments import _accept_mask, _draw_parameters
+from qud import relations
 from qud.qstate import (
+    TripleBatch,
+    _ginibre_states,
+    _haar_kets,
+    _haar_unitaries,
     dephase,
     make_density,
     make_overlap,
@@ -30,6 +37,7 @@ from qud.qstate import (
 )
 from qud.relations import (
     RELATION_IDS,
+    SEARCH_CHUNK,
     Counterexample,
     RelationId,
     eval_relation,
@@ -381,11 +389,94 @@ def test_haar_triples_are_consistent():
     assert_allclose((pure.spectrum**2).sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_haar_triples_chunks_do_not_change_the_stream():
-    whole = haar_triples(2, 100, 4)
-    parts = [haar_triples(2, 50, 4, chunk=k) for k in range(2)]
-    stitched = np.concatenate([part.rho for part in parts])
-    assert stitched.shape == whole.rho.shape
+def test_haar_triples_chunks_do_not_change_the_stream(monkeypatch):
+    first = haar_triples(2, 100, 4, chunk=0)
+    again = haar_triples(2, 100, 4, chunk=0)
+    second = haar_triples(2, 100, 4, chunk=1)
+    for field in dataclasses.fields(TripleBatch):
+        assert np.array_equal(getattr(first, field.name), getattr(again, field.name))
+    assert not np.array_equal(first.rho, second.rho)
+    # search chunk k scans the first `count` samples of the full chunk k
+    scanned = []
+
+    def recording_sides(rel, p, q, qp, cmax, base):
+        scanned.append((p, q, qp, cmax))
+        return relation_sides(rel, p, q, qp, cmax, base)
+
+    monkeypatch.setattr(relations, "relation_sides", recording_sides)
+    budget = 2 * SEARCH_CHUNK + 100
+    assert search_counterexample(RelationId("U_tr"), 3, budget, 6) is None
+    assert [len(chunk[0]) for chunk in scanned] == [SEARCH_CHUNK, SEARCH_CHUNK, 100]
+    for k, (p, q, qp, cmax) in enumerate(scanned):
+        full = haar_triples(3, SEARCH_CHUNK, 6, pure=True, chunk=k)
+        count = len(p)
+        assert np.array_equal(p, full.p[:count])
+        assert np.array_equal(q, full.q[:count])
+        assert np.array_equal(qp, full.qp[:count])
+        assert np.array_equal(cmax, full.cmax[:count])
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_a_larger_search_budget_scans_a_superset(seed):
+    for rel in (RelationId("U_ts", "printed", 0.5), RelationId("EUR_TS", "printed", 0.5)):
+        large = 3 * SEARCH_CHUNK
+        found = search_counterexample(rel, 2, large, seed)
+        hit = large if found is None else found.sample_index
+        for budget in (1, 2, 5, 6, 7, 10, 17, 100, 2000, SEARCH_CHUNK, SEARCH_CHUNK + 1):
+            small = search_counterexample(rel, 2, budget, seed)
+            if hit < budget:
+                assert small is not None and small.sample_index == hit
+            else:
+                assert small is None
+
+
+def test_triple_batch_fields_keep_their_order():
+    # bench/layers.py builds a TripleBatch positionally from these fields
+    names = tuple(field.name for field in dataclasses.fields(TripleBatch))
+    assert names == ("rho", "p", "q", "qp", "overlap", "spectrum")
+
+
+def _rotated_reference(rng, count, dim, pure):
+    """p0, q0, qp0 and cmax from explicit (rho, U_A, U_B) draws, rotated."""
+    if pure:
+        kets = _haar_kets(rng, count, dim)
+        rho = kets[:, :, None] * kets[:, None, :].conj()
+    else:
+        rho = _ginibre_states(rng, count, dim)
+    ua = _haar_unitaries(rng, count, dim)
+    ub = _haar_unitaries(rng, count, dim)
+    p = np.einsum("nik,nij,njk->nk", ua.conj(), rho, ua).real
+    q = np.einsum("nik,nij,njk->nk", ub.conj(), rho, ub).real
+    c = np.abs(ua.conj().transpose(0, 2, 1) @ ub) ** 2
+    qp = np.einsum("ni,nij->nj", p, c)
+    return p[:, 0], q[:, 0], qp[:, 0], c.max(axis=(1, 2))
+
+
+def _mean_and_variance_errors(x):
+    """Sample mean and variance with their standard errors."""
+    n = len(x)
+    centred = x - x.mean()
+    var = (centred**2).mean()
+    m4 = (centred**4).mean()
+    return x.mean(), var, np.sqrt(var / n), np.sqrt((m4 - var**2) / n)
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_frame_reduced_draw_has_the_law_of_the_rotated_draw(pure):
+    # drawing the state in A's frame and only W = U_A^dag U_B must give the
+    # law of drawing rho, U_A and U_B and rotating
+    count, dim = 2**17, 3
+    batch = haar_triples(dim, count, 31, pure=pure)
+    frame = (batch.p[:, 0], batch.q[:, 0], batch.qp[:, 0], batch.cmax)
+    reference = _rotated_reference(stream(32), count, dim, pure)
+    for name, x, y in zip(("p0", "q0", "qp0", "cmax"), frame, reference):
+        mx, vx, smx, svx = _mean_and_variance_errors(x)
+        my, vy, smy, svy = _mean_and_variance_errors(y)
+        assert abs(mx - my) <= 5.0 * np.hypot(smx, smy), name
+        assert abs(vx - vy) <= 5.0 * np.hypot(svx, svy), name
+    if pure:
+        spectrum = np.clip(np.linalg.eigvalsh(batch.rho), 0.0, 1.0)
+        assert np.abs(batch.spectrum - spectrum).max() <= 1e-12
 
 
 def test_relation_margins_match_scalar_eval():
