@@ -30,16 +30,16 @@ COMMANDS = {
                       "--seed", "11"],
     "verify_d3_json": ["verify", "--relation", "EUR_MU", "--alpha", "1", "--beta", "1",
                        "--dim", "3", "--seed", "5", "--format", "json"],
-    "search_uts_printed_hit6": ["search", "--relation", "U_ts", "--variant", "printed",
-                                "--alpha", "0.5", "--dim", "2", "--samples", "2000",
-                                "--seed", "1"],
-    "search_uts_printed_hit17": ["search", "--relation", "U_ts", "--variant", "printed",
-                                 "--alpha", "0.5", "--dim", "2", "--samples", "10000",
-                                 "--seed", "1"],
-    "search_eur_ts_printed_hit43": ["search", "--relation", "EUR_TS", "--variant",
-                                    "printed", "--alpha", "0.5", "--dim", "2",
-                                    "--samples", "10000", "--seed", "1", "--format",
-                                    "json"],
+    "search_uts_printed_hit1_samples2000": ["search", "--relation", "U_ts", "--variant",
+                                            "printed", "--alpha", "0.5", "--dim", "2",
+                                            "--samples", "2000", "--seed", "1"],
+    "search_uts_printed_hit1_samples10000": ["search", "--relation", "U_ts", "--variant",
+                                             "printed", "--alpha", "0.5", "--dim", "2",
+                                             "--samples", "10000", "--seed", "1"],
+    "search_eur_ts_printed_hit242": ["search", "--relation", "EUR_TS", "--variant",
+                                     "printed", "--alpha", "0.5", "--dim", "2",
+                                     "--samples", "10000", "--seed", "1", "--format",
+                                     "json"],
     "search_canonical_d3": ["search", "--relation", "U_ts", "--alpha", "0.5", "--dim",
                             "3", "--samples", "20000", "--seed", "2"],
     "search_canonical_d3_json": ["search", "--relation", "U_ts", "--alpha", "0.5",
@@ -62,7 +62,7 @@ COMMANDS = {
     "coherence_shots": ["coherence", "--dim", "3", "--seed", "7", "--shots", "5000"],
     "shots_sequential_ab": ["shots", "--kind", "sequential_AB", "--dim", "3", "--n",
                             "1000", "--seed", "8"],
-    "coherence_shots_inf_json": ["coherence", "--dim", "3", "--seed", "7", "--shots",
+    "coherence_shots_inf_json": ["coherence", "--dim", "3", "--seed", "8", "--shots",
                                  "3", "--smoothing", "0", "--format", "json"],
     "region_u_tr_json": ["region", "--relation", "U_tr", "--c00", "0.3", "--resolution",
                          "5", "--format", "json"],
