@@ -136,10 +136,7 @@ def _relation_from_args(args) -> RelationId:
 
 
 def _load_instance(args):
-    """(state, basis A, basis B, source) from files or a seeded Haar draw.
-
-    A draw is made in basis A's frame, so a sampled A is the standard basis.
-    """
+    """(state, basis A, basis B, source) from files or a seeded Haar draw."""
     paths = (args.state, args.basis_a, args.basis_b)
     if any(paths):
         if not all(paths):

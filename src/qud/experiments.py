@@ -18,7 +18,7 @@ from .qstate import (
     DensityMatrix,
     OrthonormalBasis,
     _frozen,
-    _haar_overlaps,
+    _haar_unitaries,
     outcome_dist,
     overlap_matrix,
     sequential_dist,
@@ -99,7 +99,7 @@ def _draw_parameters(rng, dim: int, count: int):
         return _qubit_rows(u[:, 0]), _qubit_rows(u[:, 1]), _qubit_overlaps(u[:, 2])
     p = rng.dirichlet(np.ones(3), count)
     q = rng.dirichlet(np.ones(3), count)
-    return p, q, _haar_overlaps(rng, count, 3)
+    return p, q, np.abs(_haar_unitaries(rng, count, 3)) ** 2
 
 
 def estimate_volumes(rels, dim: int, samples: int, seed: int,

@@ -1,6 +1,7 @@
 """States, bases, dephasing, and sequential-measurement statistics.
 
-Everything downstream works with the four frozen value types defined here.
+Everything downstream works with the four frozen value types defined here,
+or with TripleBatch, their batched form in the first basis's frame.
 A density matrix is eigendecomposed once at construction; the cleaned
 spectrum (clipped to [0, 1], renormalized) is what all spectral functions
 consume, so repeated measure evaluations never re-diagonalize.
@@ -306,19 +307,12 @@ def _ginibre_states(rng, count: int, dim: int):
     return m / tr[:, None, None]
 
 
-def _haar_overlaps(rng, count: int, dim: int):
-    """Unistochastic matrices |U|^2 of Haar-random unitaries."""
-    return np.abs(_haar_unitaries(rng, count, dim)) ** 2
-
-
 def _haar_frames(rng, count: int, dim: int, pure: bool):
-    """(rho, w): states written in basis A, then W = U_A^dag U_B, one stream.
+    """(rho, w): states in basis A's frame, then W = U_A^dag U_B, one stream.
 
-    States are Hilbert-Schmidt mixed, or projectors on Haar kets when pure.
-    Both measures and the Haar measure are unitarily invariant, so the
-    A-frame pair (U_A^dag rho U_A, U_A^dag U_B) of an independent draw of
-    rho, U_A and U_B has the law of an independent (rho, W) pair (Zyczkowski
-    & Sommers 2001): the state is drawn in A's frame and only W is drawn.
+    States are Hilbert-Schmidt mixed, or Haar pure. These measures and Haar's
+    are unitarily invariant, so this is the law of an independent (rho, U_A,
+    U_B) draw rotated into A's frame (Zyczkowski & Sommers 2001).
     """
     if pure:
         kets = _haar_kets(rng, count, dim)
@@ -333,7 +327,7 @@ class TripleBatch:
     """An ensemble of (state, basis A, basis B) triples as A-frame data.
 
     Basis A is the standard basis, so rho is the state as drawn, the
-    dephased state is diag(p) and overlap is |W|^2; q is the diagonal of
+    dephased state is diag(p) and overlap is C = |W|^2; q is the diagonal of
     W^dag rho W, qp = p C and spectrum holds each state's eigenvalues.
     """
 
@@ -345,10 +339,6 @@ class TripleBatch:
     spectrum: np.ndarray
 
     @property
-    def count(self) -> int:
-        return self.rho.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.rho.shape[1]
 
@@ -358,22 +348,15 @@ class TripleBatch:
 
 
 def _triples(rho, w, pure: bool) -> TripleBatch:
-    """Reduce A-frame states and unitaries W to their TripleBatch.
-
-    A pure state's spectrum is exactly (0, ..., 0, 1), so only mixed states
-    pay for an eigvalsh.
-    """
+    """Reduce A-frame states and unitaries W; a pure spectrum needs no eigvalsh."""
     overlap = np.abs(w) ** 2
     p = np.clip(np.real(np.einsum("nii->ni", rho)), 0.0, 1.0)
     p = p / p.sum(axis=1, keepdims=True)
     q = np.clip(np.einsum("nik,nik->nk", w.conj(), rho @ w).real, 0.0, 1.0)
     q = q / q.sum(axis=1, keepdims=True)
     qp = np.einsum("ni,nij->nj", p, overlap)
-    if pure:
-        spectrum = np.zeros_like(p)
-        spectrum[:, -1] = 1.0
-    else:
-        spectrum = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    spectrum = (np.eye(p.shape[1])[np.full(len(p), -1)] if pure
+                else np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0))
     return TripleBatch(rho, p, q, qp, overlap, spectrum)
 
 
@@ -382,11 +365,9 @@ def sample(kind: str, dim: int, seed: int):
     if dim < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {dim}")
     rng = stream(seed)
-    if kind == "haar_state_pure":
-        ket = _haar_kets(rng, 1, dim)[0]
-        return make_density(np.outer(ket, ket.conj()))
-    if kind == "haar_state_mixed":
-        return make_density(_ginibre_states(rng, 1, dim)[0])
+    if kind in ("haar_state_pure", "haar_state_mixed"):
+        rho = _haar_frames(rng, 1, dim, pure=kind == "haar_state_pure")[0]
+        return make_density(rho[0])
     if kind == "haar_unitary_basis":
         return make_basis(_haar_unitaries(rng, 1, dim)[0])
     if kind == "simplex":

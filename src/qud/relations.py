@@ -276,8 +276,7 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
     fixed-size chunks with per-chunk derived streams; deterministic in seed
     and independent of chunk scheduling. Every chunk is drawn whole and a
     short last chunk scans its first samples, so a larger budget scans a
-    superset of a smaller one. Instances are drawn in basis A's frame: a hit
-    reports A as the standard basis.
+    superset of a smaller one. A hit is drawn in basis A's frame.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")

@@ -377,7 +377,7 @@ def test_search_rejects_bad_budget():
 
 def test_haar_triples_are_consistent():
     batch = haar_triples(3, 64, 9)
-    assert batch.count == 64 and batch.dim == 3
+    assert batch.rho.shape[0] == 64 and batch.dim == 3
     assert_allclose(batch.p.sum(axis=1), 1.0, atol=1e-9)
     assert_allclose(batch.q.sum(axis=1), 1.0, atol=1e-9)
     assert_allclose(batch.qp, np.einsum("ni,nij->nj", batch.p, batch.overlap), atol=1e-12)
