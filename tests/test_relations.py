@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qud import relations
 from qud.divergence import (
     DivergenceSpec,
     cdiv,
@@ -19,7 +20,6 @@ from qud.errors import (
     ValidationError,
 )
 from qud.experiments import _accept_mask, _draw_parameters
-from qud import relations
 from qud.qstate import (
     TripleBatch,
     _ginibre_states,
