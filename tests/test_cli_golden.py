@@ -30,12 +30,12 @@ COMMANDS = {
                       "--seed", "11"],
     "verify_d3_json": ["verify", "--relation", "EUR_MU", "--alpha", "1", "--beta", "1",
                        "--dim", "3", "--seed", "5", "--format", "json"],
-    "search_uts_printed_hit1_samples2000": ["search", "--relation", "U_ts", "--variant",
-                                            "printed", "--alpha", "0.5", "--dim", "2",
-                                            "--samples", "2000", "--seed", "1"],
-    "search_uts_printed_hit1_samples10000": ["search", "--relation", "U_ts", "--variant",
-                                             "printed", "--alpha", "0.5", "--dim", "2",
-                                             "--samples", "10000", "--seed", "1"],
+    "search_uts_printed_hit6": ["search", "--relation", "U_ts", "--variant", "printed",
+                                "--alpha", "0.5", "--dim", "2", "--samples", "2000",
+                                "--seed", "143"],
+    "search_uts_printed_hit17": ["search", "--relation", "U_ts", "--variant", "printed",
+                                 "--alpha", "0.5", "--dim", "2", "--samples", "10000",
+                                 "--seed", "16"],
     "search_eur_ts_printed_hit242": ["search", "--relation", "EUR_TS", "--variant",
                                      "printed", "--alpha", "0.5", "--dim", "2",
                                      "--samples", "10000", "--seed", "1", "--format",
