@@ -14,8 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DimensionMismatch, NotGaugeable
-from .qstate import ZERO_CUTOFF, DensityMatrix, ProbDist, _pseudo_power, fidelity
+from .errors import AlphaOutOfRange, NotGaugeable
+from .qstate import (
+    ZERO_CUTOFF,
+    DensityMatrix,
+    ProbDist,
+    _check_same_dim,
+    _pseudo_power,
+    fidelity,
+)
 
 DIVERGENCE_KINDS = (
     "trace",
@@ -50,11 +57,6 @@ class DivergenceSpec:
                 raise AlphaOutOfRange("tsallis needs 0 <= alpha < 1")
         elif self.alpha is not None:
             raise AlphaOutOfRange(f"{self.kind} takes no alpha")
-
-
-def _check_dims(x, y):
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,7 @@ def _relative_entropy(rho1, rho2):
 
 def qdiv(spec: DivergenceSpec, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Divergence between two states; entropic kinds are in bits."""
-    _check_dims(rho1, rho2)
+    _check_same_dim(rho1, rho2)
     if spec.kind == "trace":
         return _trace_distance(rho1, rho2)
     if spec.kind == "infidelity":
@@ -189,21 +191,25 @@ def qdiv(spec: DivergenceSpec, rho1: DensityMatrix, rho2: DensityMatrix) -> floa
     return float(np.linalg.norm(rho1.matrix - rho2.matrix))
 
 
+def _classical(kind: str, alpha: float | None, q, qp, base: float = 2.0):
+    """The classical counterpart of divergence `kind` on batched (q, q')."""
+    if kind == "trace":
+        return l1_distance(q, qp)
+    if kind == "infidelity":
+        return classical_infidelity(q, qp)
+    if kind == "renyi_sandwiched":
+        return renyi_divergence(q, qp, alpha, base=base)
+    if kind == "tsallis":
+        return tsallis_divergence(q, qp, alpha)
+    if kind == "relative_entropy":
+        return kl_divergence(q, qp, base=base)
+    return euclidean_distance(q, qp)
+
+
 def cdiv(spec: DivergenceSpec, q: ProbDist, qp: ProbDist) -> float:
     """Classical counterpart of `qdiv` on outcome distributions, in bits."""
-    _check_dims(q, qp)
-    a, b = q.probs, qp.probs
-    if spec.kind == "trace":
-        return float(l1_distance(a, b))
-    if spec.kind == "infidelity":
-        return float(classical_infidelity(a, b))
-    if spec.kind == "renyi_sandwiched":
-        return float(renyi_divergence(a, b, spec.alpha))
-    if spec.kind == "tsallis":
-        return float(tsallis_divergence(a, b, spec.alpha))
-    if spec.kind == "relative_entropy":
-        return float(kl_divergence(a, b))
-    return float(euclidean_distance(a, b))
+    _check_same_dim(q, qp)
+    return float(_classical(spec.kind, spec.alpha, q.probs, qp.probs))
 
 
 def gauge_inverse(spec: DivergenceSpec, value: float) -> float:

@@ -13,18 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import kl_divergence
-from .errors import DimensionMismatch, EmptyCounts, KindMismatch, UnsupportedDim
+from .errors import EmptyCounts, KindMismatch, UnsupportedDim
 from .qstate import (
     DensityMatrix,
     OrthonormalBasis,
+    _check_same_dim,
+    _frame_of_one,
     _frozen,
     _haar_unitaries,
     outcome_dist,
     overlap_matrix,
-    sequential_dist,
-    von_neumann_entropy,
 )
-from .relations import RelationId, relation_sides, satisfied_mask
+from .relations import RelationId, _forward_dual_sides, _shared_arrays, satisfied_mask
 from .rng import _chunks, stream
 from .uncertainty import shannon_entropy
 
@@ -63,22 +63,16 @@ class ShotCounts:
     seed: int
 
 
-def _shared_arrays(p, q, c):
-    """Relation-independent arrays of batched (p, q, C): qp = C^T p, pp = C q, max C."""
-    return np.einsum("ni,nij->nj", p, c), np.einsum("nij,nj->ni", c, q), c.max(axis=(1, 2))
-
-
-def _accepts(rel: RelationId, p, q, qp, pp, cmax):
-    """Admissibility from the shared arrays: relation AND dual (EUR_MU once)."""
-    ok = satisfied_mask(*relation_sides(rel, p, q, qp, cmax))
-    if rel.id != "EUR_MU":
-        ok = ok & satisfied_mask(*relation_sides(rel, q, p, pp, cmax))
-    return ok
+def _accepts(rel: RelationId, p, q, shared):
+    """Admissibility from `_shared_arrays(p, q, C)`: the relation AND its dual."""
+    return np.logical_and.reduce(
+        [satisfied_mask(*sides) for sides in _forward_dual_sides(rel, p, q, shared)]
+    )
 
 
 def _accept_mask(rel: RelationId, p, q, c):
-    """Admissibility of batched (p, q, C): relation AND dual (EUR_MU once)."""
-    return _accepts(rel, p, q, *_shared_arrays(p, q, c))
+    """Admissibility of batched (p, q, C): the relation AND its dual."""
+    return _accepts(rel, p, q, _shared_arrays(p, q, c))
 
 
 def _qubit_rows(x):
@@ -121,7 +115,7 @@ def estimate_volumes(rels, dim: int, samples: int, seed: int,
         index, _, count = chunk
         p, q, c = _draw_parameters(stream(seed, index), dim, count)
         shared = _shared_arrays(p, q, c)
-        return [int(np.count_nonzero(_accepts(rel, p, q, *shared))) for rel in rels]
+        return [int(np.count_nonzero(_accepts(rel, p, q, shared))) for rel in rels]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         per_chunk = list(pool.map(one_chunk, _chunks(samples, VOLUME_CHUNK)))
@@ -160,14 +154,13 @@ def coherence_bounds(rho: DensityMatrix, a: OrthonormalBasis, b: OrthonormalBasi
     """Operational sandwich around the relative entropy of coherence.
 
     upper = H(p), exact = H(p) - S(rho), lower = KL(q || q') with q' the
-    post-dephasing statistics of the second basis.
+    post-dephasing statistics of the second basis: the arrays of A's frame
+    that the relative_entropy DPI margin reads, so exact - lower is that margin.
     """
-    p = outcome_dist(rho, a)
-    q = outcome_dist(rho, b)
-    qp = sequential_dist(p, overlap_matrix(a, b), "forward")
-    upper = float(shannon_entropy(p.probs, base=base))
-    exact = max(upper - von_neumann_entropy(rho, base=base), 0.0)
-    lower = float(kl_divergence(q.probs, qp.probs, base=base))
+    batch = _frame_of_one(rho, a, b)
+    upper = float(shannon_entropy(batch.p, base=base)[0])
+    exact = max(upper - float(shannon_entropy(batch.spectrum, base=base)[0]), 0.0)
+    lower = float(kl_divergence(batch.q, batch.qp, base=base)[0])
     return CoherenceBounds(upper, exact, lower, base)
 
 
@@ -199,8 +192,7 @@ def estimate_coherence(direct: ShotCounts, sequential: ShotCounts,
         raise KindMismatch(f"first record must be direct_B, got {direct.kind}")
     if sequential.kind != "sequential_AB":
         raise KindMismatch(f"second record must be sequential_AB, got {sequential.kind}")
-    if direct.dim != sequential.dim:
-        raise DimensionMismatch(f"dimensions differ: {direct.dim} vs {sequential.dim}")
+    _check_same_dim(direct, sequential)
     if direct.total == 0 or sequential.total == 0:
         raise EmptyCounts("need at least one shot in each record")
     if not 0.0 <= smoothing < math.inf:

@@ -360,6 +360,15 @@ def _triples(rho, w, pure: bool) -> TripleBatch:
     return TripleBatch(rho, p, q, qp, overlap, spectrum)
 
 
+def _frame_of_one(rho: DensityMatrix, a: OrthonormalBasis,
+                  b: OrthonormalBasis) -> TripleBatch:
+    """One (rho, A, B) instance rotated into A's frame, as a batch of one."""
+    _check_same_dim(rho, a)
+    _check_same_dim(a, b)
+    to_a = a.kets.conj().T
+    return _triples((to_a @ rho.matrix @ a.kets)[None], (to_a @ b.kets)[None], pure=False)
+
+
 def sample(kind: str, dim: int, seed: int):
     """Draw one object of the given kind; bit-reproducible in (kind, dim, seed)."""
     if dim < 2:

@@ -23,7 +23,6 @@ from .divergence import (
 )
 from .errors import (
     AlphaOutOfRange,
-    DimensionMismatch,
     InconsistentTriple,
     MissingOverlap,
     ValidationError,
@@ -33,12 +32,11 @@ from .qstate import (
     OrthonormalBasis,
     OverlapMatrix,
     ProbDist,
+    _check_same_dim,
     _haar_frames,
     _triples,
     make_basis,
     make_density,
-    outcome_dist,
-    overlap_matrix,
     sequential_dist,
     standard_basis,
 )
@@ -158,12 +156,11 @@ def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0):
         return delta_measure(p), l1_distance(q, qp)
     if rid == "U_tr_prime":
         return half_norm_measure(p), l1_distance(q, qp)
-    if rid == "U_rd":
+    if rid == "U_if" and var == "printed":
+        return renyi_entropy(p, 0.5, base=base), renyi_divergence(q, qp, 2.0, base=base)
+    if rid in ("U_rd", "U_if"):  # canonical U_if is U_rd at alpha = 1/2
+        a = 0.5 if a is None else a
         return renyi_entropy(p, 1.0 / a, base=base), renyi_divergence(q, qp, a, base=base)
-    if rid == "U_if":
-        if var == "printed":
-            return renyi_entropy(p, 0.5, base=base), renyi_divergence(q, qp, 2.0, base=base)
-        return renyi_entropy(p, 2.0, base=base), renyi_divergence(q, qp, 0.5, base=base)
     if rid == "U_ts":
         lhs = renyi_entropy(p, 2.0 - a, base=base)
         if var == "printed":
@@ -204,6 +201,28 @@ def satisfied_mask(lhs, rhs):
     return ok
 
 
+def _shared_arrays(p, q, c):
+    """Relation-independent arrays of batched (p, q, C): qp = p C, pp = C q, max C."""
+    return np.einsum("ni,nij->nj", p, c), np.einsum("nij,nj->ni", c, q), c.max(axis=(1, 2))
+
+
+def _forward_dual_sides(rel: RelationId, p, q, shared, base: float = 2.0):
+    """(lhs, rhs) of the forward pair on (p, q, p C) and the dual pair on
+    (q, p, C q), from `_shared_arrays`. EUR_MU is self-dual under the order
+    swap, so it has the forward pair alone."""
+    qp, pp, cmax = shared
+    sides = [relation_sides(rel, p, q, qp, cmax, base)]
+    if rel.id != "EUR_MU":
+        sides.append(relation_sides(rel, q, p, pp, cmax, base))
+    return sides
+
+
+def _verdict(sides, index: int = 0) -> RelationVerdict:
+    """The verdict of one sample of batched (lhs, rhs) arrays."""
+    lhs, rhs = float(sides[0][index]), float(sides[1][index])
+    return RelationVerdict(lhs, rhs, lhs - rhs, bool(satisfied_mask(lhs, rhs)))
+
+
 def eval_relation(rel: RelationId, p: ProbDist, q: ProbDist, qp: ProbDist,
                   c: OverlapMatrix | None = None, base: float = 2.0) -> RelationVerdict:
     """Evaluate one relation on the statistics triple (p, q, q').
@@ -211,27 +230,18 @@ def eval_relation(rel: RelationId, p: ProbDist, q: ProbDist, qp: ProbDist,
     When the overlap matrix is supplied, q' is checked against the
     sequential map C^T p to 1e-9; EUR_* relations require it for cmax.
     """
-    if not p.dim == q.dim == qp.dim:
-        raise DimensionMismatch(
-            f"dimensions differ: p {p.dim}, q {q.dim}, qp {qp.dim}"
-        )
+    _check_same_dim(p, q)
+    _check_same_dim(p, qp)
+    cmax = None
     if c is not None:
-        if c.dim != p.dim:
-            raise DimensionMismatch(f"overlap dim {c.dim} != {p.dim}")
         expected = sequential_dist(p, c, "forward")
         drift = float(np.max(np.abs(expected.probs - qp.probs)))
         if drift > TRIPLE_TOL:
             raise InconsistentTriple(f"qp deviates from C^T p by {drift:.3g}")
-    cmax = None
-    if rel.id in ("EUR_TS", "EUR_MU"):
-        if c is None:
-            raise MissingOverlap(f"{rel.id} needs the overlap matrix")
         cmax = np.array([c.cmax])
-    lhs, rhs = relation_sides(
+    return _verdict(relation_sides(
         rel, p.probs[None, :], q.probs[None, :], qp.probs[None, :], cmax, base
-    )
-    lhs, rhs = float(lhs[0]), float(rhs[0])
-    return RelationVerdict(lhs, rhs, lhs - rhs, bool(satisfied_mask(lhs, rhs)))
+    ))
 
 
 def eval_with_dual(rel: RelationId, p: ProbDist, q: ProbDist, c: OverlapMatrix,
@@ -241,13 +251,12 @@ def eval_with_dual(rel: RelationId, p: ProbDist, q: ProbDist, c: OverlapMatrix,
     EUR_MU is self-dual under the order swap, so the same verdict is
     returned twice.
     """
-    qp = sequential_dist(p, c, "forward")
-    forward = eval_relation(rel, p, q, qp, c, base=base)
-    if rel.id == "EUR_MU":
-        return forward, forward
-    pp = sequential_dist(q, c, "dual")
-    dual = eval_relation(rel, q, p, pp, c.transpose(), base=base)
-    return forward, dual
+    _check_same_dim(p, q)
+    _check_same_dim(p, c)
+    p1, q1 = p.probs[None, :], q.probs[None, :]
+    sides = _forward_dual_sides(rel, p1, q1, _shared_arrays(p1, q1, c.entries[None]), base)
+    verdicts = [_verdict(pair) for pair in sides]
+    return verdicts[0], verdicts[-1]
 
 
 def universal_bound(q: ProbDist, qp: ProbDist) -> float:
@@ -263,8 +272,7 @@ def universal_bound(q: ProbDist, qp: ProbDist) -> float:
       - S_a <= 1 (Holder) and 1/a > 1 give S_a >= S_a^(1/a) >= F^2.
     Every term is thus at most the infidelity, which is itself one of them.
     """
-    if q.dim != qp.dim:
-        raise DimensionMismatch(f"dimensions differ: {q.dim} vs {qp.dim}")
+    _check_same_dim(q, qp)
     return float(classical_infidelity(q.probs[None, :], qp.probs[None, :])[0])
 
 
@@ -276,7 +284,8 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
     fixed-size chunks with per-chunk derived streams; deterministic in seed
     and independent of chunk scheduling. Every chunk is drawn whole and a
     short last chunk scans its first samples, so a larger budget scans a
-    superset of a smaller one. A hit is drawn in basis A's frame.
+    superset of a smaller one. A hit is drawn in basis A's frame and carries
+    the sides its scan computed.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -288,18 +297,6 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
             bad = np.nonzero((lhs - rhs) < SEARCH_MARGIN)[0]
         if bad.size:
             i = int(bad[0])
-            state = make_density(rho[i])
-            basis_a = standard_basis(dim)
-            basis_b = make_basis(w[i])
-            overlap = overlap_matrix(basis_a, basis_b)
-            pd = outcome_dist(state, basis_a)
-            verdict = eval_relation(
-                rel,
-                pd,
-                outcome_dist(state, basis_b),
-                sequential_dist(pd, overlap, "forward"),
-                overlap,
-                base=base,
-            )
-            return Counterexample(state, basis_a, basis_b, verdict, offset + i)
+            return Counterexample(make_density(rho[i]), standard_basis(dim),
+                                  make_basis(w[i]), _verdict((lhs, rhs), i), offset + i)
     return None

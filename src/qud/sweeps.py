@@ -10,19 +10,12 @@ test pins the batch paths to the scalar implementations; the scalar
 
 import numpy as np
 
-from .divergence import (
-    DivergenceSpec,
-    classical_infidelity,
-    euclidean_distance,
-    kl_divergence,
-    l1_distance,
-    renyi_divergence,
-    tsallis_divergence,
-)
+from .divergence import DivergenceSpec, _classical, classical_infidelity
 from .qstate import (
     DensityMatrix,
     OrthonormalBasis,
     TripleBatch,
+    _frame_of_one,
     _haar_frames,
     _pseudo_power,
     _triples,
@@ -72,34 +65,31 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
     dephasing. Data processing keeps every margin >= -1e-8.
     """
     DivergenceSpec(kind, alpha)  # rejects unknown kinds and orders
-    p, q, qp = batch.p, batch.q, batch.qp
+    p = batch.p
     if kind == "trace":
         diff = batch.rho.copy()
         idx = np.arange(batch.dim)
         diff[:, idx, idx] -= p
         quantum = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
-        return quantum - l1_distance(q, qp)
-    if kind == "hilbert_schmidt":
+    elif kind == "hilbert_schmidt":
         fro2 = np.real(np.abs(batch.rho) ** 2).sum(axis=(1, 2))
         quantum = np.sqrt(np.clip(fro2 - (p**2).sum(axis=1), 0.0, None))
-        return quantum - euclidean_distance(q, qp)
-    if kind == "infidelity":
-        return _infidelity_to_dephased(batch) - classical_infidelity(q, qp)
-    if kind == "relative_entropy":
+    elif kind == "infidelity":
+        quantum = _infidelity_to_dephased(batch)
+    elif kind == "relative_entropy":
         quantum = (shannon_entropy(p, base=base)
                    - shannon_entropy(batch.spectrum, base=base))
-        return quantum - kl_divergence(q, qp, base=base)
-    if kind == "renyi_sandwiched":
+    elif kind == "renyi_sandwiched":
         total = _sandwiched_trace(batch, alpha)
         with np.errstate(divide="ignore"):
             quantum = np.log(total) / (np.log(base) * (alpha - 1.0))
-        return quantum - renyi_divergence(q, qp, alpha, base=base)
-    lam, vec = np.linalg.eigh(batch.rho)
-    lam_a = _pseudo_power(np.clip(lam, 0.0, None), alpha)
-    diag_pow = np.einsum("nik,nk->ni", np.abs(vec) ** 2, lam_a)
-    cross = (diag_pow * _pseudo_power(p, 1.0 - alpha)).sum(axis=1)
-    quantum = (1.0 - cross) / (1.0 - alpha)
-    return quantum - tsallis_divergence(q, qp, alpha)
+    else:
+        lam, vec = np.linalg.eigh(batch.rho)
+        lam_a = _pseudo_power(np.clip(lam, 0.0, None), alpha)
+        diag_pow = np.einsum("nik,nk->ni", np.abs(vec) ** 2, lam_a)
+        cross = (diag_pow * _pseudo_power(p, 1.0 - alpha)).sum(axis=1)
+        quantum = (1.0 - cross) / (1.0 - alpha)
+    return quantum - _classical(kind, alpha, batch.q, batch.qp, base)
 
 
 def dpi_margin(spec: DivergenceSpec, rho: DensityMatrix, a: OrthonormalBasis,
@@ -110,9 +100,7 @@ def dpi_margin(spec: DivergenceSpec, rho: DensityMatrix, a: OrthonormalBasis,
     divergence; Hilbert-Schmidt is only monotone under the dephasing step
     checked here, not under general channels.
     """
-    to_a = a.kets.conj().T
-    batch = _triples((to_a @ rho.matrix @ a.kets)[None], (to_a @ b.kets)[None], pure=False)
-    return float(dpi_margins(spec.kind, spec.alpha, batch)[0])
+    return float(dpi_margins(spec.kind, spec.alpha, _frame_of_one(rho, a, b))[0])
 
 
 def chain_margins(batch: TripleBatch):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, DimensionMismatch
-from .qstate import ZERO_CUTOFF, ProbDist
+from .errors import AlphaOutOfRange
+from .qstate import ZERO_CUTOFF, ProbDist, _check_same_dim
 
 UMEASURE_KINDS = ("delta", "renyi", "shannon", "half_norm")
 
@@ -87,8 +87,7 @@ def umeasure(spec: UncertaintySpec, p: ProbDist, base: float = 2.0) -> float:
 
 def majorizes(p1: ProbDist, p2: ProbDist) -> bool:
     """True when every partial sum of p1 (sorted down) weakly dominates p2's."""
-    if p1.dim != p2.dim:
-        raise DimensionMismatch(f"dimensions differ: {p1.dim} vs {p2.dim}")
+    _check_same_dim(p1, p2)
     a = np.cumsum(np.sort(p1.probs)[::-1])
     b = np.cumsum(np.sort(p2.probs)[::-1])
     return bool(np.all(a - b >= -1e-10))

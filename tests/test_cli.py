@@ -293,6 +293,19 @@ def test_coherence_shots_unbounded_warns(instance_files, capsys):
     assert row["lower_estimate"] == "inf"
 
 
+def test_coherence_shots_unbounded_json(instance_files, capsys):
+    # a non-finite JSON cell from a fixed instance, whatever the Haar sampler draws
+    code, out, _ = run(
+        ["coherence", "--dim", "2", "--shots", "2", "--smoothing", "0",
+         "--seed", "1", "--format", "json", *FILE_FLAGS(instance_files)],
+        capsys,
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["lower_estimate"] == "inf"
+    assert row["unbounded"] is True
+
+
 def test_shots_direct(instance_files, capsys):
     code, out, _ = run(
         ["shots", "--kind", "direct_B", "--n", "500", "--dim", "2", "--seed", "9",

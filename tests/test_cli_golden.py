@@ -88,6 +88,13 @@ def test_golden_report(name):
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def test_every_golden_file_has_a_command():
+    # a renamed or dropped command cannot leave a stale golden behind
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    stems = {path.stem for path in GOLDEN.glob("*.txt")}
+    assert stems == set(COMMANDS) == set(codes)
+
+
 def _other_format(argv):
     if "--format" in argv:
         at = argv.index("--format")

@@ -21,9 +21,11 @@ from qud.experiments import (
     region_grid,
     simulate_shots,
 )
-from qud.qstate import make_density, make_overlap, make_prob, sample
-from qud.relations import RelationId, eval_with_dual, table2_relations
+from qud.divergence import DivergenceSpec
+from qud.qstate import make_density, make_overlap, make_prob, sample, sequential_dist
+from qud.relations import RelationId, eval_relation, table2_relations
 from qud.rng import stream
+from qud.sweeps import dpi_margin
 
 from conftest import triple_of
 
@@ -32,15 +34,22 @@ from conftest import triple_of
 # volume estimation
 
 
+def _scalar_admits(rel, p, q, c):
+    # forward verdict on (p, q, C) and on the transposed instance (q, p, C^T),
+    # each from eval_relation alone, not from the shared forward/dual rule
+    def forward(p, q, c):
+        p, c = make_prob(p), make_overlap(c)
+        return eval_relation(rel, p, make_prob(q), sequential_dist(p, c), c).satisfied
+
+    return forward(p, q, c) and forward(q, p, c.T)
+
+
 def test_accept_mask_matches_scalar_dual_eval():
     rel = RelationId("U_tr")
     p, q, c = _draw_parameters(stream(21, 0), 2, 300)
     mask = _accept_mask(rel, p, q, c)
     for k in range(300):
-        forward, dual = eval_with_dual(
-            rel, make_prob(p[k]), make_prob(q[k]), make_overlap(c[k])
-        )
-        assert mask[k] == (forward.satisfied and dual.satisfied)
+        assert mask[k] == _scalar_admits(rel, p[k], q[k], c[k])
 
 
 def test_accept_mask_matches_scalar_dual_eval_d3():
@@ -48,10 +57,7 @@ def test_accept_mask_matches_scalar_dual_eval_d3():
     p, q, c = _draw_parameters(stream(22, 0), 3, 200)
     mask = _accept_mask(rel, p, q, c)
     for k in range(200):
-        forward, dual = eval_with_dual(
-            rel, make_prob(p[k]), make_prob(q[k]), make_overlap(c[k])
-        )
-        assert mask[k] == (forward.satisfied and dual.satisfied)
+        assert mask[k] == _scalar_admits(rel, p[k], q[k], c[k])
 
 
 def test_draw_parameters_structure():
@@ -197,6 +203,18 @@ def test_coherence_bounds_are_ordered():
         assert bounds.upper >= bounds.exact - 1e-9
         assert bounds.exact >= bounds.lower - 1e-9
         assert bounds.lower >= -1e-12
+
+
+def test_coherence_gap_is_the_relative_entropy_dpi_margin():
+    # exact - lower and the relative_entropy DPI margin read the same A-frame arrays
+    spec = DivergenceSpec("relative_entropy")
+    for dim in (2, 3, 4):
+        for seed in range(40):
+            rho = sample("haar_state_mixed", dim, seed)
+            a = sample("haar_unitary_basis", dim, 1000 + seed)
+            b = sample("haar_unitary_basis", dim, 2000 + seed)
+            bounds = coherence_bounds(rho, a, b)
+            assert bounds.exact - bounds.lower == dpi_margin(spec, rho, a, b), (dim, seed)
 
 
 def test_coherence_bounds_incoherent_state(z_basis, x_basis):

@@ -361,6 +361,18 @@ def test_search_finds_printed_tsallis_violation():
     assert again.sample_index == found.sample_index
 
 
+def test_search_hit_reports_the_sides_its_scan_computed():
+    # the hit's verdict is the scan's own, not a re-evaluation of the rebuilt instance
+    rel = RelationId("EUR_TS", "printed", 0.5)
+    found = search_counterexample(rel, 2, 10_000, 1)
+    k, i = divmod(found.sample_index, SEARCH_CHUNK)
+    batch = haar_triples(2, SEARCH_CHUNK, 1, pure=True, chunk=k)
+    lhs, rhs = relation_sides(rel, batch.p, batch.q, batch.qp, batch.cmax)
+    assert found.verdict.lhs == lhs[i] and found.verdict.rhs == rhs[i]
+    assert found.verdict.margin == lhs[i] - rhs[i]
+    assert not found.verdict.satisfied
+
+
 def test_search_survives_canonical_form():
     assert search_counterexample(RelationId("U_ts", alpha=0.5), 2, 20_000, 3) is None
     assert search_counterexample(RelationId("U_tr"), 2, 20_000, 3) is None
