@@ -24,7 +24,7 @@ from .qstate import (
     outcome_dist,
     overlap_matrix,
 )
-from .relations import RelationId, _forward_dual_sides, _shared_arrays, satisfied_mask
+from .relations import RelationId, _forward_dual, _shared_arrays, satisfied_mask
 from .rng import _chunks, stream
 from .uncertainty import shannon_entropy
 
@@ -65,9 +65,8 @@ class ShotCounts:
 
 def _accepts(rel: RelationId, p, q, shared):
     """Admissibility from `_shared_arrays(p, q, C)`: the relation AND its dual."""
-    return np.logical_and.reduce(
-        [satisfied_mask(*sides) for sides in _forward_dual_sides(rel, p, q, shared)]
-    )
+    masks = _forward_dual(rel, p, q, shared, satisfied_mask)
+    return masks[0] & masks[-1]
 
 
 def _accept_mask(rel: RelationId, p, q, c):

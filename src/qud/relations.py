@@ -206,20 +206,21 @@ def _shared_arrays(p, q, c):
     return np.einsum("ni,nij->nj", p, c), np.einsum("nij,nj->ni", c, q), c.max(axis=(1, 2))
 
 
-def _forward_dual_sides(rel: RelationId, p, q, shared, base: float = 2.0):
-    """(lhs, rhs) of the forward pair on (p, q, p C) and the dual pair on
-    (q, p, C q), from `_shared_arrays`. EUR_MU is self-dual under the order
-    swap, so it has the forward pair alone."""
+def _forward_dual(rel: RelationId, p, q, shared, judge, base: float = 2.0):
+    """judge(lhs, rhs) of the forward pair on (p, q, p C), then of the dual
+    pair on (q, p, C q), from `_shared_arrays`. EUR_MU is self-dual under the
+    order swap, so it has the forward pair alone. Each pair is judged before
+    the next is computed."""
     qp, pp, cmax = shared
-    sides = [relation_sides(rel, p, q, qp, cmax, base)]
+    out = [judge(*relation_sides(rel, p, q, qp, cmax, base))]
     if rel.id != "EUR_MU":
-        sides.append(relation_sides(rel, q, p, pp, cmax, base))
-    return sides
+        out.append(judge(*relation_sides(rel, q, p, pp, cmax, base)))
+    return out
 
 
-def _verdict(sides, index: int = 0) -> RelationVerdict:
+def _verdict(lhs, rhs, index: int = 0) -> RelationVerdict:
     """The verdict of one sample of batched (lhs, rhs) arrays."""
-    lhs, rhs = float(sides[0][index]), float(sides[1][index])
+    lhs, rhs = float(lhs[index]), float(rhs[index])
     return RelationVerdict(lhs, rhs, lhs - rhs, bool(satisfied_mask(lhs, rhs)))
 
 
@@ -239,7 +240,7 @@ def eval_relation(rel: RelationId, p: ProbDist, q: ProbDist, qp: ProbDist,
         if drift > TRIPLE_TOL:
             raise InconsistentTriple(f"qp deviates from C^T p by {drift:.3g}")
         cmax = np.array([c.cmax])
-    return _verdict(relation_sides(
+    return _verdict(*relation_sides(
         rel, p.probs[None, :], q.probs[None, :], qp.probs[None, :], cmax, base
     ))
 
@@ -254,8 +255,8 @@ def eval_with_dual(rel: RelationId, p: ProbDist, q: ProbDist, c: OverlapMatrix,
     _check_same_dim(p, q)
     _check_same_dim(p, c)
     p1, q1 = p.probs[None, :], q.probs[None, :]
-    sides = _forward_dual_sides(rel, p1, q1, _shared_arrays(p1, q1, c.entries[None]), base)
-    verdicts = [_verdict(pair) for pair in sides]
+    verdicts = _forward_dual(rel, p1, q1, _shared_arrays(p1, q1, c.entries[None]),
+                             _verdict, base)
     return verdicts[0], verdicts[-1]
 
 
@@ -298,5 +299,5 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
         if bad.size:
             i = int(bad[0])
             return Counterexample(make_density(rho[i]), standard_basis(dim),
-                                  make_basis(w[i]), _verdict((lhs, rhs), i), offset + i)
+                                  make_basis(w[i]), _verdict(lhs, rhs, i), offset + i)
     return None
