@@ -12,7 +12,7 @@ and a JSON null, and a non-finite float is a JSON string ("inf", "-inf",
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import math
 import sys
@@ -53,6 +53,7 @@ from .sweeps import dpi_margins, haar_triples
 
 DPI_EXIT_TOL = -1e-8
 MAX_SHOTS = 2**63 - 1  # the most numpy's multinomial draw takes
+_BLOCK_ROWS = 4096  # report rows rendered and written at a time
 
 
 def _base_value(label: str) -> float:
@@ -98,37 +99,70 @@ def _json_cell(value) -> str:
     return int.__repr__(value) if type(value) is int else json.dumps(value)
 
 
-def _column(value, rows: int, render) -> list:
-    """A list holds one value per row; any other value is a constant, rendered once."""
-    return list(map(render, value)) if isinstance(value, list) else [render(value)] * rows
+def _blocks(rows: int):
+    """(start, stop) of each run of at most _BLOCK_ROWS rows."""
+    return ((start, min(start + _BLOCK_ROWS, rows)) for start in range(0, rows, _BLOCK_ROWS))
+
+
+def _block_cells(values, start: int, stop: int, render):
+    """The rendered cells of rows start..stop of one varying column."""
+    part = values[start:stop]
+    return map(render, part.tolist() if isinstance(part, np.ndarray) else part)
+
+
+def _write_json(table: dict, varying: set, rows: int, out) -> None:
+    """The text of json.dumps(payload, indent=2, sort_keys=True). One row
+    template holds the rendered constants; the varying cells fill its fields."""
+    keys = sorted(table)
+    row = ",\n".join(
+        f"      {json.dumps(k)}: "
+        + ("{}" if k in varying
+           else _json_cell(table[k]).replace("{", "{{").replace("}", "}}"))
+        for k in keys)
+    fields = [k for k in keys if k in varying]
+    sep = "\n    },\n    {\n"
+    out.write(json.dumps({"columns": list(table)}, indent=2)[:-2])
+    out.write(',\n  "rows": [\n    {\n')
+    for start, stop in _blocks(rows):
+        cells = [_block_cells(table[k], start, stop, _json_cell) for k in fields]
+        if start:
+            out.write(sep)
+        out.write(sep.join(map(row.format, *cells)) if cells else row.format())
+    out.write("\n    }\n  ]\n}\n")
+
+
+def _write_csv(table: dict, varying: set, rows: int, out) -> None:
+    constants = {k: _cell(v) for k, v in table.items() if k not in varying}
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(table))
+    for start, stop in _blocks(rows):
+        writer.writerows(zip(*(
+            _block_cells(v, start, stop, _cell) if k in varying
+            else itertools.repeat(constants[k], stop - start)
+            for k, v in table.items())))
 
 
 def _emit(table: dict, args) -> None:
     """Write one report. `table` maps each column name, in output order, to a
     constant (str, int, float, bool, None or a dict record) or to a list or
-    1-d array with one value per row; a table of constants is one row."""
-    table = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in table.items()}
-    rows = next((len(v) for v in table.values() if isinstance(v, list)), 1)
-    if args.format == "json":
-        # the text of json.dumps(payload, indent=2, sort_keys=True), laid out
-        # from cells rendered column by column
-        keys = sorted(table)
-        row = ",\n".join(f"      {json.dumps(k)}: {{}}" for k in keys)
-        cells = zip(*(_column(table[k], rows, _json_cell) for k in keys), strict=True)
-        body = "\n    },\n    {\n".join(row.format(*c) for c in cells)
-        head = json.dumps({"columns": list(table)}, indent=2)[:-2]
-        body = f'{head},\n  "rows": [\n    {{\n{body}\n    }}\n  ]\n}}\n'
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(table))
-        writer.writerows(zip(*(_column(v, rows, _cell) for v in table.values()), strict=True))
-        body = buf.getvalue()
+    1-d array with one value per row; a table of constants is one row.
+
+    Each constant is rendered once. The varying columns are rendered and
+    written _BLOCK_ROWS rows at a time, so the writer holds one block of
+    text however many rows the report has. A table whose varying columns
+    differ in length raises ValueError before anything is written.
+    """
+    varying = {k for k, v in table.items() if isinstance(v, (list, np.ndarray))}
+    lengths = sorted({len(table[k]) for k in varying})
+    if len(lengths) > 1:
+        raise ValueError(f"report columns differ in length: {lengths}")
+    rows = lengths[0] if lengths else 1
+    write = _write_json if args.format == "json" else _write_csv
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+            write(table, varying, rows, fh)
     else:
-        sys.stdout.write(body)
+        write(table, varying, rows, sys.stdout)
 
 
 def _relation_from_args(args) -> RelationId:
@@ -184,8 +218,9 @@ def _cmd_verify(args) -> int:
 def _cmd_dpi(args) -> int:
     spec = DivergenceSpec(args.divergence, args.alpha)
     base = _base_value(args.log_base)
-    batch = haar_triples(args.dim, args.samples, args.seed)
-    margins = dpi_margins(spec.kind, spec.alpha, batch, base=base)
+    # the ensemble is freed once its margins exist, before the report is written
+    margins = dpi_margins(spec.kind, spec.alpha,
+                          haar_triples(args.dim, args.samples, args.seed), base=base)
     _emit({
         "divergence": spec.kind,
         "alpha": spec.alpha,

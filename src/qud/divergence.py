@@ -223,7 +223,7 @@ def gauge_inverse(spec: DivergenceSpec, value: float) -> float:
     """
     if spec.kind not in GAUGEABLE_KINDS:
         raise NotGaugeable(f"{spec.kind} has no distance gauge")
-    if value < 0:
+    if not value >= 0:  # a NaN fails this comparison, as a negative value does
         raise ValueError(f"gauge input must be >= 0, got {value}")
     if spec.kind in ("trace", "infidelity"):
         return float(min(value, 1.0))

@@ -279,9 +279,20 @@ def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
     return float(-(lam * np.log(lam)).sum() / np.log(base))
 
 
+def _complex_normal(rng, shape):
+    """rng.standard_normal(shape) + 1j * rng.standard_normal(shape), filled in
+    place: all real parts are drawn first, so stream and values are the same,
+    without the sum's three full-size temporaries."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
 def _haar_kets(rng, count: int, dim: int):
-    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+    z = _complex_normal(rng, (count, dim))
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    return z
 
 
 def _haar_unitaries(rng, count: int, dim: int):
@@ -290,7 +301,7 @@ def _haar_unitaries(rng, count: int, dim: int):
     Its R factor has a positive real diagonal, so Q is the QR factor with the
     phase fix that makes it Haar distributed (Mezzadri 2007).
     """
-    q = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    q = _complex_normal(rng, (count, dim, dim))
     for k in range(dim):
         col = q[:, :, k:k + 1]
         col /= np.linalg.norm(col, axis=1, keepdims=True)
@@ -301,10 +312,10 @@ def _haar_unitaries(rng, count: int, dim: int):
 
 def _ginibre_states(rng, count: int, dim: int):
     """Hilbert-Schmidt-distributed mixed states G G^dag / tr."""
-    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    g = _complex_normal(rng, (count, dim, dim))
     m = g @ g.conj().transpose(0, 2, 1)
-    tr = np.real(np.einsum("nii->n", m))
-    return m / tr[:, None, None]
+    m /= np.real(np.einsum("nii->n", m))[:, None, None]
+    return m
 
 
 def _haar_frames(rng, count: int, dim: int, pure: bool):
@@ -352,7 +363,10 @@ def _triples(rho, w, pure: bool) -> TripleBatch:
     overlap = np.abs(w) ** 2
     p = np.clip(np.real(np.einsum("nii->ni", rho)), 0.0, 1.0)
     p = p / p.sum(axis=1, keepdims=True)
-    q = np.clip(np.einsum("nik,nik->nk", w.conj(), rho @ w).real, 0.0, 1.0)
+    # Re(w conj(x)) is Re(conj(w) x) to the bit, so conjugating the fresh
+    # x = rho W in place spares a copy of conj(W)
+    x = rho @ w
+    q = np.clip(np.einsum("nik,nik->nk", w, np.conjugate(x, out=x)).real, 0.0, 1.0)
     q = q / q.sum(axis=1, keepdims=True)
     qp = np.einsum("ni,nij->nj", p, overlap)
     spectrum = (np.eye(p.shape[1])[np.full(len(p), -1)] if pure

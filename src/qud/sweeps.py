@@ -45,7 +45,8 @@ def _sandwiched_trace(batch: TripleBatch, alpha: float):
     Renyi trace against the dephased state, from one batched eigh.
     """
     scale = _pseudo_power(batch.p, (1.0 - alpha) / (2.0 * alpha))
-    core = batch.rho * scale[:, :, None] * scale[:, None, :]
+    core = batch.rho * scale[:, :, None]
+    core *= scale[:, None, :]
     lam = np.clip(np.linalg.eigvalsh(core), 0.0, None)
     return _pseudo_power(lam, alpha).sum(axis=1)
 

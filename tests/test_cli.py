@@ -1,12 +1,15 @@
+import argparse
 import csv
 import io
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qud.cli import main
+from qud.cli import _cell, _emit, main
 from qud.io import save_basis, save_state
 from qud.qstate import fourier_basis, make_density, standard_basis
 
@@ -488,3 +491,108 @@ def test_unknown_relation_exits_two(capsys):
         main(["verify", "--relation", "U_zz", "--dim", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# report writer
+
+ORACLE_ROWS = 10_000  # three of the writer's 4096-row blocks, the last one ragged
+
+
+def _oracle_table():
+    """Constants of every cell type, and varying columns that hold non-finite
+    floats, None, bools, ints and strings CSV has to quote."""
+    k = np.arange(ORACLE_ROWS)
+    margin = np.sin(k.astype(float))
+    margin[k % 11 == 0] = np.inf
+    margin[k % 13 == 0] = -np.inf
+    margin[k % 17 == 0] = np.nan
+    return {
+        "relation": "U_ts{1/2}",
+        "record": {"dim": 2, "note": "{not a field}", "real": [[1.0, 0.0], [0.0, 1.0]]},
+        "index": k,
+        "margin": margin,
+        "maybe": [None if i % 3 == 0 else i / 8 for i in range(ORACLE_ROWS)],
+        "found": [i % 2 == 0 for i in range(ORACLE_ROWS)],
+        "label": [f'a,"b" {{{i}}}' for i in range(ORACLE_ROWS)],
+        "alpha": 0.75,
+        "absent": None,
+        "seed": 12,
+        "clean": True,
+    }
+
+
+def _oracle_rows(table):
+    """The table as one list of Python values per row."""
+    columns = [v.tolist() if isinstance(v, np.ndarray) else v for v in table.values()]
+    rows = max((len(c) for c in columns if isinstance(c, list)), default=1)
+    return [[c[i] if isinstance(c, list) else c for c in columns] for i in range(rows)]
+
+
+def _oracle_json(table):
+    def cell(value):
+        return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+    rows = [{k: cell(v) for k, v in zip(table, row)} for row in _oracle_rows(table)]
+    return json.dumps({"columns": list(table), "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+
+def _oracle_csv(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(table))
+    writer.writerows([_cell(v) for v in row] for row in _oracle_rows(table))
+    return buf.getvalue()
+
+
+def _write_report(table, fmt, tmp_path, to_file, capsys):
+    target = tmp_path / f"report.{fmt}"
+    _emit(table, argparse.Namespace(format=fmt, output=str(target) if to_file else None))
+    out = capsys.readouterr().out
+    if to_file:
+        assert out == ""
+        return target.read_text(encoding="utf-8")
+    assert not target.exists()
+    return out
+
+
+@pytest.mark.parametrize("constants_only", [False, True], ids=["blocks", "one_row"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_writer_matches_the_one_shot_writers(fmt, to_file, constants_only,
+                                                    tmp_path, capsys):
+    table = _oracle_table()
+    if constants_only:  # every cell of the first row as a constant
+        table = {k: row0 for k, row0 in zip(table, _oracle_rows(table)[0])}
+    expected = (_oracle_json if fmt == "json" else _oracle_csv)(table)
+    assert _write_report(table, fmt, tmp_path, to_file, capsys) == expected
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_writer_writes_nothing_for_a_ragged_table(fmt, to_file, tmp_path, capsys):
+    table = {"index": np.arange(5), "seed": 3, "margin": [0.5] * 4}
+    target = tmp_path / f"report.{fmt}"
+    with pytest.raises(ValueError):
+        _emit(table, argparse.Namespace(format=fmt, output=str(target) if to_file else None))
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
+
+
+def test_report_emission_memory_is_bounded(tmp_path):
+    # a 2^16-row dpi report: the writer holds one block of rows at a time, so
+    # its traced peak is a small fraction of the report it writes
+    rows = 1 << 16
+    table = {"divergence": "renyi_sandwiched", "alpha": 0.75, "dim": 3, "samples": rows,
+             "seed": 4, "index": np.arange(rows),
+             "margin": np.random.default_rng(4).exponential(size=rows), "log_base": "2"}
+    target = tmp_path / "dpi.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _emit(table, argparse.Namespace(format="json", output=str(target)))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert peak <= size / 4, f"traced peak {peak} B for a {size} B report"

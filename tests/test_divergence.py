@@ -239,8 +239,13 @@ def test_gauge_inverse_edge_cases():
         assert gauge_inverse(spec, 0.0) == 0.0
         assert gauge_inverse(spec, np.inf) == 1.0
     assert gauge_inverse(DivergenceSpec("infidelity"), 1.7) == 1.0
-    with pytest.raises(ValueError):
-        gauge_inverse(DivergenceSpec("trace"), -0.1)
+
+
+@pytest.mark.parametrize("value", [-0.1, -np.inf, np.nan])
+@pytest.mark.parametrize("kind", GAUGEABLE_KINDS)
+def test_gauge_inverse_rejects_negative_and_nan_input(kind, value):
+    with pytest.raises(ValueError, match="gauge input must be >= 0"):
+        gauge_inverse(DivergenceSpec(kind, _alpha_for(kind)), value)
 
 
 def test_gauge_inverse_rejects_ungaugeable_kinds():

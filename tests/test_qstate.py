@@ -16,9 +16,12 @@ from qud.errors import (
 )
 from qud.qstate import (
     SAMPLE_KINDS,
+    _complex_normal,
     _ginibre_states,
+    _haar_frames,
     _haar_kets,
     _haar_unitaries,
+    _triples,
     dephase,
     fidelity,
     fourier_basis,
@@ -393,6 +396,39 @@ def test_haar_unitaries_stay_orthonormal(dim):
     u = _haar_unitaries(stream(200 + dim), 4096, dim)
     gram = u.conj().transpose(0, 2, 1) @ u
     assert np.abs(gram - np.eye(dim)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(1000, 3), (1000, 3, 3), (257, 4, 4)],
+                         ids=["kets", "unitaries_and_states", "d4"])
+def test_complex_normal_is_the_two_draw_sum_to_the_bit(shape):
+    rng, reference = stream(31), stream(31)
+    z = _complex_normal(rng, shape)
+    expected = reference.standard_normal(shape) + 1j * reference.standard_normal(shape)
+    assert z.tobytes() == expected.tobytes()
+    assert rng.random() == reference.random()  # the stream is left at the same point
+
+
+def test_haar_kets_and_ginibre_states_are_the_two_draw_forms_to_the_bit():
+    for dim in (2, 3, 4):
+        rng = stream(60 + dim)
+        z = rng.standard_normal((500, dim)) + 1j * rng.standard_normal((500, dim))
+        kets = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        assert _haar_kets(stream(60 + dim), 500, dim).tobytes() == kets.tobytes()
+        rng = stream(70 + dim)
+        g = (rng.standard_normal((500, dim, dim))
+             + 1j * rng.standard_normal((500, dim, dim)))
+        m = g @ g.conj().transpose(0, 2, 1)
+        states = m / np.real(np.einsum("nii->n", m))[:, None, None]
+        assert _ginibre_states(stream(70 + dim), 500, dim).tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_triples_q_equals_the_conjugate_first_reduction(dim, pure):
+    rho, w = _haar_frames(stream(40 + dim), 2048, dim, pure)
+    q = np.clip(np.einsum("nik,nik->nk", w.conj(), rho @ w).real, 0.0, 1.0)
+    q = q / q.sum(axis=1, keepdims=True)
+    assert _triples(rho, w, pure).q.tobytes() == q.tobytes()
 
 
 def test_triple_of_helper_consistency(f1):
