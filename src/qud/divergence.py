@@ -21,6 +21,7 @@ from .qstate import (
     ProbDist,
     _check_same_dim,
     _pseudo_power,
+    _row_sum,
     fidelity,
 )
 
@@ -66,20 +67,20 @@ class DivergenceSpec:
 def l1_distance(q, qp):
     q = np.asarray(q, dtype=np.float64)
     qp = np.asarray(qp, dtype=np.float64)
-    return 0.5 * np.abs(q - qp).sum(axis=-1)
+    return 0.5 * _row_sum(np.abs(q - qp))
 
 
 def euclidean_distance(q, qp):
     q = np.asarray(q, dtype=np.float64)
     qp = np.asarray(qp, dtype=np.float64)
-    return np.sqrt(((q - qp) ** 2).sum(axis=-1))
+    return np.sqrt(_row_sum((q - qp) ** 2))
 
 
 def bhattacharyya(q, qp):
     """Classical fidelity sum sqrt(q q')."""
     q = np.asarray(q, dtype=np.float64)
     qp = np.asarray(qp, dtype=np.float64)
-    return np.sqrt(np.clip(q * qp, 0.0, None)).sum(axis=-1)
+    return _row_sum(np.sqrt(np.clip(q * qp, 0.0, None)))
 
 
 def classical_infidelity(q, qp):
@@ -100,17 +101,19 @@ def power_overlap(q, qp, alpha: float):
         terms = np.where(on, q, 1.0) ** alpha * np.where(
             on | (qp > ZERO_CUTOFF), qp, 1.0
         ) ** (1.0 - alpha)
-    return np.where(on, terms, 0.0).sum(axis=-1)
+    return _row_sum(np.where(on, terms, 0.0))
 
 
 def renyi_divergence(q, qp, alpha: float, base: float = 2.0):
-    """log(sum q^alpha q'^(1-alpha)) / (alpha - 1); +inf on support clash."""
+    """log(sum q^alpha q'^(1-alpha)) / (alpha - 1); +inf on support clash.
+
+    Equal distributions give +0.0 at every order.
+    """
     if not 0 <= alpha < math.inf or alpha == 1.0:
         raise AlphaOutOfRange(f"need finite alpha >= 0, alpha != 1, got {alpha}")
     s = power_overlap(q, qp, alpha)
     with np.errstate(divide="ignore"):
-        out = np.log(s) / (np.log(base) * (alpha - 1.0))
-    return out
+        return np.log(s) / (np.log(base) * (alpha - 1.0)) + 0.0
 
 
 def tsallis_divergence(q, qp, alpha: float):
@@ -128,7 +131,7 @@ def kl_divergence(q, qp, base: float = 2.0):
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(np.where(on, q, 1.0)) - np.log(np.where(qp > 0, qp, 0.0))
         terms = np.where(on, q * logs, 0.0)
-    return terms.sum(axis=-1) / np.log(base)
+    return _row_sum(terms) / np.log(base)
 
 
 # ---------------------------------------------------------------------------

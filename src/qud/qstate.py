@@ -35,12 +35,47 @@ ZERO_CUTOFF = 1e-15
 SAMPLE_KINDS = ("haar_state_pure", "haar_state_mixed", "haar_unitary_basis", "simplex")
 
 
+# below this many entries, _row_sum and _row_max chain elementwise ops
+_SHORT_AXIS = 8
+
+
+def _row_sum(x):
+    """x.sum(axis=-1), bit for bit.
+
+    numpy's reduce pays a per-row cost that dwarfs the arithmetic of a short
+    axis. Below 8 entries it adds in order from 0.0, so d-1 elementwise adds
+    in place give its result; from 8 entries on it sums pairwise, so its own
+    reduce is kept.
+    """
+    if x.shape[-1] >= _SHORT_AXIS:
+        return x.sum(axis=-1)
+    out = x[..., 0] + x[..., 1]
+    for k in range(2, x.shape[-1]):
+        out += x[..., k]
+    out += 0.0  # numpy's start: an all -0.0 row sums to +0.0
+    return out
+
+
+def _row_max(x):
+    """x.max(axis=-1), bit for bit: a chain of np.maximum below 8 entries.
+
+    From 8 entries on numpy's vectorized reduce may pick the other of -0.0
+    and +0.0, so its own reduce is kept there.
+    """
+    if x.shape[-1] >= _SHORT_AXIS:
+        return x.max(axis=-1)
+    out = np.maximum(x[..., 0], x[..., 1])
+    for k in range(2, x.shape[-1]):
+        out = np.maximum(out, x[..., k])
+    return out
+
+
 def _pseudo_power(values, exponent: float):
     """values**exponent on the support, 0 off it; reduces over the last axis.
 
     An entry at or below RANK_TOL times the largest one is off the support.
     """
-    on = values > values.max(axis=-1, keepdims=True) * RANK_TOL
+    on = values > (_row_max(values) * RANK_TOL)[..., None]
     return np.where(on, values, 1.0) ** exponent * on
 
 
@@ -339,7 +374,9 @@ class TripleBatch:
 
     Basis A is the standard basis, so rho is the state as drawn, the
     dephased state is diag(p) and overlap is C = |W|^2; q is the diagonal of
-    W^dag rho W, qp = p C and spectrum holds each state's eigenvalues.
+    W^dag rho W and qp = p C. known_spectrum holds each state's eigenvalues
+    when the draw knows them (pure states); otherwise `spectrum` computes
+    them on every read, so only its readers pay for the eigvalsh.
     """
 
     rho: np.ndarray
@@ -347,7 +384,7 @@ class TripleBatch:
     q: np.ndarray
     qp: np.ndarray
     overlap: np.ndarray
-    spectrum: np.ndarray
+    known_spectrum: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -355,22 +392,27 @@ class TripleBatch:
 
     @property
     def cmax(self):
-        return self.overlap.max(axis=(1, 2))
+        return _row_max(self.overlap.reshape(len(self.overlap), -1))
+
+    @property
+    def spectrum(self):
+        if self.known_spectrum is not None:
+            return self.known_spectrum
+        return np.clip(np.linalg.eigvalsh(self.rho), 0.0, 1.0)
 
 
 def _triples(rho, w, pure: bool) -> TripleBatch:
-    """Reduce A-frame states and unitaries W; a pure spectrum needs no eigvalsh."""
+    """Reduce A-frame states and unitaries W; a pure spectrum is one-hot."""
     overlap = np.abs(w) ** 2
     p = np.clip(np.real(np.einsum("nii->ni", rho)), 0.0, 1.0)
-    p = p / p.sum(axis=1, keepdims=True)
+    p = p / _row_sum(p)[:, None]
     # Re(w conj(x)) is Re(conj(w) x) to the bit, so conjugating the fresh
     # x = rho W in place spares a copy of conj(W)
     x = rho @ w
     q = np.clip(np.einsum("nik,nik->nk", w, np.conjugate(x, out=x)).real, 0.0, 1.0)
-    q = q / q.sum(axis=1, keepdims=True)
+    q = q / _row_sum(q)[:, None]
     qp = np.einsum("ni,nij->nj", p, overlap)
-    spectrum = (np.eye(p.shape[1])[np.full(len(p), -1)] if pure
-                else np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0))
+    spectrum = np.eye(p.shape[1])[np.full(len(p), -1)] if pure else None
     return TripleBatch(rho, p, q, qp, overlap, spectrum)
 
 

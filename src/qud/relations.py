@@ -34,6 +34,7 @@ from .qstate import (
     ProbDist,
     _check_same_dim,
     _haar_frames,
+    _row_max,
     _triples,
     make_basis,
     make_density,
@@ -68,6 +69,7 @@ VERDICT_RTOL = 1e-9
 SEARCH_MARGIN = -1e-6
 SEARCH_CHUNK = 4096
 TRIPLE_TOL = 1e-9
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -188,22 +190,24 @@ def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0):
 
 
 def satisfied_mask(lhs, rhs):
-    """Vectorized verdicts: margin >= -1e-9 * max(1, |lhs|, |rhs|), inf-aware."""
+    """Vectorized verdicts: margin >= -1e-9 * max(1, |lhs|, |rhs|), inf-aware.
+
+    An infinite side would make the scale infinite, so it is clamped to the
+    largest float: a finite margin is then judged on the finite sides alone,
+    and an infinite one is judged by its sign. lhs = +inf always holds, and
+    NaN never does unless lhs is +inf.
+    """
     lhs = np.asarray(lhs, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
-    lf = np.where(np.isfinite(lhs), lhs, 0.0)
-    rf = np.where(np.isfinite(rhs), rhs, 0.0)
-    scale = np.maximum(1.0, np.maximum(np.abs(lf), np.abs(rf)))
+    scale = np.clip(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0, _FLOAT_MAX)
     with np.errstate(invalid="ignore"):
-        ok = (lhs - rhs) >= -VERDICT_RTOL * scale
-    ok = np.where(np.isposinf(rhs), np.isposinf(lhs), ok)
-    ok = np.where(np.isposinf(lhs), True, ok)
-    return ok
+        return ((lhs - rhs) >= -VERDICT_RTOL * scale) | (lhs == np.inf)
 
 
 def _shared_arrays(p, q, c):
     """Relation-independent arrays of batched (p, q, C): qp = p C, pp = C q, max C."""
-    return np.einsum("ni,nij->nj", p, c), np.einsum("nij,nj->ni", c, q), c.max(axis=(1, 2))
+    return (np.einsum("ni,nij->nj", p, c), np.einsum("nij,nj->ni", c, q),
+            _row_max(c.reshape(len(c), -1)))
 
 
 def _forward_dual(rel: RelationId, p, q, shared, judge, base: float = 2.0):

@@ -18,6 +18,7 @@ from .qstate import (
     _frame_of_one,
     _haar_frames,
     _pseudo_power,
+    _row_sum,
     _triples,
 )
 from .relations import relation_sides
@@ -48,7 +49,7 @@ def _sandwiched_trace(batch: TripleBatch, alpha: float):
     core = batch.rho * scale[:, :, None]
     core *= scale[:, None, :]
     lam = np.clip(np.linalg.eigvalsh(core), 0.0, None)
-    return _pseudo_power(lam, alpha).sum(axis=1)
+    return _row_sum(_pseudo_power(lam, alpha))
 
 
 def _infidelity_to_dephased(batch: TripleBatch):
@@ -71,10 +72,10 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
         diff = batch.rho.copy()
         idx = np.arange(batch.dim)
         diff[:, idx, idx] -= p
-        quantum = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
+        quantum = 0.5 * _row_sum(np.abs(np.linalg.eigvalsh(diff)))
     elif kind == "hilbert_schmidt":
         fro2 = np.real(np.abs(batch.rho) ** 2).sum(axis=(1, 2))
-        quantum = np.sqrt(np.clip(fro2 - (p**2).sum(axis=1), 0.0, None))
+        quantum = np.sqrt(np.clip(fro2 - _row_sum(p**2), 0.0, None))
     elif kind == "infidelity":
         quantum = _infidelity_to_dephased(batch)
     elif kind == "relative_entropy":
@@ -88,7 +89,7 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
         lam, vec = np.linalg.eigh(batch.rho)
         lam_a = _pseudo_power(np.clip(lam, 0.0, None), alpha)
         diag_pow = np.einsum("nik,nk->ni", np.abs(vec) ** 2, lam_a)
-        cross = (diag_pow * _pseudo_power(p, 1.0 - alpha)).sum(axis=1)
+        cross = _row_sum(diag_pow * _pseudo_power(p, 1.0 - alpha))
         quantum = (1.0 - cross) / (1.0 - alpha)
     return quantum - _classical(kind, alpha, batch.q, batch.qp, base)
 

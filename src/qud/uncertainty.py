@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRange
-from .qstate import ZERO_CUTOFF, ProbDist, _check_same_dim
+from .qstate import ZERO_CUTOFF, ProbDist, _check_same_dim, _row_sum
 
 UMEASURE_KINDS = ("delta", "renyi", "shannon", "half_norm")
 
@@ -37,20 +37,22 @@ class UncertaintySpec:
 def delta_measure(p):
     """sqrt(1 - sum p^2): purity deficit of the dephased state."""
     p = np.asarray(p, dtype=np.float64)
-    return np.sqrt(np.clip(1.0 - (p**2).sum(axis=-1), 0.0, None))
+    return np.sqrt(np.clip(1.0 - _row_sum(p**2), 0.0, None))
 
 
 def shannon_entropy(p, base: float = 2.0):
+    """-sum p log p; a point mass gives +0.0 (the + 0.0 maps -0.0 to it)."""
     p = np.asarray(p, dtype=np.float64)
     safe = np.maximum(p, ZERO_CUTOFF)
     terms = np.where(p > ZERO_CUTOFF, p * np.log(safe), 0.0)
-    return -terms.sum(axis=-1) / np.log(base)
+    return -_row_sum(terms) / np.log(base) + 0.0
 
 
 def renyi_entropy(p, alpha: float, base: float = 2.0):
     """Order-alpha entropy log(sum p^alpha) / (1 - alpha); alpha=1 is Shannon.
 
-    alpha=0 counts the support, per the zero-probability convention.
+    alpha=0 counts the support, per the zero-probability convention. A point
+    mass gives +0.0 at every order.
     """
     if not 0 <= alpha < math.inf:
         raise AlphaOutOfRange(f"alpha must be finite and >= 0, got {alpha}")
@@ -59,13 +61,13 @@ def renyi_entropy(p, alpha: float, base: float = 2.0):
     p = np.asarray(p, dtype=np.float64)
     safe = np.maximum(p, ZERO_CUTOFF)
     powered = np.where(p > ZERO_CUTOFF, safe**alpha, 0.0)
-    return np.log(powered.sum(axis=-1)) / (np.log(base) * (1.0 - alpha))
+    return np.log(_row_sum(powered)) / (np.log(base) * (1.0 - alpha)) + 0.0
 
 
 def half_norm_measure(p):
     """Half of ((sum sqrt(p))^2 - 1), the 1/2-quasinorm overshoot."""
     p = np.asarray(p, dtype=np.float64)
-    root_sum = np.sqrt(np.clip(p, 0.0, None)).sum(axis=-1)
+    root_sum = _row_sum(np.sqrt(np.clip(p, 0.0, None)))
     return 0.5 * (root_sum**2 - 1.0)
 
 

@@ -71,6 +71,35 @@ def test_verify_printed_violation_exits_one(instance_files, capsys):
     assert float(rows[0]["margin"]) == pytest.approx(-1.0 / 3.0, abs=1e-10)
 
 
+@pytest.fixture(scope="module")
+def point_mass_files(tmp_path_factory):
+    """|0><0| measured in the standard basis twice: every entropy is zero."""
+    root = tmp_path_factory.mktemp("point_mass")
+    state, basis = root / "zero.json", root / "z.json"
+    save_state(state, make_density(np.diag([1.0, 0.0])))
+    save_basis(basis, standard_basis(2))
+    return ["--state", str(state), "--basis-a", str(basis), "--basis-b", str(basis)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--relation", "U_re", "--dim", "2"],
+    ["verify", "--relation", "U_rd", "--alpha", "0.5", "--dim", "2"],
+    ["verify", "--relation", "U_rd", "--alpha", "0.5", "--dim", "2", "--format", "json"],
+    ["coherence"],
+    ["coherence", "--format", "json"],
+], ids=["U_re", "U_rd", "U_rd_json", "coherence", "coherence_json"])
+def test_zero_entropies_print_without_a_sign(argv, point_mass_files, capsys):
+    code, out, err = run([*argv, *point_mass_files], capsys)
+    assert code == 0 and err == ""
+    if "json" in argv:
+        cells = [v for row in json.loads(out)["rows"] for v in row.values()]
+        assert 0.0 in cells
+        assert all(math.copysign(1.0, v) > 0 for v in cells if v == 0.0)
+    else:
+        cells = [c for row in csv.reader(io.StringIO(out)) for c in row]
+        assert "0" in cells and not any(c.startswith("-0") for c in cells)
+
+
 def test_verify_sampled_instance_is_deterministic(capsys):
     argv = ["verify", "--relation", "U_re", "--dim", "3", "--seed", "11"]
     first = run(argv, capsys)

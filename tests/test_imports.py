@@ -1,8 +1,9 @@
-"""Dead-code guards over the package source.
+"""Guards over the package source.
 
 Every package module uses every name it imports (`__init__.py` is exempt,
-since its imports are the public re-exports), and every module-level private
-function and class is referenced somewhere outside its own definition.
+since its imports are the public re-exports), every module-level private
+function and class is referenced somewhere outside its own definition, and
+no reduction over an axis bypasses the row helpers outside an allow-list.
 """
 
 import ast
@@ -73,3 +74,48 @@ def test_guard_finds_unreferenced_private_defs():
 def test_every_private_def_is_referenced():
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_defs(sources) == []
+
+
+# Reductions over an axis that stay numpy's own: the helpers themselves, the
+# single-matrix row and column checks of make_overlap, the d^2-entry
+# Frobenius norm of the Hilbert-Schmidt margin, and the count matrix of
+# estimate_coherence. Every other one goes through qstate._row_sum/_row_max.
+AXIS_REDUCTIONS_ALLOWED = {
+    "qstate.py": ["_row_max.max", "_row_sum.sum", "make_overlap.sum", "make_overlap.sum"],
+    "sweeps.py": ["dpi_margins.sum"],
+    "experiments.py": ["estimate_coherence.sum", "estimate_coherence.sum"],
+}
+
+
+def axis_reductions(source: str) -> list[str]:
+    """`owner.method` for every .sum/.max/.min call given an axis, by keyword
+    or position, where owner is the module-level function or class it is in."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("sum", "max", "min")):
+                continue
+            on_np = isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+            if (any(k.arg == "axis" for k in node.keywords)
+                    or len(node.args) > (1 if on_np else 0)):
+                found.append(f"{getattr(stmt, 'name', '<module>')}.{node.func.attr}")
+    return sorted(found)
+
+
+def test_guard_finds_axis_reductions():
+    source = (
+        "import numpy as np\n\n"
+        "def f(x):\n"
+        "    return x.sum(axis=-1) + x.max(1) + np.min(x, -1) + x.sum() + np.max(x)\n\n"
+        "class K:\n"
+        "    def g(self, x):\n"
+        "        return x.min(axis=(1, 2))\n"
+    )
+    assert axis_reductions(source) == ["K.min", "f.max", "f.min", "f.sum"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_axis_reductions_go_through_the_row_helpers(path):
+    found = axis_reductions(path.read_text(encoding="utf-8"))
+    assert found == AXIS_REDUCTIONS_ALLOWED.get(path.name, [])

@@ -9,6 +9,7 @@ from qud.divergence import (
     DivergenceSpec,
     cdiv,
     classical_infidelity,
+    kl_divergence,
     l1_distance,
     power_overlap,
     qdiv,
@@ -56,6 +57,7 @@ from qud.sweeps import (
     haar_triples,
     relation_margins,
 )
+from qud.uncertainty import shannon_entropy
 
 from conftest import RT2, triple_of
 
@@ -210,6 +212,35 @@ def test_satisfied_mask_handles_infinities():
     rhs = np.array([1.0 + 1e-12, np.inf, 2.0, 1e-12])
     mask = satisfied_mask(lhs, rhs)
     assert mask.tolist() == [True, False, True, True]
+
+
+def _two_pass_mask(lhs, rhs):
+    """The verdict rule as first written: finite parts for the scale, then
+    +inf on either side decided apart."""
+    lhs = np.asarray(lhs, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    lf = np.where(np.isfinite(lhs), lhs, 0.0)
+    rf = np.where(np.isfinite(rhs), rhs, 0.0)
+    scale = np.maximum(1.0, np.maximum(np.abs(lf), np.abs(rf)))
+    with np.errstate(invalid="ignore"):
+        ok = (lhs - rhs) >= -1e-9 * scale
+    ok = np.where(np.isposinf(rhs), np.isposinf(lhs), ok)
+    return np.where(np.isposinf(lhs), True, ok)
+
+
+def test_satisfied_mask_keeps_the_two_pass_rule_on_the_edges():
+    big = np.finfo(np.float64).max
+    edges = np.array([np.inf, -np.inf, big, -big, 1e300, -1e300, 2.0, -2.0, 1.0, -1.0,
+                      1.0 + 1e-9, 1.0 - 1e-9, 1e-10, -1e-10, 0.0, -0.0, np.nan])
+    lhs, rhs = (a.ravel() for a in np.meshgrid(edges, edges, indexing="ij"))
+    with np.errstate(over="ignore"):  # max - (-max) overflows to inf, as it should
+        mask = satisfied_mask(lhs, rhs)
+        assert mask.dtype == bool and mask.shape == lhs.shape
+        assert np.array_equal(mask, _two_pass_mask(lhs, rhs))
+        # 0-d inputs, as _verdict passes them
+        for a, b in zip(lhs, rhs):
+            one = satisfied_mask(float(a), float(b))
+            assert np.ndim(one) == 0 and bool(one) == bool(_two_pass_mask(a, b))
 
 
 def test_eval_relation_error_paths(f1):
@@ -443,9 +474,24 @@ def test_a_larger_search_budget_scans_a_superset(seed):
 
 
 def test_triple_batch_fields_keep_their_order():
-    # bench/layers.py builds a TripleBatch positionally from these fields
-    names = tuple(field.name for field in dataclasses.fields(TripleBatch))
-    assert names == ("rho", "p", "q", "qp", "overlap", "spectrum")
+    # bench/layers.py builds a TripleBatch positionally from these attributes
+    names = ("rho", "p", "q", "qp", "overlap", "spectrum")
+    for pure in (False, True):
+        batch = haar_triples(3, 16, 2, pure=pure)
+        again = TripleBatch(*(getattr(batch, name) for name in names))
+        for name in names:
+            assert np.array_equal(getattr(again, name), getattr(batch, name))
+
+
+def test_a_mixed_spectrum_is_computed_only_when_read():
+    batch = haar_triples(3, 256, 12)
+    assert batch.known_spectrum is None
+    spectrum = np.clip(np.linalg.eigvalsh(batch.rho), 0.0, 1.0)
+    assert batch.spectrum.tobytes() == spectrum.tobytes()
+    margins = dpi_margins("relative_entropy", None, batch)
+    expected = (shannon_entropy(batch.p) - shannon_entropy(spectrum)
+                - kl_divergence(batch.q, batch.qp))
+    assert margins.tobytes() == expected.tobytes()
 
 
 def _rotated_reference(rng, count, dim, pure):
