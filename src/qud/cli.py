@@ -7,15 +7,17 @@ are therefore byte-identical across repeated invocations. Every report is one
 table: each row carries every column, an absent value is an empty CSV cell
 and a JSON null, and a non-finite float is a JSON string ("inf", "-inf",
 "nan"). Exit codes: 0 completed (relation satisfied / no counterexample),
-1 violation or counterexample found, 2 input error.
+1 violation or counterexample found, 2 input error, 141 the reader closed
+the output pipe.
 """
 
 import argparse
 import csv
-import itertools
 import json
 import math
+import os
 import sys
+import types
 
 import numpy as np
 
@@ -54,6 +56,9 @@ from .sweeps import dpi_margins, haar_triples
 DPI_EXIT_TOL = -1e-8
 MAX_SHOTS = 2**63 - 1  # the most numpy's multinomial draw takes
 _BLOCK_ROWS = 4096  # report rows rendered and written at a time
+_BOOL_TEXT = ("false", "true")  # indexed by a bool
+# the CSV text of one row: writerow returns what its file's write returns
+_CSV_LINE = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def _base_value(label: str) -> float:
@@ -104,42 +109,79 @@ def _blocks(rows: int):
     return ((start, min(start + _BLOCK_ROWS, rows)) for start in range(0, rows, _BLOCK_ROWS))
 
 
-def _block_cells(values, start: int, stop: int, render):
-    """The rendered cells of rows start..stop of one varying column."""
-    part = values[start:stop]
-    return map(render, part.tolist() if isinstance(part, np.ndarray) else part)
+def _literal(text: str) -> str:
+    """`text` as a literal part of a %-template."""
+    return text.replace("%", "%%")
+
+
+def _block_texts(part, render, float_text) -> list:
+    """The cell texts of one block of a varying column, in one C-level pass.
+
+    An array goes through .tolist() first (numpy 2 reprs its own scalars as
+    np.float64(...)). Its bools and integers render alike in CSV and JSON,
+    and its floats with `float_text` where the block holds no inf or nan.
+    Every other cell, of a list or of any other block, takes `render`.
+    """
+    text = render
+    if isinstance(part, np.ndarray):
+        kind = part.dtype.kind
+        if kind == "b":
+            text = _BOOL_TEXT.__getitem__
+        elif kind in "iu":
+            text = int.__repr__
+        elif kind == "f" and np.isfinite(part).all():
+            text = float_text
+        part = part.tolist()
+    return list(map(text, part))
+
+
+def _fill(template: str, columns: list, rows: int) -> str:
+    """`template` repeated for `rows` rows, its %s fields filled row by row
+    from the cell texts of each column."""
+    cells = [None] * (rows * len(columns))
+    for j, texts in enumerate(columns):
+        cells[j::len(columns)] = texts
+    return template % tuple(cells)
 
 
 def _write_json(table: dict, varying: set, rows: int, out) -> None:
     """The text of json.dumps(payload, indent=2, sort_keys=True). One row
-    template holds the rendered constants; the varying cells fill its fields."""
+    template holds the keys and the rendered constants; each block of rows
+    is one fill of it."""
     keys = sorted(table)
     row = ",\n".join(
-        f"      {json.dumps(k)}: "
-        + ("{}" if k in varying
-           else _json_cell(table[k]).replace("{", "{{").replace("}", "}}"))
+        _literal(f"      {json.dumps(k)}: ")
+        + ("%s" if k in varying else _literal(_json_cell(table[k])))
         for k in keys)
-    fields = [k for k in keys if k in varying]
+    fields = [table[k] for k in keys if k in varying]
     sep = "\n    },\n    {\n"
     out.write(json.dumps({"columns": list(table)}, indent=2)[:-2])
     out.write(',\n  "rows": [\n    {\n')
     for start, stop in _blocks(rows):
-        cells = [_block_cells(table[k], start, stop, _json_cell) for k in fields]
+        columns = [_block_texts(v[start:stop], _json_cell, float.__repr__) for v in fields]
         if start:
             out.write(sep)
-        out.write(sep.join(map(row.format, *cells)) if cells else row.format())
+        out.write(_fill(sep.join([row] * (stop - start)), columns, stop - start))
     out.write("\n    }\n  ]\n}\n")
 
 
 def _write_csv(table: dict, varying: set, rows: int, out) -> None:
-    constants = {k: _cell(v) for k, v in table.items() if k not in varying}
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(table))
+    """The text of a csv.writer(out, lineterminator="\\n") given the header
+    and every row. The csv module renders and quotes the header, the
+    constants of the row template and each cell of a list column; a numeric
+    cell needs no quotes."""
+    # a one-field record is quoted when empty, a field of a wider one is not
+    pad = ("",) if len(table) > 1 else ()
+
+    def field(value) -> str:
+        return _CSV_LINE((_cell(value), *pad))[:-1 - len(pad)]
+
+    out.write(_CSV_LINE(list(table)))
+    row = _CSV_LINE(["%s" if k in varying else _literal(_cell(v)) for k, v in table.items()])
+    fields = [v for k, v in table.items() if k in varying]
     for start, stop in _blocks(rows):
-        writer.writerows(zip(*(
-            _block_cells(v, start, stop, _cell) if k in varying
-            else itertools.repeat(constants[k], stop - start)
-            for k, v in table.items())))
+        columns = [_block_texts(v[start:stop], field, "%.12g".__mod__) for v in fields]
+        out.write(_fill(row * (stop - start), columns, stop - start))
 
 
 def _emit(table: dict, args) -> None:
@@ -454,10 +496,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path) -> None:
+    """Refuse an --output that is a directory or whose parent is not one,
+    before any work is done. The file itself is opened only once the report
+    is ready, so a failed command leaves none behind."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"--output: {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--output: {path}: {parent} is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _check_output(args.output)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: as the Python docs advise for SIGPIPE, point
+        # stdout at devnull so the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
     except (QudError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

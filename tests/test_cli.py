@@ -3,12 +3,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qud import cli
 from qud.cli import _cell, _emit, main
 from qud.io import save_basis, save_state
 from qud.qstate import fourier_basis, make_density, standard_basis
@@ -625,3 +629,110 @@ def test_report_emission_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     size = target.stat().st_size
     assert peak <= size / 4, f"traced peak {peak} B for a {size} B report"
+
+
+def _edge_tables():
+    """Tables that reach each path of the block renderer, by name."""
+    rows = 2 * 4096 + 123  # three blocks, the last one ragged
+    k = np.arange(rows)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 0.1,
+                         1 / 3, 123456789012345.0, 2.0**60])
+    floats = specials[k % len(specials)]
+    flagged = floats.copy()  # inf and nan in the middle block only
+    flagged[4096 + 7] = np.inf
+    flagged[4096 + 11] = -np.inf
+    flagged[4096 + 13] = np.nan
+    extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1])
+    return {
+        "dpi": {"divergence": "trace", "alpha": None, "dim": 3, "samples": rows, "seed": 1,
+                "index": k, "margin": np.random.default_rng(1).normal(size=rows),
+                "log_base": "2"},
+        "floats": {"finite": floats, "flagged": flagged,
+                   "float32": np.random.default_rng(2).normal(size=rows).astype(np.float32)},
+        "ints": {"int64": extremes[k % 4], "uint64": np.full(rows, 2**64 - 1, np.uint64),
+                 "int8": (k % 256 - 128).astype(np.int8)},
+        "bools": {"admissible": k % 3 == 0, "p0": floats, "c00": 0.5},
+        "constants": {"50%": '100% {x}, "q" %s %d', "record": {"note": "%(a)s {}"},
+                      "index": k, "label": [f"{i}%" for i in range(rows)],
+                      "rate": "5%"},
+        "one_column": {"index": k},
+        "one_list_column": {"cell": [None if i % 5 == 0 else f"{i}," for i in range(rows)]},
+        "one_constant": {"absent": None},
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_tables()))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_block_renderer_edge_cases_match_the_one_shot_writers(fmt, name, tmp_path,
+                                                              capsys):
+    table = _edge_tables()[name]
+    expected = (_oracle_json if fmt == "json" else _oracle_csv)(table)
+    # compared as lines, so a mismatch names its first line instead of diffing megabytes
+    written = _write_report(table, fmt, tmp_path, False, capsys)
+    assert written.split("\n") == expected.split("\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_numeric_cells_are_rendered_per_block_not_per_cell(fmt, tmp_path, monkeypatch):
+    # the one-cell renderers see only the six constants of a 2^16-row dpi
+    # table, never one of its 2^17 numeric cells
+    calls = []
+    for name in ("_cell", "_json_cell"):
+        render = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda v, render=render: calls.append(v) or render(v))
+    rows = 1 << 16
+    table = {"divergence": "tsallis", "alpha": 0.5, "dim": 3, "samples": rows, "seed": 4,
+             "index": np.arange(rows),
+             "margin": np.random.default_rng(4).exponential(size=rows), "log_base": "2"}
+    _emit(table, argparse.Namespace(format=fmt, output=str(tmp_path / f"dpi.{fmt}")))
+    assert sorted(map(str, calls)) == sorted(
+        str(v) for k, v in table.items() if k not in ("index", "margin"))
+
+
+def _qud_process(argv, stdout):
+    # stdout block-buffered, as it is by default when it is not a terminal
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "qud.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+def test_closed_pipe_exits_141_without_a_diagnostic():
+    # a report far larger than a pipe's 64 KiB buffer, read for one line
+    proc = _qud_process(["dpi", "--divergence", "trace", "--dim", "2", "--samples", "20000"],
+                        subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"divergence,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def test_pipe_closed_before_a_short_report_exits_141():
+    # a one-row report sits in stdout's buffer until the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _qud_process(["coherence", "--dim", "2"], write_end)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("target", ["missing_dir/x.csv", "", "file/x.csv"])
+def test_bad_output_is_refused_before_any_work(target, tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+
+    def draw(*args, **kwargs):
+        raise AssertionError("the ensemble was drawn")
+
+    monkeypatch.setattr(cli, "haar_triples", draw)
+    path = tmp_path / target  # "" names tmp_path itself, a directory
+    code, out, err = run(["dpi", "--divergence", "trace", "--samples", "10", "--output",
+                          str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --output: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
