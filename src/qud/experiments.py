@@ -20,7 +20,7 @@ from .qstate import (
     _check_same_dim,
     _frame_of_one,
     _frozen,
-    _haar_unitaries,
+    _haar_overlaps,
     outcome_dist,
     overlap_matrix,
 )
@@ -92,7 +92,7 @@ def _draw_parameters(rng, dim: int, count: int):
         return _qubit_rows(u[:, 0]), _qubit_rows(u[:, 1]), _qubit_overlaps(u[:, 2])
     p = rng.dirichlet(np.ones(3), count)
     q = rng.dirichlet(np.ones(3), count)
-    return p, q, np.abs(_haar_unitaries(rng, count, 3)) ** 2
+    return p, q, _haar_overlaps(rng, count, 3)
 
 
 def estimate_volumes(rels, dim: int, samples: int, seed: int,

@@ -330,19 +330,39 @@ def _haar_kets(rng, count: int, dim: int):
     return z
 
 
-def _haar_unitaries(rng, count: int, dim: int):
+def _haar_unitaries(rng, count: int, dim: int, columns: int | None = None):
     """Modified Gram-Schmidt on the columns of complex Ginibre matrices.
 
     Its R factor has a positive real diagonal, so Q is the QR factor with the
-    phase fix that makes it Haar distributed (Mezzadri 2007).
+    phase fix that makes it Haar distributed (Mezzadri 2007). Given fewer
+    `columns` than dim, it draws a (count, dim, columns) Ginibre array: column
+    k of Q depends only on Ginibre columns 0..k, so these are the first
+    columns of a Haar unitary.
     """
-    q = _complex_normal(rng, (count, dim, dim))
-    for k in range(dim):
+    columns = dim if columns is None else columns
+    q = _complex_normal(rng, (count, dim, columns))
+    for k in range(columns):
         col = q[:, :, k:k + 1]
         col /= np.linalg.norm(col, axis=1, keepdims=True)
         rest = q[:, :, k + 1:]
         rest -= col @ (col.conj().transpose(0, 2, 1) @ rest)
     return q
+
+
+def _haar_overlaps(rng, count: int, dim: int):
+    """C = |U|^2 of Haar unitaries U, drawing only their first dim-1 columns.
+
+    Each row of a unitary has unit norm, so the last column of C is each
+    row's complement 1 - sum of its other entries, clipped at 0.
+    """
+    u = _haar_unitaries(rng, count, dim, dim - 1)
+    c = np.empty((count, dim, dim))
+    head = c[:, :, :-1]
+    np.abs(u, out=head)
+    head *= head
+    np.subtract(1.0, _row_sum(head), out=c[:, :, -1])
+    np.maximum(c[:, :, -1], 0.0, out=c[:, :, -1])
+    return c
 
 
 def _ginibre_states(rng, count: int, dim: int):
