@@ -7,8 +7,8 @@ are therefore byte-identical across repeated invocations. Every report is one
 table: each row carries every column, an absent value is an empty CSV cell
 and a JSON null, and a non-finite float is a JSON string ("inf", "-inf",
 "nan"). Exit codes: 0 completed (relation satisfied / no counterexample),
-1 violation or counterexample found, 2 input error, 141 the reader closed
-the output pipe.
+1 violation or counterexample found, 2 input error or out of memory, 141 the
+reader closed the output pipe.
 """
 
 import argparse
@@ -523,6 +523,9 @@ def main(argv=None) -> int:
         return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
     except (QudError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input too large to hold, not a violation
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

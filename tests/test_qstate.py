@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +22,7 @@ from qud.qstate import (
     _ginibre_states,
     _haar_frames,
     _haar_kets,
+    _haar_overlaps,
     _haar_unitaries,
     _row_max,
     _row_sum,
@@ -378,9 +381,10 @@ def test_haar_kets_are_normalized():
     assert_allclose(np.sum(np.abs(kets) ** 2, axis=1), 1.0, atol=1e-12)
 
 
-def _qr_haar_unitaries(rng, count, dim):
+def _qr_haar_unitaries(rng, count, dim, columns):
     """Reference sampler: LAPACK QR of the same Ginibre draw, phase fixed."""
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    shape = (count, dim, columns)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
     d = np.einsum("nii->ni", r)
     return q * (d / np.abs(d))[:, None, :]
@@ -388,9 +392,43 @@ def _qr_haar_unitaries(rng, count, dim):
 
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_haar_unitaries_equal_phase_fixed_qr(dim):
-    gram_schmidt = _haar_unitaries(stream(100 + dim), 4096, dim)
-    reference = _qr_haar_unitaries(stream(100 + dim), 4096, dim)
-    assert np.abs(gram_schmidt - reference).max() <= 1e-12
+    for columns in range(1, dim + 1):
+        gram_schmidt = _haar_unitaries(stream(100 + dim), 4096, dim, columns)
+        reference = _qr_haar_unitaries(stream(100 + dim), 4096, dim, columns)
+        assert gram_schmidt.shape == (4096, dim, columns)
+        assert np.abs(gram_schmidt - reference).max() <= 1e-12
+
+
+def test_haar_overlaps_complete_the_drawn_columns_exactly():
+    # the third column of a unitary is conj(u1 x u2) up to a phase, so the
+    # row complement is its squared modulus
+    u = _haar_unitaries(stream(91), 1 << 14, 3, 2)
+    c = _haar_overlaps(stream(91), 1 << 14, 3)
+    assert c.shape == (1 << 14, 3, 3)
+    assert np.array_equal(c[:, :, :2], np.abs(u) ** 2)
+    third = np.abs(np.cross(u[:, :, 0], u[:, :, 1]).conj()) ** 2
+    assert np.abs(c[:, :, 2] - third).max() <= 1e-14
+    assert np.abs(c.sum(axis=2) - 1.0).max() <= 4e-16
+    assert np.abs(c.sum(axis=1) - 1.0).max() <= 1e-12
+    assert c.min() >= 0.0
+
+
+def test_haar_overlaps_have_the_haar_u3_moments():
+    # E C_ij = 1/3 and E C_ij^2 = 1/6 in every cell; E C_ij C_kl = 1/12 for
+    # two cells of one row or column and 1/8 otherwise, over every pair of
+    # cells, so the completed third column is checked against both kinds
+    c = _haar_overlaps(stream(92), 1 << 18, 3)
+
+    def check(x, expected):
+        se = x.std() / np.sqrt(len(x))
+        assert abs(x.mean() - expected) <= 6 * se, (x.mean(), expected, se)
+
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    for i, j in cells:
+        check(c[:, i, j], 1 / 3)
+        check(c[:, i, j] ** 2, 1 / 6)
+    for (i, j), (k, l) in itertools.combinations(cells, 2):
+        check(c[:, i, j] * c[:, k, l], 1 / 12 if i == k or j == l else 1 / 8)
 
 
 @pytest.mark.parametrize("dim", range(2, 13))
