@@ -28,6 +28,7 @@ from .experiments import (
     SHOT_KINDS,
     TABLE2_REFERENCE,
     VOLUME_DIMS,
+    _grid_axis,
     coherence_bounds,
     estimate_coherence,
     estimate_volumes,
@@ -340,7 +341,7 @@ def _cmd_table2(args) -> int:
 def _cmd_region(args) -> int:
     rel = _relation_from_args(args)
     grid = region_grid(rel, args.c00, args.resolution)
-    axis = np.arange(args.resolution) / (args.resolution - 1)
+    axis = _grid_axis(args.resolution)
     _emit({
         "relation": rel.label(),
         "c00": args.c00,
@@ -420,6 +421,8 @@ def _add_instance_flags(p) -> None:
 def _add_volume_flags(p) -> None:
     p.add_argument("--dim", type=int, choices=VOLUME_DIMS, default=2)
     p.add_argument("--samples", type=_int_at_least(MIN_VOLUME_SAMPLES), default=1000000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -455,15 +458,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume", help="Monte-Carlo feasible-region volume")
     _add_relation_flags(p)
     _add_volume_flags(p)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_volume)
 
     p = sub.add_parser("table2", help="volumes for the tabulated relation set")
     _add_volume_flags(p)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--compare", action="store_true",
                    help="add reference and gap columns")
     _add_output_flags(p)

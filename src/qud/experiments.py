@@ -69,11 +69,6 @@ def _accepts(rel: RelationId, p, q, shared):
     return masks[0] & masks[-1]
 
 
-def _accept_mask(rel: RelationId, p, q, c):
-    """Admissibility of batched (p, q, C): the relation AND its dual."""
-    return _accepts(rel, p, q, _shared_arrays(p, q, c))
-
-
 def _qubit_rows(x):
     """Rows (x, 1 - x): qubit distributions from their first entries."""
     return np.stack([x, 1.0 - x], axis=-1)
@@ -132,6 +127,12 @@ def estimate_volume(rel: RelationId, dim: int, samples: int, seed: int,
     return estimate_volumes((rel,), dim, samples, seed, workers=workers)[0]
 
 
+def _grid_axis(resolution: int):
+    """i/(resolution-1) for i < resolution: the points at which region_grid
+    evaluates its cells and the region report prints them."""
+    return np.arange(resolution) / (resolution - 1)
+
+
 def region_grid(rel: RelationId, c00: float, resolution: int):
     """Admissibility over the (p0, q0) square at fixed qubit overlap c00.
 
@@ -141,11 +142,11 @@ def region_grid(rel: RelationId, c00: float, resolution: int):
         raise ValueError(f"c00 must lie in [0, 1], got {c00}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    axis = np.linspace(0.0, 1.0, resolution)
+    axis = _grid_axis(resolution)
     p0, q0 = np.meshgrid(axis, axis, indexing="ij")
     p, q = _qubit_rows(p0.ravel()), _qubit_rows(q0.ravel())
     c = _qubit_overlaps(np.full(p0.size, float(c00)))
-    return _accept_mask(rel, p, q, c).reshape(resolution, resolution)
+    return _accepts(rel, p, q, _shared_arrays(p, q, c)).reshape(resolution, resolution)
 
 
 def coherence_bounds(rho: DensityMatrix, a: OrthonormalBasis, b: OrthonormalBasis,

@@ -283,20 +283,13 @@ def overlap_matrix(a: OrthonormalBasis, b: OrthonormalBasis) -> OverlapMatrix:
     return OverlapMatrix(_frozen(c), float(c.max()))
 
 
-def sequential_dist(p: ProbDist, c: OverlapMatrix, direction: str = "forward") -> ProbDist:
-    """Statistics of the second measurement after dephasing by the first.
-
-    forward: q'_j = sum_i p_i c_ij. dual: p'_i = sum_j c_ij q_j, the same map
-    with the roles of the two bases exchanged.
+def sequential_dist(p: ProbDist, c: OverlapMatrix) -> ProbDist:
+    """Statistics of the second measurement after dephasing by the first:
+    q'_j = sum_i p_i c_ij. The dual map, with the roles of the two bases
+    exchanged, is sequential_dist(q, c.transpose()).
     """
     _check_same_dim(p, c)
-    if direction == "forward":
-        out = p.probs @ c.entries
-    elif direction == "dual":
-        out = c.entries @ p.probs
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(p.probs @ c.entries, 0.0, 1.0)
     return ProbDist(_frozen(out / out.sum()))
 
 
@@ -321,12 +314,6 @@ def _complex_normal(rng, shape):
     z = np.empty(shape, dtype=complex)
     z.real = rng.standard_normal(shape)
     z.imag = rng.standard_normal(shape)
-    return z
-
-
-def _haar_kets(rng, count: int, dim: int):
-    z = _complex_normal(rng, (count, dim))
-    z /= np.linalg.norm(z, axis=-1, keepdims=True)
     return z
 
 
@@ -376,12 +363,13 @@ def _ginibre_states(rng, count: int, dim: int):
 def _haar_frames(rng, count: int, dim: int, pure: bool):
     """(rho, w): states in basis A's frame, then W = U_A^dag U_B, one stream.
 
-    States are Hilbert-Schmidt mixed, or Haar pure. These measures and Haar's
-    are unitarily invariant, so this is the law of an independent (rho, U_A,
-    U_B) draw rotated into A's frame (Zyczkowski & Sommers 2001).
+    States are Hilbert-Schmidt mixed, or Haar pure: a pure state is the first
+    Gram-Schmidt column of a Haar unitary. These measures and Haar's are
+    unitarily invariant, so this is the law of an independent (rho, U_A, U_B)
+    draw rotated into A's frame (Zyczkowski & Sommers 2001).
     """
     if pure:
-        kets = _haar_kets(rng, count, dim)
+        kets = _haar_unitaries(rng, count, dim, 1)[:, :, 0]
         rho = kets[:, :, None] * kets[:, None, :].conj()
     else:
         rho = _ginibre_states(rng, count, dim)

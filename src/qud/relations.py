@@ -239,7 +239,7 @@ def eval_relation(rel: RelationId, p: ProbDist, q: ProbDist, qp: ProbDist,
     _check_same_dim(p, qp)
     cmax = None
     if c is not None:
-        expected = sequential_dist(p, c, "forward")
+        expected = sequential_dist(p, c)
         drift = float(np.max(np.abs(expected.probs - qp.probs)))
         if drift > TRIPLE_TOL:
             raise InconsistentTriple(f"qp deviates from C^T p by {drift:.3g}")

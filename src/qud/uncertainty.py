@@ -28,8 +28,9 @@ class UncertaintySpec:
         if self.kind not in UMEASURE_KINDS:
             raise ValueError(f"unknown uncertainty kind {self.kind!r}")
         if self.kind == "renyi":
-            if self.alpha is None or self.alpha <= 0 or self.alpha == 1.0:
-                raise AlphaOutOfRange("renyi needs alpha > 0, alpha != 1")
+            alpha = self.alpha
+            if alpha is None or not 0 < alpha < math.inf or alpha == 1.0:
+                raise AlphaOutOfRange(f"renyi needs finite alpha > 0, alpha != 1, got {alpha}")
         elif self.alpha is not None:
             raise AlphaOutOfRange(f"{self.kind} takes no alpha")
 

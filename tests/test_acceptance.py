@@ -19,7 +19,7 @@ from qud.cli import main
 from qud.divergence import DivergenceSpec, cdiv, qdiv
 from qud.experiments import (
     TABLE2_REFERENCE,
-    _accept_mask,
+    _accepts,
     _draw_parameters,
     coherence_bounds,
     estimate_coherence,
@@ -36,6 +36,7 @@ from qud.qstate import (
 )
 from qud.relations import (
     RelationId,
+    _shared_arrays,
     eval_relation,
     relation_sides,
     search_counterexample,
@@ -165,8 +166,9 @@ def test_volume_table_d3(tmp_path):
 
 def test_equivalence_u_tr_prime_u_hs():
     p, q, c = _draw_parameters(stream(33), 2, MILLION)
-    m1 = _accept_mask(RelationId("U_tr_prime"), p, q, c)
-    m2 = _accept_mask(RelationId("U_hs"), p, q, c)
+    shared = _shared_arrays(p, q, c)
+    m1 = _accepts(RelationId("U_tr_prime"), p, q, shared)
+    m2 = _accepts(RelationId("U_hs"), p, q, shared)
     disagree = int(np.count_nonzero(m1 != m2))
     ok = disagree == 0
     detail = f"{disagree} disagreements on 10^6 cube points"

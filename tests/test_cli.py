@@ -15,7 +15,9 @@ import pytest
 from qud import cli
 from qud.cli import _cell, _emit, main
 from qud.io import save_basis, save_state
+from qud.experiments import _accepts
 from qud.qstate import fourier_basis, make_density, standard_basis
+from qud.relations import RelationId, _shared_arrays
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +284,24 @@ def test_region_report_format(capsys):
     assert len(lines) == 10
 
 
+@pytest.mark.parametrize("c00", ["0.05", "0.3", "0.35", "0.65"])
+@pytest.mark.parametrize("relation", ["THM1_UNIVERSAL", "U_tr"])
+def test_region_cells_are_judged_at_their_printed_points(relation, c00, capsys):
+    # a cell evaluated off the point it prints flips where a boundary falls
+    # between the two, as THM1 at c00 = 0.05 did at (0, 0.95) and (0.95, 0)
+    code, out, _ = run(["region", "--relation", relation, "--c00", c00,
+                        "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 101 * 101
+    p0, q0, admissible = (np.array([r[k] for r in rows]) for k in ("p0", "q0", "admissible"))
+    p, q = np.stack([p0, 1.0 - p0], axis=-1), np.stack([q0, 1.0 - q0], axis=-1)
+    c = np.full((len(rows), 2, 2), 1.0 - float(c00))
+    c[:, 0, 0] = c[:, 1, 1] = float(c00)
+    rel = RelationId(relation)
+    assert np.array_equal(_accepts(rel, p, q, _shared_arrays(p, q, c)), admissible)
+
+
 # ---------------------------------------------------------------------------
 # coherence and shots
 
@@ -401,6 +421,23 @@ def test_partial_instance_flags_rejected(instance_files, capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 2), (2, 2, 2)], ids=["files_differ", "dim_flag"])
+def test_file_dimension_conflict_is_an_input_error(dims, tmp_path, capsys):
+    # files of different dimensions, or --dim 3 with dim-2 files
+    files = [tmp_path / name for name in ("rho.json", "a.json", "b.json")]
+    save_state(files[0], make_density(np.eye(dims[0]) / dims[0]))
+    save_basis(files[1], standard_basis(dims[1]))
+    save_basis(files[2], fourier_basis(dims[2]))
+    target = tmp_path / "report.csv"
+    code, out, err = run(["verify", "--relation", "U_tr", "--dim", "3",
+                          *FILE_FLAGS([str(f) for f in files]), "--output", str(target)],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "dim" in err
+    assert not target.exists()
 
 
 def test_alpha_out_of_range_is_a_cli_error(capsys):

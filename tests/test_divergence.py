@@ -17,7 +17,6 @@ from qud.divergence import (
 from qud.errors import AlphaOutOfRange, DimensionMismatch, NotGaugeable
 from qud.qstate import (
     _ginibre_states,
-    _haar_kets,
     _haar_unitaries,
     fidelity,
     make_density,
@@ -192,6 +191,12 @@ def test_power_overlap_alpha_above_one():
     assert np.isfinite(power_overlap(qp, q, 2.0))
 
 
+@pytest.mark.parametrize("alpha", [1.0, -0.1, np.nan])
+def test_tsallis_divergence_rejects_alpha_off_its_range(alpha):
+    with pytest.raises(AlphaOutOfRange):
+        tsallis_divergence(np.array([0.3, 0.7]), np.array([0.5, 0.5]), alpha)
+
+
 @pytest.mark.parametrize("alpha", [np.inf, np.nan])
 def test_renyi_divergence_rejects_non_finite_alpha(alpha):
     with pytest.raises(AlphaOutOfRange):
@@ -259,8 +264,8 @@ def test_pure_state_gauge_law():
     # on pure pairs the gauged divergence collapses to the infidelity
     rng = stream(12)
     for dim in (2, 3):
-        kets1 = _haar_kets(rng, 250, dim)
-        kets2 = _haar_kets(rng, 250, dim)
+        kets1 = _haar_unitaries(rng, 250, dim, 1)[:, :, 0]
+        kets2 = _haar_unitaries(rng, 250, dim, 1)[:, :, 0]
         for k in range(250):
             phi = make_density(np.outer(kets1[k], kets1[k].conj()))
             psi = make_density(np.outer(kets2[k], kets2[k].conj()))

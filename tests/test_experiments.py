@@ -12,7 +12,7 @@ from qud.errors import (
 from qud.experiments import (
     TABLE2_REFERENCE,
     ShotCounts,
-    _accept_mask,
+    _accepts,
     _draw_parameters,
     coherence_bounds,
     estimate_coherence,
@@ -23,7 +23,7 @@ from qud.experiments import (
 )
 from qud.divergence import DivergenceSpec
 from qud.qstate import make_density, make_overlap, make_prob, sample, sequential_dist
-from qud.relations import RelationId, eval_relation, table2_relations
+from qud.relations import RelationId, _shared_arrays, eval_relation, table2_relations
 from qud.rng import stream
 from qud.sweeps import dpi_margin
 
@@ -47,7 +47,7 @@ def _scalar_admits(rel, p, q, c):
 def test_accept_mask_matches_scalar_dual_eval():
     rel = RelationId("U_tr")
     p, q, c = _draw_parameters(stream(21, 0), 2, 300)
-    mask = _accept_mask(rel, p, q, c)
+    mask = _accepts(rel, p, q, _shared_arrays(p, q, c))
     for k in range(300):
         assert mask[k] == _scalar_admits(rel, p[k], q[k], c[k])
 
@@ -55,7 +55,7 @@ def test_accept_mask_matches_scalar_dual_eval():
 def test_accept_mask_matches_scalar_dual_eval_d3():
     rel = RelationId("U_re")
     p, q, c = _draw_parameters(stream(22, 0), 3, 200)
-    mask = _accept_mask(rel, p, q, c)
+    mask = _accepts(rel, p, q, _shared_arrays(p, q, c))
     for k in range(200):
         assert mask[k] == _scalar_admits(rel, p[k], q[k], c[k])
 
@@ -77,7 +77,7 @@ def test_estimate_volume_counts_the_short_last_chunk():
     by_hand = 0
     for index, count in ((0, 65_536), (1, 70_000 - 65_536)):
         p, q, c = _draw_parameters(stream(5, index), 2, count)
-        by_hand += int(np.count_nonzero(_accept_mask(rel, p, q, c)))
+        by_hand += int(np.count_nonzero(_accepts(rel, p, q, _shared_arrays(p, q, c))))
     assert estimate_volume(rel, 2, 70_000, 5).accepted == by_hand
 
 

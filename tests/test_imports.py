@@ -2,8 +2,9 @@
 
 Every package module uses every name it imports (`__init__.py` is exempt,
 since its imports are the public re-exports), every module-level private
-function and class is referenced somewhere outside its own definition, and
-no reduction over an axis bypasses the row helpers outside an allow-list.
+function and class is referenced somewhere outside its own definition, no
+reduction over an axis bypasses the row helpers outside an allow-list, and
+complex Gaussians are drawn only by the Haar sampler and the Ginibre states.
 """
 
 import ast
@@ -119,3 +120,26 @@ def test_guard_finds_axis_reductions():
 def test_axis_reductions_go_through_the_row_helpers(path):
     found = axis_reductions(path.read_text(encoding="utf-8"))
     assert found == AXIS_REDUCTIONS_ALLOWED.get(path.name, [])
+
+
+def callers(source: str, callee: str) -> list[str]:
+    """The module-level function or class around each call of `callee`."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == callee):
+                found.append(getattr(stmt, "name", "<module>"))
+    return sorted(found)
+
+
+def test_guard_finds_callers():
+    source = "def f():\n    return g(g(1))\n\ndef h():\n    return f()\n\nx = g(2)\n"
+    assert callers(source, "g") == ["<module>", "f", "f"]
+
+
+def test_complex_normals_feed_only_the_haar_sampler_and_ginibre_states():
+    # a Haar ket is the first column of _haar_unitaries, not a second sampler
+    found = [f"{path.name}:{owner}" for path in MODULES
+             for owner in callers(path.read_text(encoding="utf-8"), "_complex_normal")]
+    assert found == ["qstate.py:_ginibre_states", "qstate.py:_haar_unitaries"]

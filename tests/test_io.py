@@ -86,3 +86,28 @@ def test_save_load_preserves_complex_phases(tmp_path):
     path = tmp_path / "phase.json"
     save_state(path, rho)
     assert_allclose(load_state(path).matrix, rho.matrix, atol=1e-15)
+
+
+HALF = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+
+
+@pytest.mark.parametrize("data, match", [
+    ([2, HALF], "top level must be an object"),
+    ({"rho": HALF}, "missing field 'dim'"),
+    ({"dim": True, "rho": HALF}, "'dim' must be an integer >= 2, got True"),
+    ({"dim": 1, "rho": HALF}, "'dim' must be an integer >= 2, got 1"),
+    ({"dim": "2", "rho": HALF}, "'dim' must be an integer >= 2, got '2'"),
+    ({"dim": 2, "rho": [HALF[0], [[0, 0]]]}, r"'rho\[1\]' must be a list of 2 entries"),
+], ids=["not_an_object", "no_dim", "dim_true", "dim_1", "dim_text", "short_row"])
+def test_load_state_names_the_bad_field(tmp_path, data, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=match):
+        load_state(path)
+
+
+def test_load_basis_missing_columns(tmp_path):
+    path = tmp_path / "nocolumns.json"
+    path.write_text('{"dim": 2}')
+    with pytest.raises(SchemaError, match="missing field 'columns'"):
+        load_basis(path)

@@ -21,7 +21,6 @@ from qud.qstate import (
     _complex_normal,
     _ginibre_states,
     _haar_frames,
-    _haar_kets,
     _haar_overlaps,
     _haar_unitaries,
     _row_max,
@@ -221,10 +220,12 @@ def test_sequential_dist_directions():
     p = make_prob([1.0, 0.0])
     c = make_overlap(np.full((2, 2), 0.5))
     assert_allclose(sequential_dist(p, c).probs, [0.5, 0.5], atol=1e-12)
-    q = make_prob([0.3, 0.7])
-    assert_allclose(sequential_dist(q, c, direction="dual").probs, [0.5, 0.5], atol=1e-12)
-    with pytest.raises(ValueError):
-        sequential_dist(p, c, direction="sideways")
+    # the dual map p'_i = sum_j c_ij q_j, bases exchanged, is the forward map
+    # of the transpose
+    c = make_overlap([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]])
+    q = make_prob([0.2, 0.3, 0.5])
+    assert_allclose(sequential_dist(q, c).probs, [0.3, 0.3, 0.4], atol=1e-12)
+    assert_allclose(sequential_dist(q, c.transpose()).probs, [0.25, 0.375, 0.375], atol=1e-12)
 
 
 def test_sequential_dist_dimension_mismatch():
@@ -361,6 +362,12 @@ def test_sample_is_deterministic():
             assert np.array_equal(first.matrix, second.matrix)
 
 
+@pytest.mark.parametrize("make", [standard_basis, fourier_basis])
+def test_named_bases_reject_dim_one(make):
+    with pytest.raises(DimensionTooSmall):
+        make(1)
+
+
 def test_sample_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sample("bell_pair", 2, 0)
@@ -377,8 +384,9 @@ def test_stream_chunks_are_reproducible():
 
 
 def test_haar_kets_are_normalized():
-    kets = _haar_kets(stream(3), 100, 4)
-    assert_allclose(np.sum(np.abs(kets) ** 2, axis=1), 1.0, atol=1e-12)
+    rho, _ = _haar_frames(stream(3), 100, 4, pure=True)
+    assert_allclose(np.einsum("nii->n", rho).real, 1.0, atol=1e-12)
+    assert_allclose(rho @ rho, rho, atol=1e-12)
 
 
 def _qr_haar_unitaries(rng, count, dim, columns):
@@ -449,11 +457,18 @@ def test_complex_normal_is_the_two_draw_sum_to_the_bit(shape):
 
 
 def test_haar_kets_and_ginibre_states_are_the_two_draw_forms_to_the_bit():
+    # a pure draw is the first Gram-Schmidt column: its Ginibre column over
+    # its norm, leaving the stream where a normalised Gaussian ket leaves it
+    for dim in range(2, 17):
+        for count in (1, 5, 4096):
+            rng = stream(60 + dim)
+            z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+            kets = z / np.linalg.norm(z, axis=-1, keepdims=True)
+            w = _haar_unitaries(rng, count, dim)
+            rho, w_drawn = _haar_frames(stream(60 + dim), count, dim, pure=True)
+            assert rho.tobytes() == (kets[:, :, None] * kets[:, None, :].conj()).tobytes()
+            assert w_drawn.tobytes() == w.tobytes()
     for dim in (2, 3, 4):
-        rng = stream(60 + dim)
-        z = rng.standard_normal((500, dim)) + 1j * rng.standard_normal((500, dim))
-        kets = z / np.linalg.norm(z, axis=-1, keepdims=True)
-        assert _haar_kets(stream(60 + dim), 500, dim).tobytes() == kets.tobytes()
         rng = stream(70 + dim)
         g = (rng.standard_normal((500, dim, dim))
              + 1j * rng.standard_normal((500, dim, dim)))

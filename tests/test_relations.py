@@ -20,11 +20,10 @@ from qud.errors import (
     MissingOverlap,
     ValidationError,
 )
-from qud.experiments import _accept_mask, _draw_parameters
+from qud.experiments import _accepts, _draw_parameters
 from qud.qstate import (
     TripleBatch,
     _ginibre_states,
-    _haar_kets,
     _haar_unitaries,
     dephase,
     make_density,
@@ -41,6 +40,7 @@ from qud.relations import (
     SEARCH_CHUNK,
     Counterexample,
     RelationId,
+    _shared_arrays,
     eval_relation,
     eval_with_dual,
     relation_sides,
@@ -273,7 +273,8 @@ def test_thm1_u_rd_half_and_u_if_accept_the_same_points():
     for dim in (2, 3):
         for seed in (1, 2, 3):
             p, q, c = _draw_parameters(stream(seed, 0), dim, 2**16)
-            masks = [_accept_mask(rel, p, q, c) for rel in rels]
+            shared = _shared_arrays(p, q, c)
+            masks = [_accepts(rel, p, q, shared) for rel in rels]
             assert np.array_equal(masks[0], masks[1]), (dim, seed)
             assert np.array_equal(masks[0], masks[2]), (dim, seed)
 
@@ -497,7 +498,7 @@ def test_a_mixed_spectrum_is_computed_only_when_read():
 def _rotated_reference(rng, count, dim, pure):
     """p0, q0, qp0 and cmax from explicit (rho, U_A, U_B) draws, rotated."""
     if pure:
-        kets = _haar_kets(rng, count, dim)
+        kets = _haar_unitaries(rng, count, dim, 1)[:, :, 0]
         rho = kets[:, :, None] * kets[:, None, :].conj()
     else:
         rho = _ginibre_states(rng, count, dim)

@@ -29,6 +29,9 @@ def test_spec_validation():
         UncertaintySpec("renyi", 0.0)
     with pytest.raises(AlphaOutOfRange):
         UncertaintySpec("renyi", 1.0)
+    for bad in (np.nan, np.inf, -np.inf):  # at construction, not later in renyi_entropy
+        with pytest.raises(AlphaOutOfRange):
+            UncertaintySpec("renyi", bad)
     with pytest.raises(AlphaOutOfRange):
         UncertaintySpec("shannon", 2.0)
 

@@ -1,0 +1,70 @@
+"""Run the tier-1 suite and hold it to its one expected failure.
+
+    python tools/tier1.py
+
+Runs `python -m pytest -q --continue-on-collection-errors` from the repo
+root with src on PYTHONPATH, under `python -X dev` and without pytest's
+cache, and reads each test's outcome from a JUnit XML report written to a
+temporary directory. The d=2 U_tr volume cell is expected to stay red (the
+stated relation admits about 0.80 of the cube against the reference 0.930;
+see README "Reference volumes and known gaps").
+
+Exit 0 when that test is the only one that fails; exit 1 when any other
+test fails or errors, when that test passes or is missing, or when pytest
+writes no report.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# tests/test_acceptance.py::test_volume_table_d2, as the JUnit report names it
+EXPECTED_RED = "tests.test_acceptance::test_volume_table_d2"
+
+
+def outcomes(report: Path) -> dict:
+    """classname::name -> "passed", "failed" or "skipped", from a JUnit XML
+    report. A collection error is a failed case named after its module."""
+    result = {}
+    for case in ET.parse(report).getroot().iter("testcase"):
+        test = f"{case.get('classname')}::{case.get('name')}"
+        if case.find("failure") is not None or case.find("error") is not None:
+            result[test] = "failed"
+        else:
+            result.setdefault(test, "skipped" if case.find("skipped") is not None else "passed")
+    return result
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "tier1.xml"
+        subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "pytest", "-q",
+             "--continue-on-collection-errors", "-p", "no:cacheprovider",
+             f"--junitxml={report}"],
+            cwd=ROOT, env=env, check=False)
+        if not report.exists():
+            print("tier1: pytest wrote no report", file=sys.stderr)
+            return 1
+        results = outcomes(report)
+    failed = sorted(t for t, r in results.items() if r == "failed")
+    passed = sum(r == "passed" for r in results.values())
+    print(f"tier1: {passed} passed, {len(failed)} failed")
+    unexpected = [t for t in failed if t != EXPECTED_RED]
+    for test in unexpected:
+        print(f"tier1: unexpected failure: {test}", file=sys.stderr)
+    if EXPECTED_RED not in failed:
+        state = results.get(EXPECTED_RED, "missing")
+        print(f"tier1: expected-red {EXPECTED_RED} is {state}", file=sys.stderr)
+        return 1
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
