@@ -37,6 +37,7 @@ from .experiments import (
 )
 from .io import _basis_record, _state_record, load_basis, load_state
 from .qstate import (
+    _haar_chunks,
     _haar_frames,
     make_basis,
     make_density,
@@ -46,13 +47,14 @@ from .qstate import (
 )
 from .relations import (
     RELATION_IDS,
+    SEARCH_CHUNK,
     RelationId,
     eval_with_dual,
     search_counterexample,
     table2_relations,
 )
 from .rng import stream
-from .sweeps import dpi_margins, haar_triples
+from .sweeps import dpi_margins
 
 DPI_EXIT_TOL = -1e-8
 MAX_SHOTS = 2**63 - 1  # the most numpy's multinomial draw takes
@@ -261,9 +263,12 @@ def _cmd_verify(args) -> int:
 def _cmd_dpi(args) -> int:
     spec = DivergenceSpec(args.divergence, args.alpha)
     base = _base_value(args.log_base)
-    # the ensemble is freed once its margins exist, before the report is written
-    margins = dpi_margins(spec.kind, spec.alpha,
-                          haar_triples(args.dim, args.samples, args.seed), base=base)
+    # one chunk of the ensemble is held at a time; only its margins are kept
+    margins = np.empty(args.samples)
+    for offset, batch, _ in _haar_chunks(args.dim, args.samples, args.seed, SEARCH_CHUNK,
+                                         pure=False):
+        margins[offset:offset + len(batch.p)] = dpi_margins(spec.kind, spec.alpha, batch,
+                                                            base=base)
     _emit({
         "divergence": spec.kind,
         "alpha": spec.alpha,
@@ -357,7 +362,7 @@ def _cmd_coherence(args) -> int:
     base = _base_value(args.log_base)
     if args.shots is not None:
         sequential = simulate_shots(rho, a, b, args.shots, args.seed)
-        direct = simulate_shots(rho, None, b, args.shots, args.seed + 1)
+        direct = simulate_shots(rho, None, b, args.shots, args.seed)
         lower, upper = estimate_coherence(direct, sequential, args.smoothing, base=base)
         if math.isinf(lower):
             print("warn: lower estimate unbounded (empirical support violation)",
@@ -369,13 +374,13 @@ def _cmd_coherence(args) -> int:
             "smoothing": args.smoothing,
             "seed": args.seed,
             "source": source,
-            "base": base,
+            "log_base": args.log_base,
             "unbounded": math.isinf(lower),
         }, args)
         return 0
     bounds = coherence_bounds(rho, a, b, base=base)
     _emit({"upper": bounds.upper, "exact": bounds.exact, "lower": bounds.lower,
-           "base": bounds.base}, args)
+           "log_base": args.log_base}, args)
     return 0
 
 

@@ -25,10 +25,13 @@ from .qstate import (
     overlap_matrix,
 )
 from .relations import RelationId, _forward_dual, _shared_arrays, satisfied_mask
-from .rng import _chunks, stream
+from .rng import _chunks, role_stream, stream
 from .uncertainty import shannon_entropy
 
-VOLUME_CHUNK = 1 << 16
+# Rows per volume chunk. Each worker holds one chunk's draw and kernel
+# arrays at a time; 2^13 rows is the least at which two d=3 workers still
+# scale (2^12 halves their speedup), and larger chunks only raise the peak.
+VOLUME_CHUNK = 1 << 13
 VOLUME_DIMS = (2, 3)
 MIN_VOLUME_SAMPLES = 1000
 
@@ -166,19 +169,23 @@ def coherence_bounds(rho: DensityMatrix, a: OrthonormalBasis, b: OrthonormalBasi
 
 def simulate_shots(rho: DensityMatrix, a: OrthonormalBasis | None,
                    b: OrthonormalBasis, n: int, seed: int) -> ShotCounts:
-    """Multinomial shot counts for measuring B directly (a=None) or A then B."""
+    """Multinomial shot counts for measuring B directly (a=None) or A then B.
+
+    Each kind draws from its own role stream of `seed`, so neither shares
+    bits with the other or with an instance drawn from stream(seed).
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rng = stream(seed)
     if a is None:
         q = outcome_dist(rho, b).probs
-        counts = rng.multinomial(n, q / q.sum())
+        counts = role_stream(seed, "direct_B").multinomial(n, q / q.sum())
         return ShotCounts("direct_B", rho.dim, _frozen(counts), n, seed)
     p = outcome_dist(rho, a).probs
     c = overlap_matrix(a, b).entries
     joint = (p[:, None] * c).ravel()
-    counts = rng.multinomial(n, joint / joint.sum()).reshape(rho.dim, rho.dim)
-    return ShotCounts("sequential_AB", rho.dim, _frozen(counts), n, seed)
+    counts = role_stream(seed, "sequential_AB").multinomial(n, joint / joint.sum())
+    return ShotCounts("sequential_AB", rho.dim, _frozen(counts.reshape(rho.dim, rho.dim)),
+                      n, seed)
 
 
 def estimate_coherence(direct: ShotCounts, sequential: ShotCounts,

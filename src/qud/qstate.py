@@ -22,7 +22,7 @@ from .errors import (
     NotPositive,
     TraceNotOne,
 )
-from .rng import stream
+from .rng import _chunks, stream
 
 VALIDATION_TOL = 1e-8
 
@@ -422,6 +422,20 @@ def _triples(rho, w, pure: bool) -> TripleBatch:
     qp = np.einsum("ni,nij->nj", p, overlap)
     spectrum = np.eye(p.shape[1])[np.full(len(p), -1)] if pure else None
     return TripleBatch(rho, p, q, qp, overlap, spectrum)
+
+
+def _haar_chunks(dim: int, samples: int, seed: int, size: int, pure: bool):
+    """Yield (offset, batch, w) for `samples` Haar draws, `size` at a time.
+
+    Chunk k is drawn whole from stream(seed, k), as haar_triples(dim, size,
+    seed, chunk=k) draws it, and its first `count` rows become the batch and
+    its unitaries W. So a larger budget streams a superset of a smaller
+    one, and the memory a caller holds for the draw does not grow with
+    `samples`.
+    """
+    for index, offset, count in _chunks(samples, size):
+        rho, w = _haar_frames(stream(seed, index), size, dim, pure)
+        yield offset, _triples(rho[:count], w[:count], pure), w[:count]
 
 
 def _frame_of_one(rho: DensityMatrix, a: OrthonormalBasis,

@@ -33,15 +33,13 @@ from .qstate import (
     OverlapMatrix,
     ProbDist,
     _check_same_dim,
-    _haar_frames,
+    _haar_chunks,
     _row_max,
-    _triples,
     make_basis,
     make_density,
     sequential_dist,
     standard_basis,
 )
-from .rng import _chunks, stream
 from .uncertainty import (
     delta_measure,
     half_norm_measure,
@@ -294,14 +292,12 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    for index, offset, count in _chunks(budget, SEARCH_CHUNK):
-        rho, w = _haar_frames(stream(seed, index), SEARCH_CHUNK, dim, pure=True)
-        batch = _triples(rho[:count], w[:count], pure=True)
+    for offset, batch, w in _haar_chunks(dim, budget, seed, SEARCH_CHUNK, pure=True):
         lhs, rhs = relation_sides(rel, batch.p, batch.q, batch.qp, batch.cmax, base)
         with np.errstate(invalid="ignore"):
             bad = np.nonzero((lhs - rhs) < SEARCH_MARGIN)[0]
         if bad.size:
             i = int(bad[0])
-            return Counterexample(make_density(rho[i]), standard_basis(dim),
+            return Counterexample(make_density(batch.rho[i]), standard_basis(dim),
                                   make_basis(w[i]), _verdict(lhs, rhs, i), offset + i)
     return None

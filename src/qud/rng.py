@@ -1,6 +1,18 @@
-"""Seeded random streams with a fixed chunk-splitting rule."""
+"""Seeded random streams: one per role, with a fixed chunk-splitting rule.
+
+A seed's plain stream, `stream(seed)`, draws a command's sampled instance.
+A chunked run draws chunk k from the spawn key (k,). Every other role draws
+from its own two-element spawn key in ROLE_KEYS, which never equals a chunk
+key, so no two roles of one seed, or of two seeds, share their bits.
+"""
 
 import numpy as np
+
+# spawn keys of the shot roles, by shot kind
+ROLE_KEYS = {
+    "direct_B": (0, 0),
+    "sequential_AB": (1, 0),
+}
 
 
 def stream(seed: int, chunk: int | None = None) -> np.random.Generator:
@@ -13,6 +25,11 @@ def stream(seed: int, chunk: int | None = None) -> np.random.Generator:
     if chunk is None:
         return np.random.default_rng(np.random.SeedSequence(seed))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+
+
+def role_stream(seed: int, role: str) -> np.random.Generator:
+    """Return the generator of one role of `seed`, from its key in ROLE_KEYS."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=ROLE_KEYS[role]))
 
 
 def _chunks(samples: int, size: int):

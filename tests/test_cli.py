@@ -15,9 +15,10 @@ import pytest
 from qud import cli
 from qud.cli import _cell, _emit, main
 from qud.io import save_basis, save_state
-from qud.experiments import _accepts
+from qud.experiments import ShotCounts, _accepts, estimate_coherence
 from qud.qstate import fourier_basis, make_density, standard_basis
-from qud.relations import RelationId, _shared_arrays
+from qud.relations import SEARCH_CHUNK, RelationId, _shared_arrays
+from qud.sweeps import dpi_margins, haar_triples
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,47 @@ def test_dpi_clean_margins(capsys):
     assert min(float(r["margin"]) for r in rows) >= -1e-8
 
 
+def test_dpi_report_is_a_prefix_of_a_larger_budgets(capsys):
+    # chunk k is drawn whole and its first rows are read, so a budget that
+    # ends inside a chunk reports the first rows of a budget beyond it
+    argv = ["dpi", "--divergence", "infidelity", "--dim", "3", "--seed", "9", "--samples"]
+    small = rows_of(run([*argv, str(SEARCH_CHUNK + 1)], capsys)[1])
+    large = rows_of(run([*argv, str(2 * SEARCH_CHUNK + 5)], capsys)[1])
+    assert (len(small), len(large)) == (SEARCH_CHUNK + 1, 2 * SEARCH_CHUNK + 5)
+    assert {r["samples"] for r in small} == {str(SEARCH_CHUNK + 1)}
+
+    def drop_samples(rows):
+        return [{k: v for k, v in r.items() if k != "samples"} for r in rows]
+
+    assert drop_samples(small) == drop_samples(large[:len(small)])
+    # ... and each chunk is the ensemble haar_triples draws for it
+    margins = np.concatenate([dpi_margins("infidelity", None,
+                                          haar_triples(3, SEARCH_CHUNK, 9, chunk=k))
+                              for k in range(3)])
+    np.testing.assert_allclose([float(r["margin"]) for r in large],
+                               margins[:len(large)], rtol=1e-10, atol=1e-14)
+
+
+def test_dpi_memory_does_not_grow_with_the_ensemble(tmp_path):
+    # one chunk of the ensemble is held at a time; a sample keeps its margin
+    # and its report index, 16 B, and nothing else
+    def traced_peak(chunks):
+        target = tmp_path / "dpi.csv"
+        tracemalloc.start()
+        try:
+            code = main(["dpi", "--divergence", "relative_entropy", "--dim", "3",
+                         "--samples", str(chunks * SEARCH_CHUNK), "--output", str(target)])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (code2, peak2), (code16, peak16) = traced_peak(2), traced_peak(16)
+    assert code2 == code16 == 0
+    extra = 14 * SEARCH_CHUNK
+    assert peak16 - peak2 <= 16 * extra + (1 << 20), (
+        f"traced peak {peak2} B at 2 chunks, {peak16} B at 16")
+
+
 # ---------------------------------------------------------------------------
 # volume and table2
 
@@ -309,7 +351,7 @@ def test_region_cells_are_judged_at_their_printed_points(relation, c00, capsys):
 def test_coherence_exact(instance_files, capsys):
     code, out, err = run(["coherence", "--dim", "2", *FILE_FLAGS(instance_files)], capsys)
     assert code == 0 and err == ""
-    assert out.splitlines()[0] == "upper,exact,lower,base"
+    assert out.splitlines()[0] == "upper,exact,lower,log_base"
     row = rows_of(out)[0]
     assert float(row["upper"]) == pytest.approx(1.0, abs=1e-9)
     assert float(row["exact"]) == pytest.approx(1.0, abs=1e-9)
@@ -318,9 +360,13 @@ def test_coherence_exact(instance_files, capsys):
 
 def test_coherence_report_format(instance_files, capsys):
     _, out, _ = run(["coherence", *FILE_FLAGS(instance_files)], capsys)
-    assert out.splitlines() == ["upper,exact,lower,base", "1,1,1,2"]
+    # log_base is the --log-base label, as in the verify, dpi and search reports
+    assert out.splitlines() == ["upper,exact,lower,log_base", "1,1,1,2"]
     _, out, _ = run(["coherence", "--log-base", "e", *FILE_FLAGS(instance_files)], capsys)
-    assert out.splitlines()[1] == "0.69314718056,0.69314718056,0.69314718056,2.71828182846"
+    assert out.splitlines()[1] == "0.69314718056,0.69314718056,0.69314718056,e"
+    _, out, _ = run(["coherence", "--log-base", "e", "--shots", "10",
+                     *FILE_FLAGS(instance_files)], capsys)
+    assert rows_of(out)[0]["log_base"] == "e"
 
 
 def test_coherence_shots(instance_files, capsys):
@@ -339,7 +385,7 @@ def test_coherence_shots(instance_files, capsys):
 def test_coherence_shots_unbounded_warns(instance_files, capsys):
     code, out, err = run(
         ["coherence", "--dim", "2", "--shots", "2", "--smoothing", "0",
-         "--seed", "1", *FILE_FLAGS(instance_files)],
+         "--seed", "2", *FILE_FLAGS(instance_files)],
         capsys,
     )
     assert code == 0
@@ -353,7 +399,7 @@ def test_coherence_shots_unbounded_json(instance_files, capsys):
     # a non-finite JSON cell from a fixed instance, whatever the Haar sampler draws
     code, out, _ = run(
         ["coherence", "--dim", "2", "--shots", "2", "--smoothing", "0",
-         "--seed", "1", "--format", "json", *FILE_FLAGS(instance_files)],
+         "--seed", "2", "--format", "json", *FILE_FLAGS(instance_files)],
         capsys,
     )
     assert code == 0
@@ -386,6 +432,23 @@ def test_shots_sequential(instance_files, capsys):
     assert len(rows) == 4
     assert sum(int(r["count"]) for r in rows) == 500
     assert {(r["i"], r["j"]) for r in rows} == {("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")}
+
+
+def test_coherence_shots_are_the_shots_reports_of_its_seed(capsys):
+    # coherence --shots draws both records from the seed's own shot streams,
+    # which are those of the shots command, not the next seed's instance stream
+    instance = ["--dim", "3", "--seed", "7"]
+    _, out, _ = run(["coherence", *instance, "--shots", "5000", "--format", "json"], capsys)
+    row = json.loads(out)["rows"][0]
+    records = []
+    for kind in ("direct_B", "sequential_AB"):
+        _, out, _ = run(["shots", *instance, "--kind", kind, "--n", "5000", "--format",
+                         "json"], capsys)
+        rows = json.loads(out)["rows"]
+        counts = np.array([r["count"] for r in rows])
+        records.append(ShotCounts(kind, 3, counts.reshape(3, -1).squeeze(), 5000, 7))
+    lower, upper = estimate_coherence(*records)
+    assert (row["lower_estimate"], row["upper_estimate"]) == (lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +830,7 @@ def test_bad_output_is_refused_before_any_work(target, tmp_path, monkeypatch, ca
     def draw(*args, **kwargs):
         raise AssertionError("the ensemble was drawn")
 
-    monkeypatch.setattr(cli, "haar_triples", draw)
+    monkeypatch.setattr(cli, "_haar_chunks", draw)
     path = tmp_path / target  # "" names tmp_path itself, a directory
     code, out, err = run(["dpi", "--divergence", "trace", "--samples", "10", "--output",
                           str(path)], capsys)
@@ -789,7 +852,7 @@ def _no_memory(*args, **kwargs):
 ], ids=["dpi", "table2", "volume"])
 def test_out_of_memory_is_an_input_error(argv, to_file, tmp_path, monkeypatch, capsys):
     # exit 1 means a violation was found; a draw too large to hold is exit 2
-    monkeypatch.setattr(cli, "haar_triples", _no_memory)
+    monkeypatch.setattr(cli, "_haar_chunks", _no_memory)
     monkeypatch.setattr(cli, "estimate_volumes", _no_memory)
     target = tmp_path / "report.csv"
     code, out, err = run([*argv, *(["--output", str(target)] if to_file else [])], capsys)

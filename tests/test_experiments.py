@@ -11,6 +11,7 @@ from qud.errors import (
 )
 from qud.experiments import (
     TABLE2_REFERENCE,
+    VOLUME_CHUNK,
     ShotCounts,
     _accepts,
     _draw_parameters,
@@ -22,9 +23,17 @@ from qud.experiments import (
     simulate_shots,
 )
 from qud.divergence import DivergenceSpec
-from qud.qstate import make_density, make_overlap, make_prob, sample, sequential_dist
+from qud.qstate import (
+    make_density,
+    make_overlap,
+    make_prob,
+    outcome_dist,
+    overlap_matrix,
+    sample,
+    sequential_dist,
+)
 from qud.relations import RelationId, _shared_arrays, eval_relation, table2_relations
-from qud.rng import stream
+from qud.rng import role_stream, stream
 from qud.sweeps import dpi_margin
 
 from conftest import triple_of
@@ -74,11 +83,12 @@ def test_draw_parameters_structure():
 
 def test_estimate_volume_counts_the_short_last_chunk():
     rel = RelationId("U_re")
+    samples = 2 * VOLUME_CHUNK + 123
     by_hand = 0
-    for index, count in ((0, 65_536), (1, 70_000 - 65_536)):
+    for index, count in ((0, VOLUME_CHUNK), (1, VOLUME_CHUNK), (2, 123)):
         p, q, c = _draw_parameters(stream(5, index), 2, count)
         by_hand += int(np.count_nonzero(_accepts(rel, p, q, _shared_arrays(p, q, c))))
-    assert estimate_volume(rel, 2, 70_000, 5).accepted == by_hand
+    assert estimate_volume(rel, 2, samples, 5).accepted == by_hand
 
 
 def test_estimate_volume_fields_and_determinism():
@@ -132,7 +142,8 @@ def test_table2_draws_each_chunk_once(monkeypatch, capsys):
     assert cli.main(["table2", "--dim", "3", "--samples", "140000", "--seed", "3",
                      "--workers", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 9
-    assert sorted(draws) == [140_000 - 2 * 65_536, 65_536, 65_536]
+    full, rest = divmod(140_000, VOLUME_CHUNK)
+    assert rest and sorted(draws) == [rest] + [VOLUME_CHUNK] * full
 
 
 def test_estimate_volume_rejects_bad_arguments():
@@ -246,6 +257,23 @@ def test_simulate_shots_sequential(f1):
     assert counts.counts.sum() == 4000
     # joint law is uniform on the four cells
     assert np.abs(counts.counts / 4000 - 0.25).max() < 0.05
+
+
+def test_shot_streams_are_not_the_instance_stream():
+    # a sampled instance draws from stream(seed); its shots draw from their
+    # own role streams, so the counts are not made from the instance's bits
+    seed, n = 8, 1000
+    rho, a, b = (sample("haar_state_mixed", 3, seed), sample("haar_unitary_basis", 3, 1),
+                 sample("haar_unitary_basis", 3, 2))
+    q = outcome_dist(rho, b).probs
+    direct = simulate_shots(rho, None, b, n, seed).counts
+    assert np.array_equal(direct, role_stream(seed, "direct_B").multinomial(n, q / q.sum()))
+    assert not np.array_equal(direct, stream(seed).multinomial(n, q / q.sum()))
+    joint = (outcome_dist(rho, a).probs[:, None] * overlap_matrix(a, b).entries).ravel()
+    sequential = simulate_shots(rho, a, b, n, seed).counts.ravel()
+    role = role_stream(seed, "sequential_AB").multinomial(n, joint / joint.sum())
+    assert np.array_equal(sequential, role)
+    assert not np.array_equal(sequential, stream(seed).multinomial(n, joint / joint.sum()))
 
 
 def test_simulate_shots_rejects_negative_n(f1):

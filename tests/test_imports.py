@@ -3,8 +3,9 @@
 Every package module uses every name it imports (`__init__.py` is exempt,
 since its imports are the public re-exports), every module-level private
 function and class is referenced somewhere outside its own definition, no
-reduction over an axis bypasses the row helpers outside an allow-list, and
-complex Gaussians are drawn only by the Haar sampler and the Ginibre states.
+reduction over an axis bypasses the row helpers outside an allow-list,
+complex Gaussians are drawn only by the Haar sampler and the Ginibre states,
+and random streams are made only by `qud.rng`, for the roles it names.
 """
 
 import ast
@@ -143,3 +144,20 @@ def test_complex_normals_feed_only_the_haar_sampler_and_ginibre_states():
     found = [f"{path.name}:{owner}" for path in MODULES
              for owner in callers(path.read_text(encoding="utf-8"), "_complex_normal")]
     assert found == ["qstate.py:_ginibre_states", "qstate.py:_haar_unitaries"]
+
+
+def test_random_streams_are_made_only_by_the_rng_roles():
+    # stream(seed) draws a sampled instance and stream(seed, k) chunk k; every
+    # other draw has a role key, and only qud.rng builds a generator
+    found = {callee: [f"{path.name}:{owner}" for path in MODULES
+                      for owner in callers(path.read_text(encoding="utf-8"), callee)]
+             for callee in ("stream", "role_stream")}
+    assert found == {
+        "stream": ["cli.py:_load_instance", "experiments.py:estimate_volumes",
+                   "qstate.py:_haar_chunks", "qstate.py:sample", "sweeps.py:haar_triples"],
+        "role_stream": ["experiments.py:simulate_shots", "experiments.py:simulate_shots"],
+    }
+    for path in MODULES:
+        if path.name != "rng.py":
+            text = path.read_text(encoding="utf-8")
+            assert "default_rng" not in text and "SeedSequence" not in text, path.name

@@ -40,7 +40,7 @@ from qud.qstate import (
     standard_basis,
     von_neumann_entropy,
 )
-from qud.rng import stream
+from qud.rng import ROLE_KEYS, role_stream, stream
 
 from conftest import RT2, triple_of
 
@@ -381,6 +381,19 @@ def test_stream_chunks_are_reproducible():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, stream(9, 1).random(4))
     assert not np.array_equal(a, stream(9).random(4))
+
+
+def test_role_streams_differ_from_instance_and_chunk_streams():
+    # a role key is two elements long, so it never equals a chunk key (k,)
+    assert {len(key) for key in ROLE_KEYS.values()} == {2}
+    assert len(set(ROLE_KEYS.values())) == len(ROLE_KEYS)
+    for seed in (0, 1, 7, 8):
+        draws = [stream(seed).random(8), stream(seed + 1).random(8),
+                 *(stream(seed, k).random(8) for k in range(4)),
+                 *(role_stream(seed, role).random(8) for role in ROLE_KEYS)]
+        assert len({d.tobytes() for d in draws}) == len(draws)
+        again = role_stream(seed, "direct_B").random(8)
+        assert np.array_equal(again, draws[6])
 
 
 def test_haar_kets_are_normalized():
