@@ -37,7 +37,6 @@ from .experiments import (
 )
 from .io import _basis_record, _state_record, load_basis, load_state
 from .qstate import (
-    _haar_chunks,
     _haar_frames,
     make_basis,
     make_density,
@@ -47,14 +46,13 @@ from .qstate import (
 )
 from .relations import (
     RELATION_IDS,
-    SEARCH_CHUNK,
     RelationId,
     eval_with_dual,
     search_counterexample,
     table2_relations,
 )
 from .rng import stream
-from .sweeps import dpi_margins
+from .sweeps import dpi_scan
 
 DPI_EXIT_TOL = -1e-8
 MAX_SHOTS = 2**63 - 1  # the most numpy's multinomial draw takes
@@ -263,12 +261,7 @@ def _cmd_verify(args) -> int:
 def _cmd_dpi(args) -> int:
     spec = DivergenceSpec(args.divergence, args.alpha)
     base = _base_value(args.log_base)
-    # one chunk of the ensemble is held at a time; only its margins are kept
-    margins = np.empty(args.samples)
-    for offset, batch, _ in _haar_chunks(args.dim, args.samples, args.seed, SEARCH_CHUNK,
-                                         pure=False):
-        margins[offset:offset + len(batch.p)] = dpi_margins(spec.kind, spec.alpha, batch,
-                                                            base=base)
+    margins = dpi_scan(spec.kind, spec.alpha, args.dim, args.samples, args.seed, base=base)
     _emit({
         "divergence": spec.kind,
         "alpha": spec.alpha,

@@ -28,9 +28,10 @@ from .relations import RelationId, _forward_dual, _shared_arrays, satisfied_mask
 from .rng import _chunks, role_stream, stream
 from .uncertainty import shannon_entropy
 
-# Rows per volume chunk. Each worker holds one chunk's draw and kernel
-# arrays at a time; 2^13 rows is the least at which two d=3 workers still
-# scale (2^12 halves their speedup), and larger chunks only raise the peak.
+# Rows per volume chunk. Each worker holds one chunk's arrays at a time, so
+# this sets the peak memory of volume and table2. Each chunk also costs about
+# 1 ms of Python that threads cannot share; at 2^12 rows that stops two d=3
+# workers from scaling, and 2^13 is the smallest size at which they still do.
 VOLUME_CHUNK = 1 << 13
 VOLUME_DIMS = (2, 3)
 MIN_VOLUME_SAMPLES = 1000

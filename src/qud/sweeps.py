@@ -16,12 +16,13 @@ from .qstate import (
     OrthonormalBasis,
     TripleBatch,
     _frame_of_one,
+    _haar_chunks,
     _haar_frames,
     _pseudo_power,
     _row_sum,
     _triples,
 )
-from .relations import relation_sides
+from .relations import SEARCH_CHUNK, relation_sides
 from .rng import stream
 from .uncertainty import delta_measure, shannon_entropy
 
@@ -92,6 +93,18 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
         cross = _row_sum(diag_pow * _pseudo_power(p, 1.0 - alpha))
         quantum = (1.0 - cross) / (1.0 - alpha)
     return quantum - _classical(kind, alpha, batch.q, batch.qp, base)
+
+
+def dpi_scan(kind: str, alpha: float | None, dim: int, samples: int, seed: int,
+             base: float = 2.0):
+    """`dpi_margins` over `samples` Haar mixed triples, streamed in the
+    chunks `search_counterexample` scans: one chunk is held at a time, and
+    only the margins, one float per sample, are kept. A larger budget's
+    margins begin with a smaller one's."""
+    margins = np.empty(samples)
+    for offset, batch, _ in _haar_chunks(dim, samples, seed, SEARCH_CHUNK, pure=False):
+        margins[offset:offset + len(batch.p)] = dpi_margins(kind, alpha, batch, base)
+    return margins
 
 
 def dpi_margin(spec: DivergenceSpec, rho: DensityMatrix, a: OrthonormalBasis,

@@ -830,7 +830,7 @@ def test_bad_output_is_refused_before_any_work(target, tmp_path, monkeypatch, ca
     def draw(*args, **kwargs):
         raise AssertionError("the ensemble was drawn")
 
-    monkeypatch.setattr(cli, "_haar_chunks", draw)
+    monkeypatch.setattr(cli, "dpi_scan", draw)
     path = tmp_path / target  # "" names tmp_path itself, a directory
     code, out, err = run(["dpi", "--divergence", "trace", "--samples", "10", "--output",
                           str(path)], capsys)
@@ -852,7 +852,7 @@ def _no_memory(*args, **kwargs):
 ], ids=["dpi", "table2", "volume"])
 def test_out_of_memory_is_an_input_error(argv, to_file, tmp_path, monkeypatch, capsys):
     # exit 1 means a violation was found; a draw too large to hold is exit 2
-    monkeypatch.setattr(cli, "_haar_chunks", _no_memory)
+    monkeypatch.setattr(cli, "dpi_scan", _no_memory)
     monkeypatch.setattr(cli, "estimate_volumes", _no_memory)
     target = tmp_path / "report.csv"
     code, out, err = run([*argv, *(["--output", str(target)] if to_file else [])], capsys)
