@@ -3,7 +3,7 @@
 A seed's plain stream, `stream(seed)`, draws a command's sampled instance.
 A chunked run draws chunk k from the spawn key (k,). Every other role draws
 from its own two-element spawn key in ROLE_KEYS, which never equals a chunk
-key, so no two roles of one seed, or of two seeds, share their bits.
+key, so no two roles of a seed draw from the same seed sequence.
 """
 
 import numpy as np

@@ -97,10 +97,10 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
 
 def dpi_scan(kind: str, alpha: float | None, dim: int, samples: int, seed: int,
              base: float = 2.0):
-    """`dpi_margins` over `samples` Haar mixed triples, streamed in the
-    chunks `search_counterexample` scans: one chunk is held at a time, and
-    only the margins, one float per sample, are kept. A larger budget's
-    margins begin with a smaller one's."""
+    """`dpi_margins` over `samples` Haar mixed triples, drawn by the chunk
+    rule of `search_counterexample`: chunk k is drawn whole, its first rows
+    are read, and only their margins, one float per sample, are kept. So a
+    larger budget's margins begin with a smaller one's."""
     margins = np.empty(samples)
     for offset, batch, _ in _haar_chunks(dim, samples, seed, SEARCH_CHUNK, pure=False):
         margins[offset:offset + len(batch.p)] = dpi_margins(kind, alpha, batch, base)
