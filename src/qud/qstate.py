@@ -34,6 +34,12 @@ ZERO_CUTOFF = 1e-15
 
 SAMPLE_KINDS = ("haar_state_pure", "haar_state_mixed", "haar_unitary_basis", "simplex")
 
+# Rows per scan chunk of search and dpi up to d=4. Above that a chunk's rows
+# shrink as 1/d^2, so each complex d x d array of a chunk stays at
+# _SCAN_ENTRIES entries (1 MB) and a scan's memory does not grow with d.
+SEARCH_CHUNK = 4096
+_SCAN_ENTRIES = SEARCH_CHUNK * 4**2
+
 
 # below this many entries, _row_sum and _row_max chain elementwise ops
 _SHORT_AXIS = 8
@@ -424,17 +430,23 @@ def _triples(rho, w, pure: bool) -> TripleBatch:
     return TripleBatch(rho, p, q, qp, overlap, spectrum)
 
 
-def _haar_chunks(dim: int, samples: int, seed: int, size: int, pure: bool):
-    """Yield (offset, batch, w) for `samples` Haar draws, `size` at a time.
+def _scan_rows(dim: int) -> int:
+    """Rows per scan chunk at dimension dim: SEARCH_CHUNK up to d=4, then fewer."""
+    return max(1, min(SEARCH_CHUNK, _SCAN_ENTRIES // dim**2))
 
-    Chunk k is drawn whole from stream(seed, k), as haar_triples(dim, size,
-    seed, chunk=k) draws it, and its first `count` rows become the batch and
-    its unitaries W. So a larger budget streams a superset of a smaller
-    one, and the memory a caller holds for the draw does not grow with
-    `samples`.
+
+def _haar_chunks(dim: int, samples: int, seed: int, pure: bool):
+    """Yield (offset, batch, w) for `samples` Haar draws, one scan chunk at a time.
+
+    Chunk k is drawn whole from stream(seed, k), as haar_triples(dim,
+    _scan_rows(dim), seed, chunk=k) draws it, and its first `count` rows
+    become the batch and its unitaries W. So a larger budget streams a
+    superset of a smaller one, and the memory a caller holds for the draw
+    grows with neither `samples` nor d.
     """
-    for index, offset, count in _chunks(samples, size):
-        rho, w = _haar_frames(stream(seed, index), size, dim, pure)
+    rows = _scan_rows(dim)
+    for index, offset, count in _chunks(samples, rows):
+        rho, w = _haar_frames(stream(seed, index), rows, dim, pure)
         yield offset, _triples(rho[:count], w[:count], pure), w[:count]
 
 

@@ -27,6 +27,7 @@ from .errors import (
     MissingOverlap,
     ValidationError,
 )
+from . import qstate
 from .qstate import (
     DensityMatrix,
     OrthonormalBasis,
@@ -65,7 +66,8 @@ PRINTED_DIFFERS = frozenset({"U_if", "U_ts", "EUR_TS"})
 
 VERDICT_RTOL = 1e-9
 SEARCH_MARGIN = -1e-6
-SEARCH_CHUNK = 4096
+# rows per scan chunk up to d=4 (qstate._scan_rows), read here by the benchmark
+SEARCH_CHUNK = qstate.SEARCH_CHUNK
 TRIPLE_TOL = 1e-9
 _FLOAT_MAX = np.finfo(np.float64).max
 
@@ -292,7 +294,7 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    for offset, batch, w in _haar_chunks(dim, budget, seed, SEARCH_CHUNK, pure=True):
+    for offset, batch, w in _haar_chunks(dim, budget, seed, pure=True):
         lhs, rhs = relation_sides(rel, batch.p, batch.q, batch.qp, batch.cmax, base)
         with np.errstate(invalid="ignore"):
             bad = np.nonzero((lhs - rhs) < SEARCH_MARGIN)[0]

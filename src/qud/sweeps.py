@@ -22,7 +22,7 @@ from .qstate import (
     _row_sum,
     _triples,
 )
-from .relations import SEARCH_CHUNK, relation_sides
+from .relations import relation_sides
 from .rng import stream
 from .uncertainty import delta_measure, shannon_entropy
 
@@ -102,7 +102,7 @@ def dpi_scan(kind: str, alpha: float | None, dim: int, samples: int, seed: int,
     are read, and only their margins, one float per sample, are kept. So a
     larger budget's margins begin with a smaller one's."""
     margins = np.empty(samples)
-    for offset, batch, _ in _haar_chunks(dim, samples, seed, SEARCH_CHUNK, pure=False):
+    for offset, batch, _ in _haar_chunks(dim, samples, seed, pure=False):
         margins[offset:offset + len(batch.p)] = dpi_margins(kind, alpha, batch, base)
     return margins
 

@@ -238,6 +238,20 @@ def test_dpi_memory_does_not_grow_with_the_ensemble(tmp_path):
         f"traced peak {peak2} B at 2 chunks, {peak16} B at 16")
 
 
+def test_dpi_memory_does_not_grow_with_the_dimension(tmp_path):
+    # above d=4 a scan chunk's rows shrink as 1/d^2, so at d=32 a small budget
+    # draws 64 rows, about 1 MB per complex array, and not 4096 rows (64 MB)
+    tracemalloc.start()
+    try:
+        code = main(["dpi", "--divergence", "trace", "--dim", "32", "--samples", "10",
+                     "--output", str(tmp_path / "dpi.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 16 << 20, f"traced peak {peak} B"
+
+
 # ---------------------------------------------------------------------------
 # volume and table2
 

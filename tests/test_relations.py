@@ -25,6 +25,7 @@ from qud.qstate import (
     TripleBatch,
     _ginibre_states,
     _haar_unitaries,
+    _scan_rows,
     dephase,
     make_density,
     make_overlap,
@@ -433,14 +434,22 @@ def test_haar_triples_are_consistent():
     assert_allclose((pure.spectrum**2).sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_haar_triples_chunks_do_not_change_the_stream(monkeypatch):
+def test_haar_triples_chunks_do_not_change_the_stream():
     first = haar_triples(2, 100, 4, chunk=0)
     again = haar_triples(2, 100, 4, chunk=0)
     second = haar_triples(2, 100, 4, chunk=1)
     for field in dataclasses.fields(TripleBatch):
         assert np.array_equal(getattr(first, field.name), getattr(again, field.name))
     assert not np.array_equal(first.rho, second.rho)
-    # search chunk k scans the first `count` samples of the full chunk k
+
+
+def test_scan_chunks_shrink_as_one_over_d_squared_above_d4():
+    assert [_scan_rows(d) for d in (2, 3, 4)] == [SEARCH_CHUNK] * 3
+    assert [_scan_rows(d) for d in (5, 32, 10**6)] == [2621, 64, 1]
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_search_chunk_k_scans_the_first_rows_of_chunk_k(dim, monkeypatch):
     scanned = []
 
     def recording_sides(rel, p, q, qp, cmax, base):
@@ -448,11 +457,12 @@ def test_haar_triples_chunks_do_not_change_the_stream(monkeypatch):
         return relation_sides(rel, p, q, qp, cmax, base)
 
     monkeypatch.setattr(relations, "relation_sides", recording_sides)
-    budget = 2 * SEARCH_CHUNK + 100
-    assert search_counterexample(RelationId("U_tr"), 3, budget, 6) is None
-    assert [len(chunk[0]) for chunk in scanned] == [SEARCH_CHUNK, SEARCH_CHUNK, 100]
+    rows = _scan_rows(dim)
+    budget = 2 * rows + 100
+    assert search_counterexample(RelationId("U_tr"), dim, budget, 6) is None
+    assert [len(chunk[0]) for chunk in scanned] == [rows, rows, 100]
     for k, (p, q, qp, cmax) in enumerate(scanned):
-        full = haar_triples(3, SEARCH_CHUNK, 6, pure=True, chunk=k)
+        full = haar_triples(dim, rows, 6, pure=True, chunk=k)
         count = len(p)
         assert np.array_equal(p, full.p[:count])
         assert np.array_equal(q, full.q[:count])
