@@ -30,9 +30,10 @@ from .uncertainty import shannon_entropy
 
 # Rows per volume chunk. Each worker holds one chunk's arrays at a time, so
 # this sets the peak memory of volume and table2. Each chunk also costs about
-# 1 ms of Python that threads cannot share; at 2^12 rows that stops two d=3
-# workers from scaling, and 2^13 is the smallest size at which they still do.
-VOLUME_CHUNK = 1 << 13
+# 1 ms of Python that threads cannot share, so small chunks scale worse: on
+# 2^18 d=3 samples two workers took 335, 250, 235 and 240 ms at 2^12, 2^13,
+# 2^14 and 2^16 rows (BENCH_pr16.json). 2^14 keeps the 2^16 time.
+VOLUME_CHUNK = 1 << 14
 VOLUME_DIMS = (2, 3)
 MIN_VOLUME_SAMPLES = 1000
 
