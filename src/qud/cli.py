@@ -12,6 +12,7 @@ reader closed the output pipe.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -24,6 +25,7 @@ import numpy as np
 from .divergence import DIVERGENCE_KINDS, DivergenceSpec
 from .errors import DimensionMismatch, QudError, SchemaError
 from .experiments import (
+    MAX_WORKERS,
     MIN_VOLUME_SAMPLES,
     SHOT_KINDS,
     TABLE2_REFERENCE,
@@ -105,11 +107,6 @@ def _json_cell(value) -> str:
     return int.__repr__(value) if type(value) is int else json.dumps(value)
 
 
-def _blocks(rows: int):
-    """(start, stop) of each run of at most _BLOCK_ROWS rows."""
-    return ((start, min(start + _BLOCK_ROWS, rows)) for start in range(0, rows, _BLOCK_ROWS))
-
-
 def _literal(text: str) -> str:
     """`text` as a literal part of a %-template."""
     return text.replace("%", "%%")
@@ -136,76 +133,62 @@ def _block_texts(part, render, float_text) -> list:
     return list(map(text, part))
 
 
-def _fill(template: str, columns: list, rows: int) -> str:
-    """`template` repeated for `rows` rows, its %s fields filled row by row
-    from the cell texts of each column."""
-    cells = [None] * (rows * len(columns))
-    for j, texts in enumerate(columns):
-        cells[j::len(columns)] = texts
-    return template % tuple(cells)
-
-
-def _write_json(table: dict, varying: set, rows: int, out) -> None:
-    """The text of json.dumps(payload, indent=2, sort_keys=True). One row
-    template holds the keys and the rendered constants; each block of rows
-    is one fill of it."""
-    keys = sorted(table)
-    row = ",\n".join(
-        _literal(f"      {json.dumps(k)}: ")
-        + ("%s" if k in varying else _literal(_json_cell(table[k])))
-        for k in keys)
-    fields = [table[k] for k in keys if k in varying]
-    sep = "\n    },\n    {\n"
-    out.write(json.dumps({"columns": list(table)}, indent=2)[:-2])
-    out.write(',\n  "rows": [\n    {\n')
-    for start, stop in _blocks(rows):
-        columns = [_block_texts(v[start:stop], _json_cell, float.__repr__) for v in fields]
-        if start:
-            out.write(sep)
-        out.write(_fill(sep.join([row] * (stop - start)), columns, stop - start))
-    out.write("\n    }\n  ]\n}\n")
-
-
-def _write_csv(table: dict, varying: set, rows: int, out) -> None:
-    """The text of a csv.writer(out, lineterminator="\\n") given the header
-    and every row. The csv module renders and quotes the header, the
-    constants of the row template and each cell of a list column; a numeric
-    cell needs no quotes."""
-    # a one-field record is quoted when empty, a field of a wider one is not
-    pad = ("",) if len(table) > 1 else ()
-
-    def field(value) -> str:
-        return _CSV_LINE((_cell(value), *pad))[:-1 - len(pad)]
-
-    out.write(_CSV_LINE(list(table)))
-    row = _CSV_LINE(["%s" if k in varying else _literal(_cell(v)) for k, v in table.items()])
-    fields = [v for k, v in table.items() if k in varying]
-    for start, stop in _blocks(rows):
-        columns = [_block_texts(v[start:stop], field, "%.12g".__mod__) for v in fields]
-        out.write(_fill(row * (stop - start), columns, stop - start))
-
-
 def _emit(table: dict, args) -> None:
     """Write one report. `table` maps each column name, in output order, to a
     constant (str, int, float, bool, None or a dict record) or to a list or
     1-d array with one value per row; a table of constants is one row.
 
-    Each constant is rendered once. The varying columns are rendered and
-    written _BLOCK_ROWS rows at a time, so the writer holds one block of
-    text however many rows the report has. A table whose varying columns
-    differ in length raises ValueError before anything is written.
+    JSON is the text of json.dumps(payload, indent=2, sort_keys=True), CSV
+    that of a csv.writer(out, lineterminator="\\n") given the header and every
+    row. A format is a head, a row template holding the rendered constants,
+    a row separator, a tail and its cell renderers. The varying columns are
+    rendered and written _BLOCK_ROWS rows at a time, one template fill a
+    block, so the writer holds one block of text however many rows the
+    report has. A table whose varying columns differ in length raises
+    ValueError before anything is written.
     """
     varying = {k for k, v in table.items() if isinstance(v, (list, np.ndarray))}
     lengths = sorted({len(table[k]) for k in varying})
     if len(lengths) > 1:
         raise ValueError(f"report columns differ in length: {lengths}")
     rows = lengths[0] if lengths else 1
-    write = _write_json if args.format == "json" else _write_csv
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write(table, varying, rows, fh)
+    if args.format == "json":
+        keys = sorted(table)
+        head = json.dumps({"columns": list(table)}, indent=2)[:-2] + ',\n  "rows": [\n    {\n'
+        row = ",\n".join(
+            _literal(f"      {json.dumps(k)}: ")
+            + ("%s" if k in varying else _literal(_json_cell(table[k])))
+            for k in keys)
+        sep, tail = "\n    },\n    {\n", "\n    }\n  ]\n}\n"
+        render, float_text = _json_cell, float.__repr__
     else:
-        write(table, varying, rows, sys.stdout)
+        keys = list(table)
+        # csv quotes the header, constants and list cells (numeric cells need
+        # none); a one-field record is quoted when empty, a wider one's is not
+        pad = ("",) if len(table) > 1 else ()
+
+        def render(value) -> str:
+            return _CSV_LINE((_cell(value), *pad))[:-1 - len(pad)]
+
+        head = _CSV_LINE(keys)
+        row = _CSV_LINE(["%s" if k in varying else _literal(_cell(table[k])) for k in keys])
+        sep, tail = "", ""
+        float_text = "%.12g".__mod__
+    fields = [table[k] for k in keys if k in varying]
+    target = (open(args.output, "w", encoding="utf-8") if args.output
+              else contextlib.nullcontext(sys.stdout))
+    with target as out:
+        out.write(head)
+        for start in range(0, rows, _BLOCK_ROWS):
+            n = min(_BLOCK_ROWS, rows - start)
+            # the %s fields of the block's template, filled row by row
+            cells = [None] * (n * len(fields))
+            for j, part in enumerate(fields):
+                cells[j::len(fields)] = _block_texts(part[start:start + n], render, float_text)
+            if start:
+                out.write(sep)
+            out.write((sep.join([row] * n) if sep else row * n) % tuple(cells))
+        out.write(tail)
 
 
 def _relation_from_args(args) -> RelationId:
@@ -420,7 +403,7 @@ def _add_volume_flags(p) -> None:
     p.add_argument("--dim", type=int, choices=VOLUME_DIMS, default=2)
     p.add_argument("--samples", type=_int_at_least(MIN_VOLUME_SAMPLES), default=1000000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_int_at_least(1, MAX_WORKERS), default=1)
 
 
 def _build_parser() -> argparse.ArgumentParser:

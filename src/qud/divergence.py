@@ -40,6 +40,23 @@ GAUGEABLE_KINDS = ("trace", "infidelity", "renyi_sandwiched", "tsallis")
 SUPPORT_LEAK_TOL = 1e-9
 
 
+# The orders at which each kind's data processing inequality holds, as
+# low <= alpha < high: sandwiched Renyi from 1/2 (Frank & Lieb 2013,
+# arXiv:1306.5358), Tsallis from 0. The other kinds take no order.
+_ORDER_RANGES = {"renyi_sandwiched": (0.5, 1.0), "tsallis": (0.0, 1.0)}
+
+
+def _check_order(kind: str | None, alpha: float | None, name: str) -> None:
+    """Raise AlphaOutOfRange for `name` unless alpha lies in kind's order
+    range, or is None for a kind that takes no order."""
+    if kind in _ORDER_RANGES:
+        low, high = _ORDER_RANGES[kind]
+        if alpha is None or not low <= alpha < high:  # a NaN fails the comparison
+            raise AlphaOutOfRange(f"{name} needs {low:g} <= alpha < {high:g}, got {alpha}")
+    elif alpha is not None:
+        raise AlphaOutOfRange(f"{name} takes no alpha")
+
+
 @dataclass(frozen=True)
 class DivergenceSpec:
     """Choice of divergence; alpha is legal only where the kind uses it."""
@@ -50,14 +67,7 @@ class DivergenceSpec:
     def __post_init__(self):
         if self.kind not in DIVERGENCE_KINDS:
             raise ValueError(f"unknown divergence kind {self.kind!r}")
-        if self.kind == "renyi_sandwiched":
-            if self.alpha is None or not 0.5 <= self.alpha < 1.0:
-                raise AlphaOutOfRange("renyi_sandwiched needs 0.5 <= alpha < 1")
-        elif self.kind == "tsallis":
-            if self.alpha is None or not 0.0 <= self.alpha < 1.0:
-                raise AlphaOutOfRange("tsallis needs 0 <= alpha < 1")
-        elif self.alpha is not None:
-            raise AlphaOutOfRange(f"{self.kind} takes no alpha")
+        _check_order(self.kind, self.alpha, self.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +127,8 @@ def renyi_divergence(q, qp, alpha: float, base: float = 2.0):
 
 
 def tsallis_divergence(q, qp, alpha: float):
-    """(1 - sum q^alpha q'^(1-alpha)) / (1 - alpha) for 0 <= alpha < 1."""
-    if not 0.0 <= alpha < 1.0:
-        raise AlphaOutOfRange(f"need 0 <= alpha < 1, got {alpha}")
+    """(1 - sum q^alpha q'^(1-alpha)) / (1 - alpha), at an order in tsallis's range."""
+    _check_order("tsallis", alpha, "tsallis_divergence")
     return (1.0 - power_overlap(q, qp, alpha)) / (1.0 - alpha)
 
 

@@ -36,6 +36,9 @@ from .uncertainty import shannon_entropy
 VOLUME_CHUNK = 1 << 14
 VOLUME_DIMS = (2, 3)
 MIN_VOLUME_SAMPLES = 1000
+# Pool threads of volume and table2, each holding one chunk: the standard
+# library's own default cap on ThreadPoolExecutor workers.
+MAX_WORKERS = 32
 
 SHOT_KINDS = ("direct_B", "sequential_AB")
 
@@ -109,6 +112,8 @@ def estimate_volumes(rels, dim: int, samples: int, seed: int,
         raise UnsupportedDim(f"volume estimation supports dim in {VOLUME_DIMS}, got {dim}")
     if samples < MIN_VOLUME_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_VOLUME_SAMPLES}, got {samples}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
 
     def one_chunk(chunk):
         index, _, count = chunk

@@ -76,6 +76,11 @@ def _row_max(x):
     return out
 
 
+def _matrix_max(m):
+    """The largest entry of each of n matrices; the row width is explicit, so n may be 0."""
+    return _row_max(m.reshape(len(m), m.shape[1] * m.shape[2]))
+
+
 def _pseudo_power(values, exponent: float):
     """values**exponent on the support, 0 off it; reduces over the last axis.
 
@@ -406,7 +411,7 @@ class TripleBatch:
 
     @property
     def cmax(self):
-        return _row_max(self.overlap.reshape(len(self.overlap), -1))
+        return _matrix_max(self.overlap)
 
     @property
     def spectrum(self):

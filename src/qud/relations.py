@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import (
+    _check_order,
     classical_infidelity,
     l1_distance,
     euclidean_distance,
@@ -35,7 +36,7 @@ from .qstate import (
     ProbDist,
     _check_same_dim,
     _haar_chunks,
-    _row_max,
+    _matrix_max,
     make_basis,
     make_density,
     sequential_dist,
@@ -48,21 +49,23 @@ from .uncertainty import (
     shannon_entropy,
 )
 
-RELATION_IDS = (
-    "U_tr",
-    "U_tr_prime",
-    "U_rd",
-    "U_if",
-    "U_ts",
-    "U_re",
-    "U_hs",
-    "THM1_UNIVERSAL",
-    "EUR_TS",
-    "EUR_MU",
-)
-
-# ids whose printed form differs from the canonical one
-PRINTED_DIFFERS = frozenset({"U_if", "U_ts", "EUR_TS"})
+# The catalog, one row per id: the divergence kind whose order range its
+# alpha takes (None: it takes none), whether it has a printed form distinct
+# from the canonical one, and whether it is self-dual under the order swap.
+# EUR_MU's conjugate orders are checked by their own rule.
+_CATALOG = {
+    "U_tr": (None, False, False),
+    "U_tr_prime": (None, False, False),
+    "U_rd": ("renyi_sandwiched", False, False),
+    "U_if": (None, True, False),
+    "U_ts": ("tsallis", True, False),
+    "U_re": (None, False, False),
+    "U_hs": (None, False, False),
+    "THM1_UNIVERSAL": (None, False, False),
+    "EUR_TS": ("tsallis", True, False),
+    "EUR_MU": (None, False, True),
+}
+RELATION_IDS = tuple(_CATALOG)
 
 VERDICT_RTOL = 1e-9
 SEARCH_MARGIN = -1e-6
@@ -82,28 +85,22 @@ class RelationId:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.id not in RELATION_IDS:
+        if self.id not in _CATALOG:
             raise ValidationError(f"unknown relation id {self.id!r}")
         if self.variant not in ("canonical", "printed"):
             raise ValidationError(f"unknown variant {self.variant!r}")
-        if self.variant == "printed" and self.id not in PRINTED_DIFFERS:
+        kind, printed, _ = _CATALOG[self.id]
+        if self.variant == "printed" and not printed:
             raise ValidationError(f"{self.id} has no distinct printed form")
         a, b = self.alpha, self.beta
-        if self.id == "U_rd":
-            if a is None or not 0.5 <= a < 1.0:
-                raise AlphaOutOfRange("U_rd needs 0.5 <= alpha < 1")
-        elif self.id in ("U_ts", "EUR_TS"):
-            if a is None or not 0.0 <= a < 1.0:
-                raise AlphaOutOfRange(f"{self.id} needs 0 <= alpha < 1")
-        elif self.id == "EUR_MU":
-            if a is None or b is None or not (0.5 <= a < math.inf and 0.5 <= b < math.inf):
-                raise AlphaOutOfRange("EUR_MU needs finite alpha, beta >= 1/2")
-            if abs(1.0 / a + 1.0 / b - 2.0) > 1e-9:
-                raise AlphaOutOfRange("EUR_MU needs conjugate orders 1/alpha + 1/beta = 2")
-        elif a is not None:
-            raise AlphaOutOfRange(f"{self.id} takes no alpha")
-        if self.id != "EUR_MU" and b is not None:
-            raise AlphaOutOfRange(f"{self.id} takes no beta")
+        if self.id != "EUR_MU":
+            _check_order(kind, a, self.id)
+            if b is not None:
+                raise AlphaOutOfRange(f"{self.id} takes no beta")
+        elif a is None or b is None or not (0.5 <= a < math.inf and 0.5 <= b < math.inf):
+            raise AlphaOutOfRange("EUR_MU needs finite alpha, beta >= 1/2")
+        elif abs(1.0 / a + 1.0 / b - 2.0) > 1e-9:
+            raise AlphaOutOfRange("EUR_MU needs conjugate orders 1/alpha + 1/beta = 2")
 
     def label(self) -> str:
         """Compact single-cell form used in CSV report columns."""
@@ -207,17 +204,16 @@ def satisfied_mask(lhs, rhs):
 def _shared_arrays(p, q, c):
     """Relation-independent arrays of batched (p, q, C): qp = p C, pp = C q, max C."""
     return (np.einsum("ni,nij->nj", p, c), np.einsum("nij,nj->ni", c, q),
-            _row_max(c.reshape(len(c), -1)))
+            _matrix_max(c))
 
 
 def _forward_dual(rel: RelationId, p, q, shared, judge, base: float = 2.0):
     """judge(lhs, rhs) of the forward pair on (p, q, p C), then of the dual
-    pair on (q, p, C q), from `_shared_arrays`. EUR_MU is self-dual under the
-    order swap, so it has the forward pair alone. Each pair is judged before
-    the next is computed."""
+    pair on (q, p, C q), from `_shared_arrays`. A self-dual relation has the
+    forward pair alone. Each pair is judged before the next is computed."""
     qp, pp, cmax = shared
     out = [judge(*relation_sides(rel, p, q, qp, cmax, base))]
-    if rel.id != "EUR_MU":
+    if not _CATALOG[rel.id][2]:  # not self-dual
         out.append(judge(*relation_sides(rel, q, p, pp, cmax, base)))
     return out
 

@@ -563,6 +563,9 @@ def test_unknown_subcommand_exits_two(capsys):
     (["shots", "--n", str(2**63)], "--n"),
     (["shots", "--kind", "sequential_AB", "--n", "1" + "0" * 400], "--n"),
     (["coherence", "--shots", str(2**63)], "--shots"),
+    # at most 32 pool threads, each holding one chunk
+    (["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "33"], "--workers"),
+    (["table2", "--samples", "1000", "--workers", "33"], "--workers"),
 ])
 def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

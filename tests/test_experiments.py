@@ -151,6 +151,9 @@ def test_estimate_volume_rejects_bad_arguments():
         estimate_volume(RelationId("U_tr"), 4, 10_000, 1)
     with pytest.raises(ValueError):
         estimate_volume(RelationId("U_tr"), 2, 999, 1)
+    # one pool thread per worker, each holding a chunk: the count is capped
+    with pytest.raises(ValueError):
+        estimate_volume(RelationId("U_tr"), 2, 10_000, 1, workers=experiments.MAX_WORKERS + 1)
 
 
 def test_table2_reference_keys_match_catalog():

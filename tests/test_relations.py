@@ -116,6 +116,28 @@ def test_relation_id_validation():
     RelationId("EUR_MU", alpha=2.0, beta=2.0 / 3.0)
 
 
+ORDER_PROBES = (None, np.nan, np.inf, -np.inf, 0.0, 0.5, np.nextafter(0.5, 0.0),
+                np.nextafter(1.0, 0.0), 1.0)
+
+
+def _accepted(make, alpha) -> bool:
+    try:
+        make(alpha)
+    except AlphaOutOfRange:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("alpha", ORDER_PROBES)
+@pytest.mark.parametrize("rid, kind", [("U_rd", "renyi_sandwiched"), ("U_ts", "tsallis"),
+                                       ("EUR_TS", "tsallis")])
+def test_a_relation_takes_the_order_range_of_its_divergence(rid, kind, alpha):
+    # each relation is the data processing inequality of one divergence, so
+    # its alpha is legal exactly where that divergence's is
+    assert _accepted(lambda a: RelationId(rid, alpha=a), alpha) == _accepted(
+        lambda a: DivergenceSpec(kind, a), alpha)
+
+
 def test_relation_id_labels():
     assert RelationId("U_tr").label() == "U_tr"
     assert RelationId("U_rd", alpha=0.5).label() == "U_rd[alpha=0.5]"
@@ -585,6 +607,19 @@ def test_dpi_margins_match_scalar_eval():
                 )
             )
             assert abs(margins[k] - margin_direct) < 1e-8, kind
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_an_empty_batch_gives_empty_margins(dim):
+    batch = haar_triples(dim, 0, 1)
+    assert batch.cmax.shape == (0,)
+    for rel in ALL_RELATIONS:
+        assert relation_margins(rel, batch).shape == (0,), rel.label()
+    assert dpi_margins("trace", None, batch).shape == (0,)
+    masks = relations._forward_dual(RelationId("U_tr"), batch.p, batch.q,
+                                    _shared_arrays(batch.p, batch.q, batch.overlap),
+                                    satisfied_mask)
+    assert [m.shape for m in masks] == [(0,), (0,)]
 
 
 def test_dpi_margins_check_orders_like_divergence_spec():
