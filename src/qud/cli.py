@@ -25,7 +25,6 @@ import numpy as np
 from .divergence import DIVERGENCE_KINDS, DivergenceSpec
 from .errors import DimensionMismatch, QudError, SchemaError
 from .experiments import (
-    MAX_WORKERS,
     MIN_VOLUME_SAMPLES,
     SHOT_KINDS,
     TABLE2_REFERENCE,
@@ -53,7 +52,7 @@ from .relations import (
     search_counterexample,
     table2_relations,
 )
-from .rng import stream
+from .rng import MAX_WORKERS, stream
 from .sweeps import dpi_scan
 
 DPI_EXIT_TOL = -1e-8
@@ -66,6 +65,15 @@ _CSV_LINE = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").wr
 
 def _base_value(label: str) -> float:
     return 2.0 if label == "2" else math.e
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, at most MAX_WORKERS."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        usable = os.cpu_count() or 1
+    return min(usable, MAX_WORKERS)
 
 
 def _int_at_least(low: int, high: int | None = None):
@@ -244,7 +252,8 @@ def _cmd_verify(args) -> int:
 def _cmd_dpi(args) -> int:
     spec = DivergenceSpec(args.divergence, args.alpha)
     base = _base_value(args.log_base)
-    margins = dpi_scan(spec.kind, spec.alpha, args.dim, args.samples, args.seed, base=base)
+    margins = dpi_scan(spec.kind, spec.alpha, args.dim, args.samples, args.seed, base=base,
+                       workers=args.workers)
     _emit({
         "divergence": spec.kind,
         "alpha": spec.alpha,
@@ -261,7 +270,8 @@ def _cmd_dpi(args) -> int:
 def _cmd_search(args) -> int:
     rel = _relation_from_args(args)
     base = _base_value(args.log_base)
-    found = search_counterexample(rel, args.dim, args.samples, args.seed, base=base)
+    found = search_counterexample(rel, args.dim, args.samples, args.seed, base=base,
+                                  workers=args.workers)
     hit = (None,) * 7 if found is None else (
         found.sample_index, found.verdict.lhs, found.verdict.rhs, found.verdict.margin,
         _state_record(found.state), _basis_record(found.basis_a),
@@ -403,7 +413,6 @@ def _add_volume_flags(p) -> None:
     p.add_argument("--dim", type=int, choices=VOLUME_DIMS, default=2)
     p.add_argument("--samples", type=_int_at_least(MIN_VOLUME_SAMPLES), default=1000000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--workers", type=_int_at_least(1, MAX_WORKERS), default=1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -473,6 +482,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("verify", "dpi", "search", "coherence"):  # the commands that take logs
         sub.choices[name].add_argument("--log-base", dest="log_base", choices=("2", "e"),
                                        default="2")
+    workers = _usable_cpus()
+    for name in ("dpi", "search", "volume", "table2"):  # the chunked Monte-Carlo runs
+        sub.choices[name].add_argument(
+            "--workers", type=_int_at_least(1, MAX_WORKERS), default=workers,
+            help=f"threads, each holding one chunk (default: the usable CPUs, at most "
+                 f"{MAX_WORKERS})")
     return parser
 
 

@@ -7,7 +7,6 @@ which other relations share the draw.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .qstate import (
     overlap_matrix,
 )
 from .relations import RelationId, _forward_dual, _shared_arrays, satisfied_mask
-from .rng import _chunks, role_stream, stream
+from .rng import _map_chunks, role_stream, stream
 from .uncertainty import shannon_entropy
 
 # Rows per volume chunk. Each worker holds one chunk's arrays at a time, so
@@ -36,9 +35,6 @@ from .uncertainty import shannon_entropy
 VOLUME_CHUNK = 1 << 14
 VOLUME_DIMS = (2, 3)
 MIN_VOLUME_SAMPLES = 1000
-# Pool threads of volume and table2, each holding one chunk: the standard
-# library's own default cap on ThreadPoolExecutor workers.
-MAX_WORKERS = 32
 
 SHOT_KINDS = ("direct_B", "sequential_AB")
 
@@ -112,19 +108,18 @@ def estimate_volumes(rels, dim: int, samples: int, seed: int,
         raise UnsupportedDim(f"volume estimation supports dim in {VOLUME_DIMS}, got {dim}")
     if samples < MIN_VOLUME_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_VOLUME_SAMPLES}, got {samples}")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
 
-    def one_chunk(chunk):
-        index, _, count = chunk
+    def chunk_counts(index, offset, count):
         p, q, c = _draw_parameters(stream(seed, index), dim, count)
         shared = _shared_arrays(p, q, c)
+        del c  # read only by the shared arrays: free it before the relations run
         return [int(np.count_nonzero(_accepts(rel, p, q, shared))) for rel in rels]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_chunk = list(pool.map(one_chunk, _chunks(samples, VOLUME_CHUNK)))
+    totals = [0] * len(rels)
+    for counts in _map_chunks(chunk_counts, samples, VOLUME_CHUNK, workers):
+        totals = [total + n for total, n in zip(totals, counts)]
     estimates = []
-    for rel, accepted in zip(rels, map(sum, zip(*per_chunk))):
+    for rel, accepted in zip(rels, totals):
         volume = accepted / samples
         std_error = math.sqrt(volume * (1.0 - volume) / samples)
         estimates.append(VolumeEstimate(rel, dim, samples, accepted, volume, std_error, seed))

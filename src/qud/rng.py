@@ -6,7 +6,15 @@ from its own two-element spawn key in ROLE_KEYS, which never equals a chunk
 key, so no two roles of a seed draw from the same seed sequence.
 """
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+
+# Most threads a chunked run may use, each holding one chunk: the standard
+# library's own default cap on ThreadPoolExecutor workers. Chunks are drawn
+# from their own streams, so no result depends on the worker count.
+MAX_WORKERS = 32
 
 # spawn keys of the shot roles, by shot kind
 ROLE_KEYS = {
@@ -36,3 +44,33 @@ def _chunks(samples: int, size: int):
     """Yield (index, offset, count) for full chunks of `size`, then the rest."""
     for index, offset in enumerate(range(0, samples, size)):
         yield index, offset, min(size, samples - offset)
+
+
+def _map_chunks(fn, samples: int, size: int, workers: int):
+    """Yield fn(index, offset, count) for each chunk of _chunks(samples, size),
+    in chunk order, computed on `workers` threads.
+
+    At most `workers` chunks are submitted and not yet consumed, so a run
+    holds that many chunks' arrays however many chunks it has. When the
+    consumer stops early (closes the generator), the chunks not yet started
+    are cancelled. With one worker each chunk runs in the consumer's thread.
+    """
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
+    chunks = _chunks(samples, size)
+    if workers == 1:
+        for chunk in chunks:
+            yield fn(*chunk)
+        return
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for chunk in chunks:
+                if len(pending) == workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, *chunk))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()

@@ -1,8 +1,11 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qud import cli, experiments
+from qud import cli, experiments, rng
 from qud.errors import (
     DimensionMismatch,
     EmptyCounts,
@@ -131,6 +134,38 @@ def test_estimate_volumes_worker_invariance():
         assert estimate_volumes(rels, 3, 70_000, 8, workers=workers) == serial
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunk_runner_keeps_chunk_order_and_bounds_the_chunks_in_flight(workers):
+    consumed, in_flight = [], []
+
+    def fn(index, offset, count):
+        # chunk `index` and every earlier one not yet consumed
+        in_flight.append(index + 1 - len(consumed))
+        time.sleep(0.002 * (index % 3))  # uneven chunks finish out of order
+        return index, offset, count
+
+    for result in rng._map_chunks(fn, 10 * 7 + 3, 7, workers):
+        consumed.append(result)
+    assert consumed == list(rng._chunks(73, 7))
+    assert max(in_flight) <= workers
+
+
+def test_estimate_volumes_chunk_peak_memory():
+    # one chunk of the 8 table2 relations at 1 worker traces 2.27 MB at d=2
+    # and 3.94 MB at d=3; holding C while the relations run adds its 0.52 MB
+    # and 0.44 MB
+    rels = [*table2_relations(), RelationId("U_ts", "printed", 0.5)]
+    for dim, bound in ((2, 2_500_000), (3, 4_150_000)):
+        estimate_volumes(rels, dim, experiments.VOLUME_CHUNK, 0)  # first-call costs
+        tracemalloc.start()
+        try:
+            estimate_volumes(rels, dim, experiments.VOLUME_CHUNK, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"d={dim}: traced peak {peak} B"
+
+
 def test_table2_draws_each_chunk_once(monkeypatch, capsys):
     draws = []
 
@@ -153,7 +188,7 @@ def test_estimate_volume_rejects_bad_arguments():
         estimate_volume(RelationId("U_tr"), 2, 999, 1)
     # one pool thread per worker, each holding a chunk: the count is capped
     with pytest.raises(ValueError):
-        estimate_volume(RelationId("U_tr"), 2, 10_000, 1, workers=experiments.MAX_WORKERS + 1)
+        estimate_volume(RelationId("U_tr"), 2, 10_000, 1, workers=rng.MAX_WORKERS + 1)
 
 
 def test_table2_reference_keys_match_catalog():
