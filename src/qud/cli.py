@@ -56,6 +56,9 @@ from .rng import MAX_WORKERS, stream
 from .sweeps import dpi_scan
 
 DPI_EXIT_TOL = -1e-8
+# Most threads `--workers` defaults to: the count whose time and memory have
+# been measured, on a 2-vCPU host. Up to MAX_WORKERS may be asked for.
+MAX_DEFAULT_WORKERS = 2
 MAX_SHOTS = 2**63 - 1  # the most numpy's multinomial draw takes
 _BLOCK_ROWS = 4096  # report rows rendered and written at a time
 _BOOL_TEXT = ("false", "true")  # indexed by a bool
@@ -67,13 +70,13 @@ def _base_value(label: str) -> float:
     return 2.0 if label == "2" else math.e
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, at most MAX_WORKERS."""
+def _default_workers() -> int:
+    """The CPUs this process may run on, at most MAX_DEFAULT_WORKERS."""
     try:
         usable = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         usable = os.cpu_count() or 1
-    return min(usable, MAX_WORKERS)
+    return min(usable, MAX_DEFAULT_WORKERS)
 
 
 def _int_at_least(low: int, high: int | None = None):
@@ -252,8 +255,7 @@ def _cmd_verify(args) -> int:
 def _cmd_dpi(args) -> int:
     spec = DivergenceSpec(args.divergence, args.alpha)
     base = _base_value(args.log_base)
-    margins = dpi_scan(spec.kind, spec.alpha, args.dim, args.samples, args.seed, base=base,
-                       workers=args.workers)
+    margins = dpi_scan(spec.kind, spec.alpha, args.dim, args.samples, args.seed, base=base)
     _emit({
         "divergence": spec.kind,
         "alpha": spec.alpha,
@@ -270,8 +272,7 @@ def _cmd_dpi(args) -> int:
 def _cmd_search(args) -> int:
     rel = _relation_from_args(args)
     base = _base_value(args.log_base)
-    found = search_counterexample(rel, args.dim, args.samples, args.seed, base=base,
-                                  workers=args.workers)
+    found = search_counterexample(rel, args.dim, args.samples, args.seed, base=base)
     hit = (None,) * 7 if found is None else (
         found.sample_index, found.verdict.lhs, found.verdict.rhs, found.verdict.margin,
         _state_record(found.state), _basis_record(found.basis_a),
@@ -413,6 +414,9 @@ def _add_volume_flags(p) -> None:
     p.add_argument("--dim", type=int, choices=VOLUME_DIMS, default=2)
     p.add_argument("--samples", type=_int_at_least(MIN_VOLUME_SAMPLES), default=1000000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--workers", type=_int_at_least(1, MAX_WORKERS), default=_default_workers(),
+                   help=f"threads, each holding one chunk (default: the usable CPUs, at most "
+                        f"{MAX_DEFAULT_WORKERS})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -482,12 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("verify", "dpi", "search", "coherence"):  # the commands that take logs
         sub.choices[name].add_argument("--log-base", dest="log_base", choices=("2", "e"),
                                        default="2")
-    workers = _usable_cpus()
-    for name in ("dpi", "search", "volume", "table2"):  # the chunked Monte-Carlo runs
-        sub.choices[name].add_argument(
-            "--workers", type=_int_at_least(1, MAX_WORKERS), default=workers,
-            help=f"threads, each holding one chunk (default: the usable CPUs, at most "
-                 f"{MAX_WORKERS})")
     return parser
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NotPositive,
     TraceNotOne,
 )
-from .rng import stream
+from .rng import _chunks, stream
 
 VALIDATION_TOL = 1e-8
 
@@ -440,17 +440,19 @@ def _scan_rows(dim: int) -> int:
     return max(1, min(SEARCH_CHUNK, _SCAN_ENTRIES // dim**2))
 
 
-def _haar_chunk(dim: int, seed: int, pure: bool, index: int, count: int):
-    """(batch, w): the first `count` Haar draws of scan chunk `index`.
+def _haar_chunks(dim: int, samples: int, seed: int, pure: bool):
+    """Yield (offset, batch, w) for `samples` Haar draws, one scan chunk at a time.
 
-    The chunk is drawn whole from stream(seed, index), as haar_triples(dim,
-    _scan_rows(dim), seed, chunk=index) draws it, and its first `count` rows
-    become the batch and its unitaries W. So a larger budget scans a superset
-    of a smaller one, and a scan holds one chunk per worker however large
-    its budget or d.
+    Chunk k is drawn whole from stream(seed, k), as haar_triples(dim,
+    _scan_rows(dim), seed, chunk=k) draws it, and its first `count` rows
+    become the batch and its unitaries W. So a larger budget streams a
+    superset of a smaller one, and the memory a caller holds for the draw
+    grows with neither `samples` nor d.
     """
-    rho, w = _haar_frames(stream(seed, index), _scan_rows(dim), dim, pure)
-    return _triples(rho[:count], w[:count], pure), w[:count]
+    rows = _scan_rows(dim)
+    for index, offset, count in _chunks(samples, rows):
+        rho, w = _haar_frames(stream(seed, index), rows, dim, pure)
+        yield offset, _triples(rho[:count], w[:count], pure), w[:count]
 
 
 def _frame_of_one(rho: DensityMatrix, a: OrthonormalBasis,

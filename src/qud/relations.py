@@ -9,7 +9,6 @@ forms that carry a known prefactor/orientation defect; `canonical` is the
 derivation-consistent default.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -36,15 +35,13 @@ from .qstate import (
     OverlapMatrix,
     ProbDist,
     _check_same_dim,
-    _haar_chunk,
+    _haar_chunks,
     _matrix_max,
-    _scan_rows,
     make_basis,
     make_density,
     sequential_dist,
     standard_basis,
 )
-from .rng import _map_chunks
 from .uncertainty import (
     delta_measure,
     half_norm_measure,
@@ -281,33 +278,24 @@ def universal_bound(q: ProbDist, qp: ProbDist) -> float:
 
 
 def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
-                          base: float = 2.0, workers: int = 1) -> Counterexample | None:
+                          base: float = 2.0) -> Counterexample | None:
     """Scan Haar-random pure states and basis pairs for a violation.
 
     Returns the first instance with margin < -1e-6 (absolute), scanning
     fixed-size chunks with per-chunk derived streams; deterministic in seed
     and independent of chunk scheduling. Every chunk is drawn whole and a
     short last chunk scans its first samples, so a larger budget scans a
-    superset of a smaller one. `workers` threads scan chunks ahead of the
-    one being judged, and the lowest chunk's hit is the one returned, so
-    the hit does not depend on `workers`. A hit is drawn in basis A's frame
-    and carries the sides its scan computed.
+    superset of a smaller one. A hit is drawn in basis A's frame and carries
+    the sides its scan computed.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-
-    def first_violation(index, offset, count):
-        batch, w = _haar_chunk(dim, seed, True, index, count)
+    for offset, batch, w in _haar_chunks(dim, budget, seed, pure=True):
         lhs, rhs = relation_sides(rel, batch.p, batch.q, batch.qp, batch.cmax, base)
         with np.errstate(invalid="ignore"):
             bad = np.nonzero((lhs - rhs) < SEARCH_MARGIN)[0]
-        if not bad.size:
-            return None
-        i = int(bad[0])
-        # copies, so the hit holds none of its chunk's arrays
-        return Counterexample(make_density(batch.rho[i]), standard_basis(dim),
-                              make_basis(w[i].copy()), _verdict(lhs, rhs, i), offset + i)
-
-    with contextlib.closing(_map_chunks(first_violation, budget, _scan_rows(dim),
-                                        workers)) as hits:
-        return next(filter(None, hits), None)
+        if bad.size:
+            i = int(bad[0])
+            return Counterexample(make_density(batch.rho[i]), standard_basis(dim),
+                                  make_basis(w[i]), _verdict(lhs, rhs, i), offset + i)
+    return None

@@ -16,15 +16,14 @@ from .qstate import (
     OrthonormalBasis,
     TripleBatch,
     _frame_of_one,
-    _haar_chunk,
+    _haar_chunks,
     _haar_frames,
     _pseudo_power,
     _row_sum,
-    _scan_rows,
     _triples,
 )
 from .relations import relation_sides
-from .rng import _map_chunks, stream
+from .rng import stream
 from .uncertainty import delta_measure, shannon_entropy
 
 
@@ -97,20 +96,14 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
 
 
 def dpi_scan(kind: str, alpha: float | None, dim: int, samples: int, seed: int,
-             base: float = 2.0, workers: int = 1):
+             base: float = 2.0):
     """`dpi_margins` over `samples` Haar mixed triples, drawn by the chunk
     rule of `search_counterexample`: chunk k is drawn whole, its first rows
     are read, and only their margins, one float per sample, are kept. So a
-    larger budget's margins begin with a smaller one's, and no margin
-    depends on `workers`, the threads that scan the chunks."""
-
-    def chunk_margins(index, offset, count):
-        return offset, dpi_margins(kind, alpha, _haar_chunk(dim, seed, False, index, count)[0],
-                                   base)
-
+    larger budget's margins begin with a smaller one's."""
     margins = np.empty(samples)
-    for offset, part in _map_chunks(chunk_margins, samples, _scan_rows(dim), workers):
-        margins[offset:offset + len(part)] = part
+    for offset, batch, _ in _haar_chunks(dim, samples, seed, pure=False):
+        margins[offset:offset + len(batch.p)] = dpi_margins(kind, alpha, batch, base)
     return margins
 
 

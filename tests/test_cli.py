@@ -15,7 +15,7 @@ import pytest
 from qud import cli
 from qud.cli import _cell, _emit, main
 from qud.io import save_basis, save_state
-from qud.experiments import ShotCounts, _accepts, estimate_coherence
+from qud.experiments import VOLUME_CHUNK, ShotCounts, _accepts, estimate_coherence
 from qud.qstate import fourier_basis, make_density, standard_basis
 from qud.relations import SEARCH_CHUNK, RelationId, _shared_arrays
 from qud.sweeps import dpi_margins, haar_triples
@@ -218,23 +218,18 @@ def test_dpi_report_is_a_prefix_of_a_larger_budgets(capsys):
                                margins[:len(large)], rtol=1e-10, atol=1e-14)
 
 
-def traced_dpi_peak(tmp_path, argv):
-    """(exit code, traced peak bytes) of one dpi run writing to a file."""
-    tracemalloc.start()
-    try:
-        code = main(["dpi", *argv, "--output", str(tmp_path / "dpi.csv")])
-        return code, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_dpi_memory_does_not_grow_with_the_ensemble(tmp_path):
     # one chunk of the ensemble is held at a time; a sample keeps its margin
     # and its report index, 16 B, and nothing else
     def traced_peak(chunks):
-        return traced_dpi_peak(tmp_path, ["--divergence", "relative_entropy", "--dim", "3",
-                                          "--samples", str(chunks * SEARCH_CHUNK),
-                                          "--workers", "1"])
+        target = tmp_path / "dpi.csv"
+        tracemalloc.start()
+        try:
+            code = main(["dpi", "--divergence", "relative_entropy", "--dim", "3",
+                         "--samples", str(chunks * SEARCH_CHUNK), "--output", str(target)])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     (code2, peak2), (code16, peak16) = traced_peak(2), traced_peak(16)
     assert code2 == code16 == 0
@@ -246,39 +241,15 @@ def test_dpi_memory_does_not_grow_with_the_ensemble(tmp_path):
 def test_dpi_memory_does_not_grow_with_the_dimension(tmp_path):
     # above d=4 a scan chunk's rows shrink as 1/d^2, so at d=32 a small budget
     # draws 64 rows, about 1 MB per complex array, and not 4096 rows (64 MB)
-    code, peak = traced_dpi_peak(tmp_path, ["--divergence", "trace", "--dim", "32",
-                                            "--samples", "10", "--workers", "1"])
+    tracemalloc.start()
+    try:
+        code = main(["dpi", "--divergence", "trace", "--dim", "32", "--samples", "10",
+                     "--output", str(tmp_path / "dpi.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 0
     assert peak <= 16 << 20, f"traced peak {peak} B"
-
-
-def test_dpi_memory_grows_at_most_with_the_workers(tmp_path):
-    # each worker holds one chunk, and the runner submits no chunk beyond them
-    argv = ["--divergence", "relative_entropy", "--dim", "3", "--samples",
-            str(16 * SEARCH_CHUNK), "--workers"]
-    (code1, peak1), (code2, peak2) = (traced_dpi_peak(tmp_path, [*argv, "1"]),
-                                      traced_dpi_peak(tmp_path, [*argv, "2"]))
-    assert code1 == code2 == 0
-    assert peak2 <= 2 * peak1, f"traced peak {peak1} B with 1 worker, {peak2} B with 2"
-
-
-@pytest.mark.parametrize("argv", [
-    # the first violation is in chunk 2, and chunk 5 violates too
-    ["search", "--relation", "U_ts", "--variant", "printed", "--alpha", "0.5", "--dim", "4",
-     "--samples", str(6 * SEARCH_CHUNK), "--seed", "3", "--format", "json"],
-    # three whole chunks and a ragged one of 17 rows
-    ["dpi", "--divergence", "tsallis", "--alpha", "0.5", "--dim", "3", "--samples",
-     str(3 * SEARCH_CHUNK + 17), "--seed", "5"],
-    # two whole volume chunks and a ragged one
-    ["table2", "--dim", "2", "--samples", "40000", "--seed", "8"],
-], ids=["search", "dpi", "table2"])
-def test_reports_do_not_depend_on_workers(argv, capsys):
-    serial = run([*argv, "--workers", "1"], capsys)
-    for workers in ([], ["--workers", "2"], ["--workers", "3"]):
-        assert run([*argv, *workers], capsys) == serial
-    if argv[0] == "search":
-        assert serial[0] == 1
-        assert json.loads(serial[1])["rows"][0]["sample_index"] // SEARCH_CHUNK == 2
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +288,26 @@ def test_volume_worker_invariance(capsys):
     serial = run(base + ["--workers", "1"], capsys)
     for workers in ([], ["--workers", "2"], ["--workers", "3"]):
         assert run(base + workers, capsys) == serial
+
+
+def test_table2_memory_grows_at_most_with_the_default_workers(tmp_path):
+    # each worker holds one chunk's arrays at a time, whatever the default is
+    def traced_peak(workers):
+        tracemalloc.start()
+        try:
+            code = main(["table2", "--dim", "3", "--samples", str(8 * VOLUME_CHUNK),
+                         *workers, "--output", str(tmp_path / "table2.csv")])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak([])  # first-call costs
+    (code1, peak1), (code, peak) = traced_peak(["--workers", "1"]), traced_peak([])
+    assert code1 == code == 0
+    default = cli._default_workers()
+    assert 1 <= default <= cli.MAX_DEFAULT_WORKERS
+    assert peak <= default * peak1, (
+        f"traced peak {peak1} B with 1 worker, {peak} B with the default {default}")
 
 
 def test_table2_compare(capsys):
@@ -592,13 +583,9 @@ def test_unknown_subcommand_exits_two(capsys):
     (["shots", "--n", str(2**63)], "--n"),
     (["shots", "--kind", "sequential_AB", "--n", "1" + "0" * 400], "--n"),
     (["coherence", "--shots", str(2**63)], "--shots"),
-    # 1 to 32 pool threads, each holding one chunk
+    # at most 32 pool threads, each holding one chunk
     (["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "33"], "--workers"),
     (["table2", "--samples", "1000", "--workers", "33"], "--workers"),
-    (["dpi", "--divergence", "trace", "--workers", "33"], "--workers"),
-    (["search", "--relation", "U_tr", "--workers", "33"], "--workers"),
-    (["dpi", "--divergence", "trace", "--workers", "0"], "--workers"),
-    (["search", "--relation", "U_tr", "--workers", "0"], "--workers"),
 ])
 def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -154,7 +154,7 @@ def test_random_streams_are_made_only_by_the_rng_roles():
              for callee in ("stream", "role_stream")}
     assert found == {
         "stream": ["cli.py:_load_instance", "experiments.py:estimate_volumes",
-                   "qstate.py:_haar_chunk", "qstate.py:sample", "sweeps.py:haar_triples"],
+                   "qstate.py:_haar_chunks", "qstate.py:sample", "sweeps.py:haar_triples"],
         "role_stream": ["experiments.py:simulate_shots", "experiments.py:simulate_shots"],
     }
     for path in MODULES:

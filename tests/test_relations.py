@@ -24,7 +24,6 @@ from qud.experiments import _accepts, _draw_parameters
 from qud.qstate import (
     TripleBatch,
     _ginibre_states,
-    _haar_chunk,
     _haar_unitaries,
     _scan_rows,
     dephase,
@@ -40,7 +39,6 @@ from qud.qstate import (
 from qud.relations import (
     RELATION_IDS,
     SEARCH_CHUNK,
-    SEARCH_MARGIN,
     Counterexample,
     RelationId,
     _shared_arrays,
@@ -492,26 +490,6 @@ def test_search_chunk_k_scans_the_first_rows_of_chunk_k(dim, monkeypatch):
         assert np.array_equal(q, full.q[:count])
         assert np.array_equal(qp, full.qp[:count])
         assert np.array_equal(cmax, full.cmax[:count])
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_search_draws_no_chunk_past_its_hit_and_the_workers(workers, monkeypatch):
-    # printed U_ts at d=4, seed 3: chunks 2 and 5 hold violations, 0 and 1 none
-    rel, seed = RelationId("U_ts", "printed", 0.5), 3
-    drawn = []
-
-    def recording_chunk(dim, seed, pure, index, count):
-        drawn.append(index)
-        return _haar_chunk(dim, seed, pure, index, count)
-
-    monkeypatch.setattr(relations, "_haar_chunk", recording_chunk)
-    found = search_counterexample(rel, 4, 6 * SEARCH_CHUNK, seed, workers=workers)
-    assert found.sample_index // SEARCH_CHUNK == 2
-    later = haar_triples(4, SEARCH_CHUNK, seed, pure=True, chunk=5)
-    assert (relation_margins(rel, later) < SEARCH_MARGIN).any()
-    # when chunk 2 is judged, at most workers - 1 later chunks are in flight
-    assert len(drawn) == len(set(drawn))
-    assert set(range(3)) <= set(drawn) <= set(range(2 + workers))
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
