@@ -9,10 +9,12 @@ from qud.divergence import (
     DivergenceSpec,
     cdiv,
     classical_infidelity,
+    euclidean_distance,
     kl_divergence,
     l1_distance,
     power_overlap,
     qdiv,
+    renyi_divergence,
 )
 from qud.errors import (
     AlphaOutOfRange,
@@ -58,7 +60,12 @@ from qud.sweeps import (
     haar_triples,
     relation_margins,
 )
-from qud.uncertainty import shannon_entropy
+from qud.uncertainty import (
+    delta_measure,
+    half_norm_measure,
+    renyi_entropy,
+    shannon_entropy,
+)
 
 from conftest import RT2, triple_of
 
@@ -300,6 +307,84 @@ def test_thm1_u_rd_half_and_u_if_accept_the_same_points():
             masks = [_accepts(rel, p, q, shared) for rel in rels]
             assert np.array_equal(masks[0], masks[1]), (dim, seed)
             assert np.array_equal(masks[0], masks[2]), (dim, seed)
+
+
+# Every catalog entry, variant and the orders at the ends of each range.
+ORACLE_RELATIONS = (
+    RelationId("U_tr"),
+    RelationId("U_tr_prime"),
+    RelationId("U_rd", alpha=0.5),
+    RelationId("U_rd", alpha=0.75),
+    RelationId("U_if"),
+    RelationId("U_if", "printed"),
+    RelationId("U_ts", alpha=0.0),
+    RelationId("U_ts", alpha=0.5),
+    RelationId("U_ts", "printed", alpha=0.0),
+    RelationId("U_ts", "printed", alpha=0.5),
+    RelationId("U_re"),
+    RelationId("U_hs"),
+    RelationId("THM1_UNIVERSAL"),
+    RelationId("EUR_TS", alpha=0.0),
+    RelationId("EUR_TS", alpha=0.5),
+    RelationId("EUR_TS", "printed", alpha=0.0),
+    RelationId("EUR_TS", "printed", alpha=0.5),
+    RelationId("EUR_MU", alpha=1.0, beta=1.0),
+    RelationId("EUR_MU", alpha=0.75, beta=1.5),
+)
+
+
+def _catalog_formula(rel, p, q, qp, cmax, base):
+    """(lhs, rhs) of `rel` as README's relation catalog states it, one kernel
+    per term: the reference that `relation_sides` must match bit for bit."""
+    a, b = rel.alpha, rel.beta
+
+    def h(x, order):
+        return renyi_entropy(x, order, base=base)
+
+    def d(order):
+        return renyi_divergence(q, qp, order, base=base)
+
+    log_cmax = -np.log(cmax) / np.log(base)
+    formulas = {
+        ("U_tr", "canonical"): lambda: (delta_measure(p), l1_distance(q, qp)),
+        ("U_tr_prime", "canonical"): lambda: (half_norm_measure(p), l1_distance(q, qp)),
+        ("U_rd", "canonical"): lambda: (h(p, 1.0 / a), d(a)),
+        ("U_if", "canonical"): lambda: (h(p, 2.0), d(0.5)),
+        ("U_if", "printed"): lambda: (h(p, 0.5), d(2.0)),
+        ("U_ts", "canonical"): lambda: (h(p, 2.0 - a), d(a)),
+        ("U_ts", "printed"): lambda: (h(p, 2.0 - a) / (2.0 - a), d(a)),
+        ("U_re", "canonical"): lambda: (shannon_entropy(p, base=base),
+                                        kl_divergence(q, qp, base=base)),
+        ("U_hs", "canonical"): lambda: (delta_measure(p), euclidean_distance(q, qp)),
+        ("THM1_UNIVERSAL", "canonical"): lambda: (delta_measure(p),
+                                                  classical_infidelity(q, qp)),
+        ("EUR_TS", "canonical"): lambda: (h(p, 2.0 - a) + h(q, a), log_cmax),
+        ("EUR_TS", "printed"): lambda: (h(q, 2.0 - a) / (2.0 - a) + h(p, a), log_cmax),
+        ("EUR_MU", "canonical"): lambda: (h(p, a) + h(q, b), log_cmax),
+    }
+    return formulas[rel.id, rel.variant]()
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+@pytest.mark.parametrize("rel", ORACLE_RELATIONS, ids=RelationId.label)
+def test_relation_sides_match_the_catalog_formulas(rel):
+    # seeded d=2 cube chunks and d=3 simplex x Haar chunks, both directions,
+    # in bits and in nats
+    for dim in (2, 3):
+        for seed in (1, 2):
+            p, q, c = _draw_parameters(stream(seed, 0), dim, 4096)
+            qp, pp, cmax = _shared_arrays(p, q, c)
+            for x, y, yp in ((p, q, qp), (q, p, pp)):
+                for base in (2.0, np.e):
+                    got = relation_sides(rel, x, y, yp, cmax, base)
+                    want = _catalog_formula(rel, x, y, yp, cmax, base)
+                    for side, g, w in zip(("lhs", "rhs"), got, want):
+                        assert _same_bits(g, w), (dim, seed, base, side)
 
 
 # The universal bound as first written: the largest of 24 gauged classical
