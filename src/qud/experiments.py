@@ -23,7 +23,7 @@ from .qstate import (
     outcome_dist,
     overlap_matrix,
 )
-from .relations import RelationId, _forward_dual, _shared_arrays, satisfied_mask
+from .relations import RelationId, _accepts, _shared_arrays
 from .rng import _map_chunks, role_stream, stream
 from .uncertainty import shannon_entropy
 
@@ -65,12 +65,6 @@ class ShotCounts:
     counts: np.ndarray
     total: int
     seed: int
-
-
-def _accepts(rel: RelationId, p, q, shared):
-    """Admissibility from `_shared_arrays(p, q, C)`: the relation AND its dual."""
-    masks = _forward_dual(rel, p, q, shared, satisfied_mask)
-    return masks[0] & masks[-1]
 
 
 def _qubit_rows(x):

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import (
-    _check_order,
-    classical_infidelity,
-    l1_distance,
-    euclidean_distance,
-    renyi_divergence,
-    kl_divergence,
-)
+from .divergence import _check_order, _classical
 from .errors import (
     AlphaOutOfRange,
     InconsistentTriple,
@@ -42,28 +35,25 @@ from .qstate import (
     sequential_dist,
     standard_basis,
 )
-from .uncertainty import (
-    delta_measure,
-    half_norm_measure,
-    renyi_entropy,
-    shannon_entropy,
-)
+from .uncertainty import _measure, renyi_entropy
 
 # The catalog, one row per id: the divergence kind whose order range its
 # alpha takes (None: it takes none), whether it has a printed form distinct
-# from the canonical one, and whether it is self-dual under the order swap.
-# EUR_MU's conjugate orders are checked by their own rule.
+# from the canonical one, whether it is self-dual under the order swap, and,
+# for an order-free relation, its terms: the uncertainty measure of p and the
+# divergence kind whose classical form of (q, q') it bounds. EUR_MU's
+# conjugate orders are checked by their own rule.
 _CATALOG = {
-    "U_tr": (None, False, False),
-    "U_tr_prime": (None, False, False),
-    "U_rd": ("renyi_sandwiched", False, False),
-    "U_if": (None, True, False),
-    "U_ts": ("tsallis", True, False),
-    "U_re": (None, False, False),
-    "U_hs": (None, False, False),
-    "THM1_UNIVERSAL": (None, False, False),
-    "EUR_TS": ("tsallis", True, False),
-    "EUR_MU": (None, False, True),
+    "U_tr": (None, False, False, ("delta", "trace")),
+    "U_tr_prime": (None, False, False, ("half_norm", "trace")),
+    "U_rd": ("renyi_sandwiched", False, False, None),
+    "U_if": (None, True, False, None),
+    "U_ts": ("tsallis", True, False, None),
+    "U_re": (None, False, False, ("shannon", "relative_entropy")),
+    "U_hs": (None, False, False, ("delta", "hilbert_schmidt")),
+    "THM1_UNIVERSAL": (None, False, False, ("delta", "infidelity")),
+    "EUR_TS": ("tsallis", True, False, None),
+    "EUR_MU": (None, False, True, None),
 }
 RELATION_IDS = tuple(_CATALOG)
 
@@ -89,7 +79,7 @@ class RelationId:
             raise ValidationError(f"unknown relation id {self.id!r}")
         if self.variant not in ("canonical", "printed"):
             raise ValidationError(f"unknown variant {self.variant!r}")
-        kind, printed, _ = _CATALOG[self.id]
+        kind, printed, _, _ = _CATALOG[self.id]
         if self.variant == "printed" and not printed:
             raise ValidationError(f"{self.id} has no distinct printed form")
         a, b = self.alpha, self.beta
@@ -151,26 +141,19 @@ def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0):
     only by the EUR_* relations.
     """
     rid, var, a = rel.id, rel.variant, rel.alpha
-    if rid == "U_tr":
-        return delta_measure(p), l1_distance(q, qp)
-    if rid == "U_tr_prime":
-        return half_norm_measure(p), l1_distance(q, qp)
-    if rid == "U_if" and var == "printed":
-        return renyi_entropy(p, 0.5, base=base), renyi_divergence(q, qp, 2.0, base=base)
-    if rid in ("U_rd", "U_if"):  # canonical U_if is U_rd at alpha = 1/2
-        a = 0.5 if a is None else a
-        return renyi_entropy(p, 1.0 / a, base=base), renyi_divergence(q, qp, a, base=base)
+    terms = _CATALOG[rid][3]
+    if terms is not None:
+        return _measure(terms[0], None, p, base), _classical(terms[1], None, q, qp, base)
+    if rid == "U_if":  # canonical U_if is U_rd at a = 1/2, printed U_if at a = 2
+        rid, a = "U_rd", 2.0 if var == "printed" else 0.5
+    if rid == "U_rd":
+        return (renyi_entropy(p, 1.0 / a, base=base),
+                _classical("renyi_sandwiched", a, q, qp, base))
     if rid == "U_ts":
         lhs = renyi_entropy(p, 2.0 - a, base=base)
         if var == "printed":
             lhs = lhs / (2.0 - a)
-        return lhs, renyi_divergence(q, qp, a, base=base)
-    if rid == "U_re":
-        return shannon_entropy(p, base=base), kl_divergence(q, qp, base=base)
-    if rid == "U_hs":
-        return delta_measure(p), euclidean_distance(q, qp)
-    if rid == "THM1_UNIVERSAL":
-        return delta_measure(p), classical_infidelity(q, qp)
+        return lhs, _classical("renyi_sandwiched", a, q, qp, base)
     if cmax is None:
         raise MissingOverlap(f"{rid} needs the overlap matrix (cmax)")
     rhs = -np.log(np.asarray(cmax, dtype=np.float64)) / np.log(base)
@@ -216,6 +199,12 @@ def _forward_dual(rel: RelationId, p, q, shared, judge, base: float = 2.0):
     if not _CATALOG[rel.id][2]:  # not self-dual
         out.append(judge(*relation_sides(rel, q, p, pp, cmax, base)))
     return out
+
+
+def _accepts(rel: RelationId, p, q, shared):
+    """Admissibility from `_shared_arrays(p, q, C)`: the relation AND its dual."""
+    masks = _forward_dual(rel, p, q, shared, satisfied_mask)
+    return masks[0] & masks[-1]
 
 
 def _verdict(lhs, rhs, index: int = 0) -> RelationVerdict:
@@ -274,7 +263,7 @@ def universal_bound(q: ProbDist, qp: ProbDist) -> float:
     Every term is thus at most the infidelity, which is itself one of them.
     """
     _check_same_dim(q, qp)
-    return float(classical_infidelity(q.probs[None, :], qp.probs[None, :])[0])
+    return float(_classical("infidelity", None, q.probs[None, :], qp.probs[None, :])[0])
 
 
 def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,

@@ -1,9 +1,10 @@
 """Uncertainty measures over outcome distributions, plus majorization.
 
 The array kernels accept any batch shape and reduce over the last axis;
-`umeasure` is the scalar front end working on ProbDist values. Probabilities
-below 1e-15 are treated as exact zeros before any log or power, so the
-0 log 0 = 0 and 0^alpha = 0 conventions hold for every order.
+`_measure` maps a kind to its kernel, and `umeasure` is that map on one
+ProbDist. Probabilities below 1e-15 are treated as exact zeros before any
+log or power, so the 0 log 0 = 0 and 0^alpha = 0 conventions hold for
+every order.
 """
 
 import math
@@ -72,20 +73,21 @@ def half_norm_measure(p):
     return 0.5 * (root_sum**2 - 1.0)
 
 
-def umeasure(spec: UncertaintySpec, p: ProbDist, base: float = 2.0) -> float:
-    """Evaluate the chosen measure on one distribution.
+def _measure(kind: str, alpha: float | None, p, base: float = 2.0):
+    """Uncertainty measure `kind` of batched distributions p: delta and
+    half_norm are base-free, entropies are in the given log base."""
+    if kind == "delta":
+        return delta_measure(p)
+    if kind == "shannon":
+        return shannon_entropy(p, base=base)
+    if kind == "renyi":
+        return renyi_entropy(p, alpha, base=base)
+    return half_norm_measure(p)
 
-    delta and half_norm are base-free; entropies are reported in the given
-    log base (bits by default).
-    """
-    probs = p.probs
-    if spec.kind == "delta":
-        return float(delta_measure(probs))
-    if spec.kind == "shannon":
-        return float(shannon_entropy(probs, base=base))
-    if spec.kind == "renyi":
-        return float(renyi_entropy(probs, spec.alpha, base=base))
-    return float(half_norm_measure(probs))
+
+def umeasure(spec: UncertaintySpec, p: ProbDist, base: float = 2.0) -> float:
+    """Evaluate the chosen measure on one distribution (bits by default)."""
+    return float(_measure(spec.kind, spec.alpha, p.probs, base))
 
 
 def majorizes(p1: ProbDist, p2: ProbDist) -> bool:

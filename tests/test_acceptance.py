@@ -19,7 +19,6 @@ from qud.cli import main
 from qud.divergence import DivergenceSpec, cdiv, qdiv
 from qud.experiments import (
     TABLE2_REFERENCE,
-    _accepts,
     _draw_parameters,
     coherence_bounds,
     estimate_coherence,
@@ -36,6 +35,7 @@ from qud.qstate import (
 )
 from qud.relations import (
     RelationId,
+    _accepts,
     _shared_arrays,
     eval_relation,
     relation_sides,

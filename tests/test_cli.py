@@ -15,9 +15,9 @@ import pytest
 from qud import cli
 from qud.cli import _cell, _emit, main
 from qud.io import save_basis, save_state
-from qud.experiments import VOLUME_CHUNK, ShotCounts, _accepts, estimate_coherence
+from qud.experiments import VOLUME_CHUNK, ShotCounts, estimate_coherence
 from qud.qstate import fourier_basis, make_density, standard_basis
-from qud.relations import SEARCH_CHUNK, RelationId, _shared_arrays
+from qud.relations import SEARCH_CHUNK, RelationId, _accepts, _shared_arrays
 from qud.sweeps import dpi_margins, haar_triples
 
 

@@ -16,7 +16,6 @@ from qud.experiments import (
     TABLE2_REFERENCE,
     VOLUME_CHUNK,
     ShotCounts,
-    _accepts,
     _draw_parameters,
     coherence_bounds,
     estimate_coherence,
@@ -35,7 +34,13 @@ from qud.qstate import (
     sample,
     sequential_dist,
 )
-from qud.relations import RelationId, _shared_arrays, eval_relation, table2_relations
+from qud.relations import (
+    RelationId,
+    _accepts,
+    _shared_arrays,
+    eval_relation,
+    table2_relations,
+)
 from qud.rng import role_stream, stream
 from qud.sweeps import dpi_margin
 

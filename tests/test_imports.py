@@ -161,3 +161,14 @@ def test_random_streams_are_made_only_by_the_rng_roles():
         if path.name != "rng.py":
             text = path.read_text(encoding="utf-8")
             assert "default_rng" not in text and "SeedSequence" not in text, path.name
+
+
+def test_relations_reach_the_kernels_through_the_kind_maps():
+    # an order-free relation's terms are catalog data read through
+    # uncertainty._measure and divergence._classical, so relations names no
+    # kernel of its own but renyi_entropy, at the orders of the others
+    tree = ast.parse((SRC / "relations.py").read_text(encoding="utf-8"))
+    found = {node.module: sorted(a.name for a in node.names) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module in ("divergence", "uncertainty")}
+    assert found == {"divergence": ["_check_order", "_classical"],
+                     "uncertainty": ["_measure", "renyi_entropy"]}

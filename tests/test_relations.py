@@ -22,7 +22,7 @@ from qud.errors import (
     MissingOverlap,
     ValidationError,
 )
-from qud.experiments import _accepts, _draw_parameters
+from qud.experiments import _draw_parameters
 from qud.qstate import (
     TripleBatch,
     _ginibre_states,
@@ -43,6 +43,7 @@ from qud.relations import (
     SEARCH_CHUNK,
     Counterexample,
     RelationId,
+    _accepts,
     _shared_arrays,
     eval_relation,
     eval_with_dual,

@@ -6,7 +6,9 @@ from qud.errors import AlphaOutOfRange, DimensionMismatch
 from qud.qstate import _haar_unitaries, make_prob
 from qud.rng import stream
 from qud.uncertainty import (
+    UMEASURE_KINDS,
     UncertaintySpec,
+    _measure,
     delta_measure,
     half_norm_measure,
     majorizes,
@@ -42,6 +44,21 @@ def test_umeasure_fixtures():
     assert_allclose(umeasure(UncertaintySpec("renyi", 2.0), half), 1.0, atol=1e-12)
     assert_allclose(umeasure(UncertaintySpec("shannon"), make_prob([1.0, 0.0])), 0.0, atol=0)
     assert_allclose(umeasure(UncertaintySpec("half_norm"), half), 0.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", UMEASURE_KINDS)
+def test_umeasure_is_the_batched_map_on_one_distribution(kind):
+    # rows with zeros and a point mass, so every zero convention is exercised
+    draws = stream(5).dirichlet(np.ones(3), 64)
+    draws[:16, 0] = 0.0
+    draws[16] = (1.0, 0.0, 0.0)
+    dists = [make_prob(row / row.sum()) for row in draws]
+    probs = np.stack([dist.probs for dist in dists])
+    for alpha in ((0.5, 2.0) if kind == "renyi" else (None,)):
+        spec = UncertaintySpec(kind, alpha)
+        for base in (2.0, np.e):
+            rows = [umeasure(spec, dist, base) for dist in dists]
+            assert _measure(kind, alpha, probs, base).tolist() == rows, (alpha, base)
 
 
 def test_renyi_three_halves_value():
