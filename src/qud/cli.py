@@ -79,19 +79,21 @@ def _default_workers() -> int:
     return min(usable, MAX_DEFAULT_WORKERS)
 
 
-def _int_at_least(low: int, high: int | None = None):
-    """argparse type for integers >= low (and <= high, if given), so a bad
-    value fails at parse time."""
+def _bounded(kind: type, low, high=None):
+    """argparse type for a finite `kind` (int or float) value >= low (and
+    <= high, if given), so a bad value fails at parse time."""
 
-    def parse(text: str) -> int:
-        value = int(text)
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse reports unparsable text as "invalid int value"
+    parse.__name__ = kind.__name__  # unparsable text is an "invalid int/float value"
     return parse
 
 
@@ -406,15 +408,15 @@ def _add_instance_flags(p) -> None:
     p.add_argument("--state", default=None, help="state JSON file")
     p.add_argument("--basis-a", dest="basis_a", default=None, help="first (dephasing) basis")
     p.add_argument("--basis-b", dest="basis_b", default=None, help="second basis")
-    p.add_argument("--dim", type=_int_at_least(2), default=None)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--dim", type=_bounded(int, 2), default=None)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
 
 
 def _add_volume_flags(p) -> None:
     p.add_argument("--dim", type=int, choices=VOLUME_DIMS, default=2)
-    p.add_argument("--samples", type=_int_at_least(MIN_VOLUME_SAMPLES), default=1000000)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--workers", type=_int_at_least(1, MAX_WORKERS), default=_default_workers(),
+    p.add_argument("--samples", type=_bounded(int, MIN_VOLUME_SAMPLES), default=1000000)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
+    p.add_argument("--workers", type=_bounded(int, 1, MAX_WORKERS), default=_default_workers(),
                    help=f"threads, each holding one chunk (default: the usable CPUs, at most "
                         f"{MAX_DEFAULT_WORKERS})")
 
@@ -435,17 +437,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dpi", help="data-processing margins over a Haar ensemble")
     p.add_argument("--divergence", required=True, choices=DIVERGENCE_KINDS)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--dim", type=_int_at_least(2), default=2)
-    p.add_argument("--samples", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--dim", type=_bounded(int, 2), default=2)
+    p.add_argument("--samples", type=_bounded(int, 1), default=1000)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_dpi)
 
     p = sub.add_parser("search", help="look for a relation counterexample")
     _add_relation_flags(p)
-    p.add_argument("--dim", type=_int_at_least(2), default=2)
-    p.add_argument("--samples", type=_int_at_least(1), default=10000)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--dim", type=_bounded(int, 2), default=2)
+    p.add_argument("--samples", type=_bounded(int, 1), default=10000)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_search)
 
@@ -464,22 +466,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="admissible (p0, q0) grid at fixed c00")
     _add_relation_flags(p)
-    p.add_argument("--c00", type=float, required=True)
-    p.add_argument("--resolution", type=_int_at_least(2), default=101)
+    p.add_argument("--c00", type=_bounded(float, 0.0, 1.0), required=True)
+    p.add_argument("--resolution", type=_bounded(int, 2), default=101)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_region)
 
     p = sub.add_parser("coherence", help="coherence bounds, exact or from shots")
     _add_instance_flags(p)
-    p.add_argument("--shots", type=_int_at_least(1, MAX_SHOTS), default=None)
-    p.add_argument("--smoothing", type=float, default=0.5)
+    p.add_argument("--shots", type=_bounded(int, 1, MAX_SHOTS), default=None)
+    p.add_argument("--smoothing", type=_bounded(float, 0.0), default=0.5)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_coherence)
 
     p = sub.add_parser("shots", help="simulate measurement shot counts")
     _add_instance_flags(p)
     p.add_argument("--kind", choices=SHOT_KINDS, default="direct_B")
-    p.add_argument("--n", type=_int_at_least(0, MAX_SHOTS), default=1000)
+    p.add_argument("--n", type=_bounded(int, 0, MAX_SHOTS), default=1000)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_shots)
 

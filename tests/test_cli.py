@@ -586,6 +586,18 @@ def test_unknown_subcommand_exits_two(capsys):
     # at most 32 pool threads, each holding one chunk
     (["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "33"], "--workers"),
     (["table2", "--samples", "1000", "--workers", "33"], "--workers"),
+    # the float flags: finite and in range, read or not
+    (["coherence", "--dim", "2", "--smoothing", "nan"], "--smoothing"),
+    (["coherence", "--dim", "2", "--smoothing", "-1"], "--smoothing"),
+    (["coherence", "--dim", "2", "--seed", "1", "--shots", "100", "--smoothing", "nan"],
+     "--smoothing"),
+    (["coherence", "--dim", "2", "--seed", "1", "--shots", "100", "--smoothing", "inf"],
+     "--smoothing"),
+    (["coherence", "--dim", "2", "--smoothing", "half"], "--smoothing"),
+    (["region", "--relation", "U_tr", "--c00", "nan"], "--c00"),
+    (["region", "--relation", "U_tr", "--c00", "-0.1"], "--c00"),
+    (["region", "--relation", "U_tr", "--c00", "1.5"], "--c00"),
+    (["region", "--relation", "U_tr", "--c00", "inf"], "--c00"),
 ])
 def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -597,8 +609,6 @@ def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["coherence", "--dim", "2", "--seed", "1", "--shots", "100", "--smoothing", "nan"],
-    ["coherence", "--dim", "2", "--seed", "1", "--shots", "100", "--smoothing", "inf"],
     ["verify", "--relation", "EUR_MU", "--alpha", "inf", "--beta", "0.5", "--dim", "2",
      "--seed", "3"],
     ["verify", "--relation", "EUR_MU", "--alpha", "0.5", "--beta", "inf", "--dim", "2",
