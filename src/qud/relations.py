@@ -138,7 +138,8 @@ def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0):
     """Vectorized (lhs, rhs) arrays for batches of distributions.
 
     p, q, qp reduce over the last axis; cmax (same leading shape) is needed
-    only by the EUR_* relations.
+    only by the EUR_* relations. An order-free relation's two terms are the
+    kinds its catalog row names.
     """
     rid, var, a = rel.id, rel.variant, rel.alpha
     terms = _CATALOG[rid][3]
@@ -153,6 +154,7 @@ def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0):
         lhs = renyi_entropy(p, 2.0 - a, base=base)
         if var == "printed":
             lhs = lhs / (2.0 - a)
+        # D_a(q || q'), as for U_rd, though a takes tsallis's order range
         return lhs, _classical("renyi_sandwiched", a, q, qp, base)
     if cmax is None:
         raise MissingOverlap(f"{rid} needs the overlap matrix (cmax)")

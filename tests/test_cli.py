@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -293,6 +294,10 @@ def test_volume_worker_invariance(capsys):
 def test_table2_memory_grows_at_most_with_the_default_workers(tmp_path):
     # each worker holds one chunk's arrays at a time, whatever the default is
     def traced_peak(workers):
+        # with the cyclic collector off, each call's peak holds the same garbage
+        # (such as its argument parser), whenever the collector would have run
+        gc.collect()
+        gc.disable()
         tracemalloc.start()
         try:
             code = main(["table2", "--dim", "3", "--samples", str(8 * VOLUME_CHUNK),
@@ -300,6 +305,7 @@ def test_table2_memory_grows_at_most_with_the_default_workers(tmp_path):
             return code, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            gc.enable()
 
     traced_peak([])  # first-call costs
     (code1, peak1), (code, peak) = traced_peak(["--workers", "1"]), traced_peak([])

@@ -168,7 +168,8 @@ def test_relations_reach_the_kernels_through_the_kind_maps():
     # uncertainty._measure and divergence._classical, so relations names no
     # kernel of its own but renyi_entropy, at the orders of the others
     tree = ast.parse((SRC / "relations.py").read_text(encoding="utf-8"))
+    kernels = ("divergence", "uncertainty")
     found = {node.module: sorted(a.name for a in node.names) for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module in ("divergence", "uncertainty")}
+             if isinstance(node, ast.ImportFrom) and node.module in kernels}
     assert found == {"divergence": ["_check_order", "_classical"],
                      "uncertainty": ["_measure", "renyi_entropy"]}
