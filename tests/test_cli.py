@@ -615,6 +615,10 @@ def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--relation", "EUR_MU", "--alpha", "nan", "--beta", "0.5", "--dim", "2",
+     "--seed", "3"],
+    ["verify", "--relation", "EUR_MU", "--alpha", "0.5", "--beta", "nan", "--dim", "2",
+     "--seed", "3"],
     ["verify", "--relation", "EUR_MU", "--alpha", "inf", "--beta", "0.5", "--dim", "2",
      "--seed", "3"],
     ["verify", "--relation", "EUR_MU", "--alpha", "0.5", "--beta", "inf", "--dim", "2",
