@@ -379,6 +379,8 @@ def _haar_frames(rng, count: int, dim: int, pure: bool):
     unitarily invariant, so this is the law of an independent (rho, U_A, U_B)
     draw rotated into A's frame (Zyczkowski & Sommers 2001).
     """
+    if dim < 2:
+        raise DimensionTooSmall(f"need dimension >= 2, got {dim}")
     if pure:
         kets = _haar_unitaries(rng, count, dim, 1)[:, :, 0]
         rho = kets[:, :, None] * kets[:, None, :].conj()
@@ -437,7 +439,7 @@ def _triples(rho, w, pure: bool) -> TripleBatch:
 
 def _scan_rows(dim: int) -> int:
     """Rows per scan chunk at dimension dim: SEARCH_CHUNK up to d=4, then fewer."""
-    return max(1, min(SEARCH_CHUNK, _SCAN_ENTRIES // dim**2))
+    return max(1, _SCAN_ENTRIES // max(dim, 4) ** 2)
 
 
 def _haar_chunks(dim: int, samples: int, seed: int, pure: bool):

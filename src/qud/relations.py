@@ -35,23 +35,26 @@ from .qstate import (
     sequential_dist,
     standard_basis,
 )
-from .uncertainty import _measure, renyi_entropy
+from .uncertainty import _measure
 
 # The catalog, one row per id: the divergence kind whose order range its
 # alpha takes (None: it takes none), whether it has a printed form distinct
 # from the canonical one, whether it is self-dual under the order swap, and,
-# for an order-free relation, its terms: the uncertainty measure of p and the
-# divergence kind whose classical form of (q, q') it bounds. EUR_MU's
-# conjugate orders are checked by their own rule.
+# for a relation that bounds a divergence, its terms: the uncertainty measure
+# of p, the order of that measure as a function of alpha (None: it takes
+# none), and the divergence kind whose classical form of (q, q') at alpha it
+# bounds. U_ts bounds the Renyi divergence, though its alpha takes tsallis's
+# range. EUR_MU's conjugate orders are checked by their own rule.
 _CATALOG = {
-    "U_tr": (None, False, False, ("delta", "trace")),
-    "U_tr_prime": (None, False, False, ("half_norm", "trace")),
-    "U_rd": ("renyi_sandwiched", False, False, None),
+    "U_tr": (None, False, False, ("delta", None, "trace")),
+    "U_tr_prime": (None, False, False, ("half_norm", None, "trace")),
+    "U_rd": ("renyi_sandwiched", False, False,
+             ("renyi", lambda a: 1.0 / a, "renyi_sandwiched")),
     "U_if": (None, True, False, None),
-    "U_ts": ("tsallis", True, False, None),
-    "U_re": (None, False, False, ("shannon", "relative_entropy")),
-    "U_hs": (None, False, False, ("delta", "hilbert_schmidt")),
-    "THM1_UNIVERSAL": (None, False, False, ("delta", "infidelity")),
+    "U_ts": ("tsallis", True, False, ("renyi", lambda a: 2.0 - a, "renyi_sandwiched")),
+    "U_re": (None, False, False, ("shannon", None, "relative_entropy")),
+    "U_hs": (None, False, False, ("delta", None, "hilbert_schmidt")),
+    "THM1_UNIVERSAL": (None, False, False, ("delta", None, "infidelity")),
     "EUR_TS": ("tsallis", True, False, None),
     "EUR_MU": (None, False, True, None),
 }
@@ -138,37 +141,28 @@ def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0):
     """Vectorized (lhs, rhs) arrays for batches of distributions.
 
     p, q, qp reduce over the last axis; cmax (same leading shape) is needed
-    only by the EUR_* relations. An order-free relation's two terms are the
-    kinds its catalog row names.
+    only by the EUR_* relations. A relation that bounds a divergence takes
+    its terms from its catalog row, and printed U_ts divides its lhs by
+    2 - a. The EUR relations are H_x(p) + H_y(q) >= -log cmax: EUR_MU at
+    (x, y) = (a, b), canonical EUR_TS at (2 - a, a); printed EUR_TS swaps p
+    and q and weighs H_x(q) by 1/x. Every term is read through a kind map.
     """
     rid, var, a = rel.id, rel.variant, rel.alpha
+    if rid == "U_if":  # U_rd's formula at a = 1/2; printed, at a = 2 untransformed
+        rid, var, a = "U_rd", "canonical", 2.0 if var == "printed" else 0.5
     terms = _CATALOG[rid][3]
     if terms is not None:
-        return _measure(terms[0], None, p, base), _classical(terms[1], None, q, qp, base)
-    if rid == "U_if":  # canonical U_if is U_rd at a = 1/2, printed U_if at a = 2
-        rid, a = "U_rd", 2.0 if var == "printed" else 0.5
-    if rid == "U_rd":
-        return (renyi_entropy(p, 1.0 / a, base=base),
-                _classical("renyi_sandwiched", a, q, qp, base))
-    if rid == "U_ts":
-        lhs = renyi_entropy(p, 2.0 - a, base=base)
-        if var == "printed":
-            lhs = lhs / (2.0 - a)
-        # D_a(q || q'), as for U_rd, though a takes tsallis's order range
-        return lhs, _classical("renyi_sandwiched", a, q, qp, base)
+        measure, order, kind = terms
+        lhs = _measure(measure, order(a) if order else None, p, base)
+        lhs = lhs / (2.0 - a) if var == "printed" else lhs  # printed U_ts
+        return lhs, _classical(kind, a, q, qp, base)
     if cmax is None:
         raise MissingOverlap(f"{rid} needs the overlap matrix (cmax)")
     rhs = -np.log(np.asarray(cmax, dtype=np.float64)) / np.log(base)
-    if rid == "EUR_TS":
-        if var == "printed":
-            lhs = renyi_entropy(q, 2.0 - a, base=base) / (2.0 - a) + renyi_entropy(
-                p, a, base=base
-            )
-        else:
-            lhs = renyi_entropy(p, 2.0 - a, base=base) + renyi_entropy(q, a, base=base)
-        return lhs, rhs
-    lhs = renyi_entropy(p, a, base=base) + renyi_entropy(q, rel.beta, base=base)
-    return lhs, rhs
+    x, y = (a, rel.beta) if rid == "EUR_MU" else (2.0 - a, a)
+    if var == "printed":
+        return _measure("renyi", x, q, base) / x + _measure("renyi", y, p, base), rhs
+    return _measure("renyi", x, p, base) + _measure("renyi", y, q, base), rhs
 
 
 def satisfied_mask(lhs, rhs):

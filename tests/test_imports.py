@@ -164,12 +164,11 @@ def test_random_streams_are_made_only_by_the_rng_roles():
 
 
 def test_relations_reach_the_kernels_through_the_kind_maps():
-    # an order-free relation's terms are catalog data read through
-    # uncertainty._measure and divergence._classical, so relations names no
-    # kernel of its own but renyi_entropy, at the orders of the others
+    # every term of every relation, at the orders its catalog row gives, is
+    # read through uncertainty._measure or divergence._classical, so
+    # relations names no kernel
     tree = ast.parse((SRC / "relations.py").read_text(encoding="utf-8"))
     kernels = ("divergence", "uncertainty")
     found = {node.module: sorted(a.name for a in node.names) for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module in kernels}
-    assert found == {"divergence": ["_check_order", "_classical"],
-                     "uncertainty": ["_measure", "renyi_entropy"]}
+    assert found == {"divergence": ["_check_order", "_classical"], "uncertainty": ["_measure"]}

@@ -18,6 +18,7 @@ from qud.divergence import (
 )
 from qud.errors import (
     AlphaOutOfRange,
+    DimensionTooSmall,
     InconsistentTriple,
     MissingOverlap,
     ValidationError,
@@ -58,6 +59,7 @@ from qud.sweeps import (
     chain_margins,
     dpi_margin,
     dpi_margins,
+    dpi_scan,
     haar_triples,
     relation_margins,
 )
@@ -554,6 +556,17 @@ def test_haar_triples_chunks_do_not_change_the_stream():
 def test_scan_chunks_shrink_as_one_over_d_squared_above_d4():
     assert [_scan_rows(d) for d in (2, 3, 4)] == [SEARCH_CHUNK] * 3
     assert [_scan_rows(d) for d in (5, 32, 10**6)] == [2621, 64, 1]
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+@pytest.mark.parametrize("scan", [
+    lambda dim: search_counterexample(RelationId("U_tr"), dim, 10, 0),
+    lambda dim: dpi_scan("trace", None, dim, 5, 0),
+    lambda dim: haar_triples(dim, 5, 0),
+], ids=["search_counterexample", "dpi_scan", "haar_triples"])
+def test_haar_scans_reject_a_dimension_below_two(scan, dim):
+    with pytest.raises(DimensionTooSmall):
+        scan(dim)
 
 
 @pytest.mark.parametrize("dim", [3, 5])

@@ -3,11 +3,13 @@
     python tools/tier1.py
 
 Runs `python -m pytest -q --continue-on-collection-errors` from the repo
-root with src on PYTHONPATH, under `python -X dev` and without pytest's
-cache, and reads each test's outcome from a JUnit XML report written to a
-temporary directory. The d=2 U_tr volume cell is expected to stay red (the
-stated relation admits about 0.80 of the cube against the reference 0.930;
-see README "Reference volumes and known gaps").
+root with src on PYTHONPATH, under `python -X dev -W error::RuntimeWarning`
+(so a floating-point warning that escapes a kernel fails its test) and
+without pytest's cache, and reads each test's outcome from a JUnit XML
+report written to a temporary directory. The d=2 U_tr volume cell is
+expected to stay red (the stated relation admits about 0.80 of the cube
+against the reference 0.930; see README "Reference volumes and known
+gaps").
 
 Exit 0 when that test is the only one that fails; exit 1 when any other
 test fails or errors, when that test passes or is missing, or when pytest
@@ -45,8 +47,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "tier1.xml"
         subprocess.run(
-            [sys.executable, "-X", "dev", "-m", "pytest", "-q",
-             "--continue-on-collection-errors", "-p", "no:cacheprovider",
+            [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", "-m", "pytest",
+             "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
              f"--junitxml={report}"],
             cwd=ROOT, env=env, check=False)
         if not report.exists():
