@@ -6,7 +6,8 @@ them on the common [0, 1] distance scale used by the trade-off relations;
 `gauge_inverse` maps a divergence value back through G^{-1}. `qdiv`, `cdiv`
 and `gauge_inverse` work in bits; the array kernels take a log base.
 Divergences that can diverge return math.inf, and every consumer of these
-values (gauges, verdicts) handles inf.
+values (gauges, verdicts) handles inf. The kind maps `_dephased` and
+`_classical` give the two sides of each kind's data processing inequality.
 """
 
 import math
@@ -19,11 +20,13 @@ from .qstate import (
     ZERO_CUTOFF,
     DensityMatrix,
     ProbDist,
+    TripleBatch,
     _check_same_dim,
     _pseudo_power,
     _row_sum,
     fidelity,
 )
+from .uncertainty import shannon_entropy
 
 DIVERGENCE_KINDS = (
     "trace",
@@ -216,6 +219,48 @@ def _classical(kind: str, alpha: float | None, q, qp, base: float = 2.0):
     if kind == "relative_entropy":
         return kl_divergence(q, qp, base=base)
     return euclidean_distance(q, qp)
+
+
+def _sandwiched_trace(batch: TripleBatch, alpha: float):
+    """tr (s rho s)^alpha with s = diag(p)^((1-alpha)/(2 alpha)) on the support.
+
+    In the A frame the dephased state is diag(p), so this is the sandwiched
+    Renyi trace against the dephased state, from one batched eigh.
+    """
+    scale = _pseudo_power(batch.p, (1.0 - alpha) / (2.0 * alpha))
+    core = batch.rho * scale[:, :, None]
+    core *= scale[:, None, :]
+    lam = np.clip(np.linalg.eigvalsh(core), 0.0, None)
+    return _row_sum(_pseudo_power(lam, alpha))
+
+
+def _dephased(kind: str, alpha: float | None, batch: TripleBatch, base: float = 2.0):
+    """The quantum side of `kind`'s data processing inequality: the divergence
+    between each state and its A-dephased state, diag(p) in A's frame. For
+    relative_entropy it is the relative entropy of coherence."""
+    p = batch.p
+    if kind == "trace":
+        diff = batch.rho.copy()
+        idx = np.arange(batch.dim)
+        diff[:, idx, idx] -= p
+        return 0.5 * _row_sum(np.abs(np.linalg.eigvalsh(diff)))
+    if kind == "infidelity":
+        f = np.clip(_sandwiched_trace(batch, 0.5), 0.0, 1.0)
+        return np.sqrt(np.clip(1.0 - f**2, 0.0, None))
+    if kind == "renyi_sandwiched":
+        total = _sandwiched_trace(batch, alpha)
+        with np.errstate(divide="ignore"):
+            return np.log(total) / (np.log(base) * (alpha - 1.0))
+    if kind == "tsallis":
+        lam, vec = np.linalg.eigh(batch.rho)
+        lam_a = _pseudo_power(np.clip(lam, 0.0, None), alpha)
+        diag_pow = np.einsum("nik,nk->ni", np.abs(vec) ** 2, lam_a)
+        cross = _row_sum(diag_pow * _pseudo_power(p, 1.0 - alpha))
+        return (1.0 - cross) / (1.0 - alpha)
+    if kind == "relative_entropy":
+        return shannon_entropy(p, base=base) - shannon_entropy(batch.spectrum, base=base)
+    fro2 = np.real(np.abs(batch.rho) ** 2).sum(axis=(1, 2))
+    return np.sqrt(np.clip(fro2 - _row_sum(p**2), 0.0, None))
 
 
 def cdiv(spec: DivergenceSpec, q: ProbDist, qp: ProbDist) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import kl_divergence
+from .divergence import _dephased, kl_divergence
 from .errors import EmptyCounts, KindMismatch, UnsupportedDim
 from .qstate import (
     DensityMatrix,
@@ -153,12 +153,12 @@ def coherence_bounds(rho: DensityMatrix, a: OrthonormalBasis, b: OrthonormalBasi
     """Operational sandwich around the relative entropy of coherence.
 
     upper = H(p), exact = H(p) - S(rho), lower = KL(q || q') with q' the
-    post-dephasing statistics of the second basis: the arrays of A's frame
-    that the relative_entropy DPI margin reads, so exact - lower is that margin.
+    post-dephasing statistics of the second basis. exact and lower are the two
+    sides of the relative_entropy DPI, so exact - lower is its margin.
     """
     batch = _frame_of_one(rho, a, b)
     upper = float(shannon_entropy(batch.p, base=base)[0])
-    exact = max(upper - float(shannon_entropy(batch.spectrum, base=base)[0]), 0.0)
+    exact = max(float(_dephased("relative_entropy", None, batch, base)[0]), 0.0)
     lower = float(kl_divergence(batch.q, batch.qp, base=base)[0])
     return CoherenceBounds(upper, exact, lower, base)
 

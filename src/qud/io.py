@@ -58,29 +58,26 @@ def _complex_rows(path, rows, field, dim):
     return out
 
 
-def load_state(path) -> DensityMatrix:
+def _load(path, field, make):
+    """Read `path`'s dim and d x d `field`, then build the object with `make`."""
     data = _load_json(path)
     dim = _read_dim(path, data)
-    if "rho" not in data:
-        raise SchemaError(f"{path}: missing field 'rho'")
-    matrix = _complex_rows(path, data["rho"], "rho", dim)
+    if field not in data:
+        raise SchemaError(f"{path}: missing field '{field}'")
+    matrix = _complex_rows(path, data[field], field, dim)
     try:
-        return make_density(matrix)
+        return make(matrix)
     except ValidationError as exc:
-        raise SchemaError(f"{path}: 'rho' rejected: {exc}") from None
+        raise SchemaError(f"{path}: '{field}' rejected: {exc}") from None
+
+
+def load_state(path) -> DensityMatrix:
+    return _load(path, "rho", make_density)
 
 
 def load_basis(path) -> OrthonormalBasis:
-    data = _load_json(path)
-    dim = _read_dim(path, data)
-    if "columns" not in data:
-        raise SchemaError(f"{path}: missing field 'columns'")
     # columns[k] is ket k; internal layout keeps kets as matrix columns
-    rows = _complex_rows(path, data["columns"], "columns", dim)
-    try:
-        return make_basis(rows.T)
-    except ValidationError as exc:
-        raise SchemaError(f"{path}: 'columns' rejected: {exc}") from None
+    return _load(path, "columns", lambda rows: make_basis(rows.T))
 
 
 def _pairs(matrix):

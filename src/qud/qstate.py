@@ -449,8 +449,11 @@ def _haar_chunks(dim: int, samples: int, seed: int, pure: bool):
     _scan_rows(dim), seed, chunk=k) draws it, and its first `count` rows
     become the batch and its unitaries W. So a larger budget streams a
     superset of a smaller one, and the memory a caller holds for the draw
-    grows with neither `samples` nor d.
+    grows with neither `samples` nor d. The dimension is checked before the
+    first chunk, so a budget of no samples refuses it too.
     """
+    if dim < 2:
+        raise DimensionTooSmall(f"need dimension >= 2, got {dim}")
     rows = _scan_rows(dim)
     for index, offset, count in _chunks(samples, rows):
         rho, w = _haar_frames(stream(seed, index), rows, dim, pure)

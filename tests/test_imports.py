@@ -5,7 +5,9 @@ since its imports are the public re-exports), every module-level private
 function and class is referenced somewhere outside its own definition, no
 reduction over an axis bypasses the row helpers outside an allow-list,
 complex Gaussians are drawn only by the Haar sampler and the Ginibre states,
-and random streams are made only by `qud.rng`, for the roles it names.
+random streams are made only by `qud.rng`, for the roles it names, relations
+and sweeps reach the kernels through the kind maps, and every source line
+fits in MAX_COLUMNS.
 """
 
 import ast
@@ -13,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from qud.divergence import DIVERGENCE_KINDS
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "qud"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MAX_COLUMNS = 95  # the longest source line, so a line count cannot fall by packing
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,11 +85,11 @@ def test_every_private_def_is_referenced():
 
 # Reductions over an axis that stay numpy's own: the helpers themselves, the
 # single-matrix row and column checks of make_overlap, the d^2-entry
-# Frobenius norm of the Hilbert-Schmidt margin, and the count matrix of
+# Frobenius norm of the Hilbert-Schmidt dephased term, and the count matrix of
 # estimate_coherence. Every other one goes through qstate._row_sum/_row_max.
 AXIS_REDUCTIONS_ALLOWED = {
+    "divergence.py": ["_dephased.sum"],
     "qstate.py": ["_row_max.max", "_row_sum.sum", "make_overlap.sum", "make_overlap.sum"],
-    "sweeps.py": ["dpi_margins.sum"],
     "experiments.py": ["estimate_coherence.sum", "estimate_coherence.sum"],
 }
 
@@ -172,3 +177,24 @@ def test_relations_reach_the_kernels_through_the_kind_maps():
     found = {node.module: sorted(a.name for a in node.names) for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module in kernels}
     assert found == {"divergence": ["_check_order", "_classical"], "uncertainty": ["_measure"]}
+
+
+def test_sweeps_reads_both_dpi_sides_through_the_kind_maps():
+    # the quantum and classical sides of every data processing inequality are
+    # divergence._dephased and divergence._classical, so sweeps holds no
+    # divergence formula and tells no divergence kind from another
+    tree = ast.parse((SRC / "sweeps.py").read_text(encoding="utf-8"))
+    found = {node.module: sorted(a.name for a in node.names) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module in ("divergence", "qstate")}
+    assert found["divergence"] == ["DivergenceSpec", "_classical", "_dephased"]
+    assert not {"_pseudo_power", "_row_sum"} & set(found["qstate"])
+    compared = {side.value for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for side in (node.left, *node.comparators) if isinstance(side, ast.Constant)}
+    assert not compared & set(DIVERGENCE_KINDS)
+
+
+def test_source_lines_fit_in_max_columns():
+    long = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > MAX_COLUMNS]
+    assert long == []

@@ -563,7 +563,8 @@ def test_scan_chunks_shrink_as_one_over_d_squared_above_d4():
     lambda dim: search_counterexample(RelationId("U_tr"), dim, 10, 0),
     lambda dim: dpi_scan("trace", None, dim, 5, 0),
     lambda dim: haar_triples(dim, 5, 0),
-], ids=["search_counterexample", "dpi_scan", "haar_triples"])
+    lambda dim: dpi_scan("trace", None, dim, 0, 0),
+], ids=["search_counterexample", "dpi_scan", "haar_triples", "dpi_scan_no_samples"])
 def test_haar_scans_reject_a_dimension_below_two(scan, dim):
     with pytest.raises(DimensionTooSmall):
         scan(dim)
