@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _dephased, kl_divergence
 from .errors import EmptyCounts, KindMismatch, UnsupportedDim
 from .qstate import (
     DensityMatrix,
@@ -23,9 +22,8 @@ from .qstate import (
     outcome_dist,
     overlap_matrix,
 )
-from .relations import RelationId, _accepts, _shared_arrays
+from .relations import RelationId, _accepts, _dpi_chain, _shared_arrays, relation_sides
 from .rng import _map_chunks, role_stream, stream
-from .uncertainty import shannon_entropy
 
 # Rows per volume chunk. Each worker holds one chunk's arrays at a time, so
 # this sets the peak memory of volume and table2. Each chunk also costs about
@@ -150,17 +148,14 @@ def region_grid(rel: RelationId, c00: float, resolution: int):
 
 def coherence_bounds(rho: DensityMatrix, a: OrthonormalBasis, b: OrthonormalBasis,
                      base: float = 2.0) -> CoherenceBounds:
-    """Operational sandwich around the relative entropy of coherence.
-
-    upper = H(p), exact = H(p) - S(rho), lower = KL(q || q') with q' the
-    post-dephasing statistics of the second basis. exact and lower are the two
-    sides of the relative_entropy DPI, so exact - lower is its margin.
+    """U_re's `_dpi_chain` on one instance: the operational sandwich around the
+    relative entropy of coherence. upper = H(p), exact = H(p) - S(rho) clipped
+    at 0, lower = KL(q || q') with q' the post-dephasing statistics of the
+    second basis. exact and lower are the two sides of the relative_entropy
+    DPI, so exact - lower is its margin.
     """
-    batch = _frame_of_one(rho, a, b)
-    upper = float(shannon_entropy(batch.p, base=base)[0])
-    exact = max(float(_dephased("relative_entropy", None, batch, base)[0]), 0.0)
-    lower = float(kl_divergence(batch.q, batch.qp, base=base)[0])
-    return CoherenceBounds(upper, exact, lower, base)
+    upper, exact, lower = _dpi_chain(RelationId("U_re"), _frame_of_one(rho, a, b), base)
+    return CoherenceBounds(float(upper[0]), max(float(exact[0]), 0.0), float(lower[0]), base)
 
 
 def simulate_shots(rho: DensityMatrix, a: OrthonormalBasis | None,
@@ -186,7 +181,7 @@ def simulate_shots(rho: DensityMatrix, a: OrthonormalBasis | None,
 
 def estimate_coherence(direct: ShotCounts, sequential: ShotCounts,
                        smoothing: float = 0.5, base: float = 2.0):
-    """Plug-in coherence bounds (lower, upper) from finite counts.
+    """Plug-in coherence bounds (lower, upper): U_re's sides on finite counts.
 
     Adds `smoothing` pseudo-counts per cell before normalizing; smoothing 0
     keeps the support-violation semantics (lower may be +inf).
@@ -204,9 +199,8 @@ def estimate_coherence(direct: ShotCounts, sequential: ShotCounts,
     q_hat = (direct.counts + smoothing) / (direct.total + d * smoothing)
     p_hat = (sequential.counts.sum(axis=1) + smoothing) / (sequential.total + d * smoothing)
     qp_hat = (sequential.counts.sum(axis=0) + smoothing) / (sequential.total + d * smoothing)
-    lower = float(kl_divergence(q_hat, qp_hat, base=base))
-    upper = float(shannon_entropy(p_hat, base=base))
-    return lower, upper
+    upper, lower = relation_sides(RelationId("U_re"), p_hat, q_hat, qp_hat, base=base)
+    return float(lower), float(upper)
 
 
 # Reference feasible-region volumes used by the regression suite and the

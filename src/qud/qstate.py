@@ -315,7 +315,7 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
     lam = rho.eigenvalues
     lam = lam[lam > ZERO_CUTOFF]
-    return float(-(lam * np.log(lam)).sum() / np.log(base))
+    return float(-(lam * np.log(lam)).sum() / np.log(base) + 0.0)  # a pure state gives +0.0
 
 
 def _complex_normal(rng, shape):

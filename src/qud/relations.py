@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _check_order, _classical
+from .divergence import _check_order, _classical, _dephased
 from .errors import (
     AlphaOutOfRange,
     InconsistentTriple,
@@ -163,6 +163,14 @@ def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0):
     if var == "printed":
         return _measure("renyi", x, q, base) / x + _measure("renyi", y, p, base), rhs
     return _measure("renyi", x, p, base) + _measure("renyi", y, q, base), rhs
+
+
+def _dpi_chain(rel: RelationId, batch, base: float = 2.0):
+    """(lhs, quantum side, rhs) of the chain lhs >= D(rho||rho_A) >= rhs on a
+    TripleBatch, for a relation that bounds a divergence: its outer terms are
+    `relation_sides`, its middle one its row's kind through `_dephased`."""
+    lhs, rhs = relation_sides(rel, batch.p, batch.q, batch.qp, None, base)
+    return lhs, _dephased(_CATALOG[rel.id][3][2], rel.alpha, batch, base), rhs
 
 
 def satisfied_mask(lhs, rhs):

@@ -20,9 +20,8 @@ from .qstate import (
     _haar_frames,
     _triples,
 )
-from .relations import relation_sides
+from .relations import RelationId, _dpi_chain, relation_sides
 from .rng import stream
-from .uncertainty import delta_measure
 
 
 def haar_triples(dim: int, count: int, seed: int, pure: bool = False,
@@ -71,13 +70,12 @@ def dpi_margin(spec: DivergenceSpec, rho: DensityMatrix, a: OrthonormalBasis,
 
 
 def chain_margins(batch: TripleBatch):
-    """The two links of the universal chain on each sample:
+    """The two links of THM1_UNIVERSAL's chain on each sample:
 
     delta(p) - IF(rho, rho_A)  and  IF(rho, rho_A) - IF(q, q').
 
     IF(q, q') is the universal bound, so the second link is the infidelity
     margin of `dpi_margins`.
     """
-    infid = _dephased("infidelity", None, batch)
-    second = infid - _classical("infidelity", None, batch.q, batch.qp)
-    return delta_measure(batch.p) - infid, second
+    lhs, infid, rhs = _dpi_chain(RelationId("THM1_UNIVERSAL"), batch)
+    return lhs - infid, infid - rhs

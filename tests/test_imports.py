@@ -6,8 +6,8 @@ function and class is referenced somewhere outside its own definition, no
 reduction over an axis bypasses the row helpers outside an allow-list,
 complex Gaussians are drawn only by the Haar sampler and the Ginibre states,
 random streams are made only by `qud.rng`, for the roles it names, relations
-and sweeps reach the kernels through the kind maps, and every source line
-fits in MAX_COLUMNS.
+and sweeps reach the kernels through the kind maps, only `divergence` and
+`uncertainty` import a kernel, and every source line fits in MAX_COLUMNS.
 """
 
 import ast
@@ -176,7 +176,48 @@ def test_relations_reach_the_kernels_through_the_kind_maps():
     kernels = ("divergence", "uncertainty")
     found = {node.module: sorted(a.name for a in node.names) for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module in kernels}
-    assert found == {"divergence": ["_check_order", "_classical"], "uncertainty": ["_measure"]}
+    assert found == {"divergence": ["_check_order", "_classical", "_dephased"],
+                     "uncertainty": ["_measure"]}
+
+
+# What a module outside the kernel layer may import from it: names, order
+# checks and the kind maps, never a kernel
+KERNEL_LAYER_EXPORTS = {
+    "divergence": {"DIVERGENCE_KINDS", "DivergenceSpec", "_check_order", "_classical",
+                   "_dephased"},
+    "uncertainty": {"_measure"},
+}
+
+
+def kernel_imports(source: str) -> list[str]:
+    """`module.name` for every name imported from a kernel-layer module that
+    is not in KERNEL_LAYER_EXPORTS; importing the module itself counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in KERNEL_LAYER_EXPORTS:
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name not in KERNEL_LAYER_EXPORTS[node.module]]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [a.name for a in node.names
+                      if a.name.rpartition(".")[2] in KERNEL_LAYER_EXPORTS]
+    return sorted(found)
+
+
+def test_guard_finds_kernel_imports():
+    source = ("from .divergence import _classical, kl_divergence\n"
+              "from .uncertainty import _measure, shannon_entropy\n"
+              "from . import divergence\nimport qud.uncertainty\n")
+    assert kernel_imports(source) == ["divergence", "divergence.kl_divergence",
+                                      "qud.uncertainty", "uncertainty.shannon_entropy"]
+
+
+def test_only_the_kernel_layer_imports_a_kernel():
+    # only divergence and uncertainty name a kernel; every other module reads
+    # one through a kind map, so the terms of a relation or a DPI chain are
+    # stated once, in its catalog row
+    found = {path.name: kernel_imports(path.read_text(encoding="utf-8")) for path in MODULES
+             if path.stem not in KERNEL_LAYER_EXPORTS}
+    assert found == {path: [] for path in found}
 
 
 def test_sweeps_reads_both_dpi_sides_through_the_kind_maps():

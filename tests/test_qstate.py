@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -312,8 +313,10 @@ def test_fidelity_dimension_mismatch(plus_state):
         fidelity(plus_state, make_density(np.eye(3) / 3))
 
 
-def test_von_neumann_entropy_fixtures(plus_state):
+def test_von_neumann_entropy_fixtures(plus_state, zero_state):
     assert_allclose(von_neumann_entropy(plus_state), 0.0, atol=1e-12)
+    # a pure state's entropy is +0.0, as shannon_entropy's point mass is
+    assert math.copysign(1.0, von_neumann_entropy(zero_state)) == 1.0
     assert_allclose(von_neumann_entropy(make_density(np.eye(2) / 2)), 1.0, atol=1e-12)
     rho = make_density(np.diag([0.75, 0.25]))
     assert_allclose(von_neumann_entropy(rho), 0.8112781244591328, atol=1e-12)

@@ -29,6 +29,7 @@ from qud.qstate import (
     _ginibre_states,
     _haar_unitaries,
     _scan_rows,
+    _triples,
     dephase,
     make_density,
     make_overlap,
@@ -751,3 +752,40 @@ def test_chain_second_link_is_the_infidelity_dpi_margin():
     for dim in (2, 3):
         batch = haar_triples(dim, 4096, 21)
         assert np.array_equal(chain_margins(batch)[1], dpi_margins("infidelity", None, batch))
+
+
+# The rows whose uncertainty term is the quantum side of their DPI at psi_p,
+# and the rows whose term only bounds it
+PSI_P_EXACT = (RelationId("U_re"), RelationId("U_rd", alpha=0.5),
+               RelationId("U_rd", alpha=0.75), RelationId("U_hs"),
+               RelationId("THM1_UNIVERSAL"))
+PSI_P_LOOSE = (RelationId("U_tr"), RelationId("U_tr_prime"), RelationId("U_ts", alpha=0.5))
+
+
+def psi_p_batch(dim, count, seed):
+    """psi_p = sum_i sqrt(p_i)|i>, the pure state whose A-statistics are p,
+    for Dirichlet p, each with a Haar second basis."""
+    rng = stream(seed)
+    psi = np.sqrt(rng.dirichlet(np.ones(dim), count)).astype(complex)
+    return _triples(psi[:, :, None] * psi[:, None, :], _haar_unitaries(rng, count, dim),
+                    pure=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_dpi_chain_is_sharp_at_the_pure_state_of_p(dim):
+    # every pure state with A-statistics p is psi_p up to diagonal phases, so
+    # an exact row's uncertainty term is its DPI's quantum side there, and a
+    # loose row's term never falls below it; data processing holds throughout
+    batch = psi_p_batch(dim, 2000, 80 + dim)
+    for rel in PSI_P_EXACT + PSI_P_LOOSE:
+        lhs, quantum, rhs = relations._dpi_chain(rel, batch)
+        if rel in PSI_P_EXACT:
+            assert np.abs(lhs - quantum).max() <= 1e-12, rel.label()
+        else:
+            assert (lhs - quantum).min() >= -1e-12, rel.label()
+        assert (quantum - rhs).min() >= -1e-8, rel.label()
+    if dim == 2:
+        # k*(U_tr, 2) = sqrt 2: delta(p) = sqrt(2 p0 p1), and the trace
+        # distance from psi_p to diag p is sqrt(p0 p1), its positive eigenvalue
+        lhs, quantum, _ = relations._dpi_chain(RelationId("U_tr"), batch)
+        assert np.abs(lhs - np.sqrt(2.0) * quantum).max() <= 1e-12
