@@ -89,16 +89,17 @@ def euclidean_distance(q, qp):
     return np.sqrt(_row_sum((q - qp) ** 2))
 
 
-def bhattacharyya(q, qp):
-    """Classical fidelity sum sqrt(q q')."""
+def classical_infidelity(q, qp):
+    """sqrt(1 - F^2) for the classical fidelity F = sum sqrt(q q').
+
+    It is computed as sqrt(h (2 - h)) from the squared Hellinger distance
+    h = 1 - F = sum (sqrt q - sqrt q')^2 / 2, clipped to [0, 1], which keeps
+    its digits near F = 1: equal rows give 0 and disjoint supports give 1.
+    """
     q = np.asarray(q, dtype=np.float64)
     qp = np.asarray(qp, dtype=np.float64)
-    return _row_sum(np.sqrt(np.clip(q * qp, 0.0, None)))
-
-
-def classical_infidelity(q, qp):
-    f = bhattacharyya(q, qp)
-    return np.sqrt(np.clip(1.0 - f**2, 0.0, None))
+    h = np.clip(0.5 * _row_sum((np.sqrt(q) - np.sqrt(qp)) ** 2), 0.0, 1.0)
+    return np.sqrt(h * (2.0 - h))
 
 
 def power_overlap(q, qp, alpha: float):
@@ -249,8 +250,8 @@ def _dephased(kind: str, alpha: float | None, batch: TripleBatch, base: float = 
         return np.sqrt(np.clip(1.0 - f**2, 0.0, None))
     if kind == "renyi_sandwiched":
         total = _sandwiched_trace(batch, alpha)
-        with np.errstate(divide="ignore"):
-            return np.log(total) / (np.log(base) * (alpha - 1.0))
+        with np.errstate(divide="ignore"):  # + 0.0: an incoherent state gives +0.0
+            return np.log(total) / (np.log(base) * (alpha - 1.0)) + 0.0
     if kind == "tsallis":
         lam, vec = np.linalg.eigh(batch.rho)
         lam_a = _pseudo_power(np.clip(lam, 0.0, None), alpha)

@@ -77,13 +77,18 @@ def _qubit_overlaps(c00):
 
 
 def _draw_parameters(rng, dim: int, count: int):
-    """One chunk of the data-parameter measure: (p, q, C) arrays."""
+    """One chunk of the data-parameter measure: (p, q, C) arrays.
+
+    d=2 takes three uniforms a row, for p0, q0 and c00. d=3 draws p and q
+    from the flat simplex and C = |U|^2 of a Haar U(3) in closed form, from
+    one more Dirichlet column and two uniforms (`qstate._haar_overlaps`).
+    """
     if dim == 2:
         u = rng.random((count, 3))
         return _qubit_rows(u[:, 0]), _qubit_rows(u[:, 1]), _qubit_overlaps(u[:, 2])
     p = rng.dirichlet(np.ones(3), count)
     q = rng.dirichlet(np.ones(3), count)
-    return p, q, _haar_overlaps(rng, count, 3)
+    return p, q, _haar_overlaps(rng, count)
 
 
 def estimate_volumes(rels, dim: int, samples: int, seed: int,
@@ -91,7 +96,8 @@ def estimate_volumes(rels, dim: int, samples: int, seed: int,
     """Fraction of the data-parameter space admitted by each relation + dual.
 
     d=2 draws (p0, q0, c00) uniform on the cube; d=3 draws p, q from the
-    flat simplex measure and C from a Haar-random unitary. Each chunk is
+    flat simplex measure and C = |U|^2 of a Haar-random unitary U, whose law
+    `_haar_overlaps` draws in closed form, with no unitary built. Each chunk is
     drawn once and every relation is evaluated on it, so each estimate
     equals the one a separate run for its relation alone would give.
     """

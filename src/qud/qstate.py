@@ -347,19 +347,49 @@ def _haar_unitaries(rng, count: int, dim: int, columns: int | None = None):
     return q
 
 
-def _haar_overlaps(rng, count: int, dim: int):
-    """C = |U|^2 of Haar unitaries U, drawing only their first dim-1 columns.
+def _haar_overlaps(rng, count: int):
+    """C = |U|^2 of Haar U(3) unitaries U, in closed form from three draws.
 
-    Each row of a unitary has unit norm, so the last column of C is each
-    row's complement 1 - sum of its other entries, clipped at 0.
+    C does not change under row and column phases, so U's first column can
+    be taken real: r = sqrt(x), where x ~ Dirichlet(1, 1, 1) holds the
+    squared moduli of a uniform unit vector of C^3. Given r, the second
+    column v is uniform on the unit sphere of r's orthogonal complement,
+    which has the real orthonormal basis
+
+        e1 = (r1, -r0, 0) / sqrt(m),  e2 = (r0 r2, r1 r2, -m) / sqrt(m),
+
+    with m = x0 + x1. In it v = a e1 + b e2 with (a, b) uniform on the unit
+    sphere of C^2, so s = |a|^2 ~ U(0, 1) and arg(a conj(b)) = 2 pi t with
+    t ~ U(0, 1), independent of s. Expanding |v_i|^2 gives
+
+        C[0, 1] = (s x1 + (1 - s) x0 x2) / m + k,
+        C[1, 1] = (s x0 + (1 - s) x1 x2) / m - k,
+        C[2, 1] = (1 - s) m,  k = 2 cos(2 pi t) sqrt(s (1 - s) x0 x1 x2) / m,
+
+    and the first two rows are clipped at 0 against rounding. Each row of U
+    has unit norm, so the last column of C is each row's complement
+    1 - sum of its other entries, clipped at 0. From rng it draws x, then
+    (s, t) = rng.random((2, count)): one Dirichlet column and two uniforms a
+    row, where a Ginibre draw would take 12 normals and two Gram-Schmidt steps.
     """
-    u = _haar_unitaries(rng, count, dim, dim - 1)
-    c = np.empty((count, dim, dim))
-    head = c[:, :, :-1]
-    np.abs(u, out=head)
-    head *= head
-    np.subtract(1.0, _row_sum(head), out=c[:, :, -1])
-    np.maximum(c[:, :, -1], 0.0, out=c[:, :, -1])
+    x = rng.dirichlet(np.ones(3), count)
+    s, t = rng.random((2, count))
+    x0, x1, x2 = x.T
+    m = x0 + x1
+    w = 1.0 - s
+    k = np.cos(2.0 * np.pi * t)
+    k *= 2.0 * np.sqrt(s * w * x0 * x1 * x2)
+    w_x2 = w * x2
+    c = np.empty((count, 3, 3))
+    c[:, :, 0] = x
+    col = c[:, :, 1]
+    col[:, 0] = s * x1 + w_x2 * x0 + k
+    col[:, 1] = s * x0 + w_x2 * x1 - k
+    col[:, :2] /= m[:, None]
+    np.maximum(col[:, :2], 0.0, out=col[:, :2])
+    np.multiply(w, m, out=col[:, 2])
+    np.subtract(1.0, _row_sum(c[:, :, :2]), out=c[:, :, 2])
+    np.maximum(c[:, :, 2], 0.0, out=c[:, :, 2])
     return c
 
 

@@ -11,6 +11,7 @@ than adjusted to pass.
 import contextlib
 import csv
 import io
+import math
 import time
 
 import numpy as np
@@ -121,8 +122,25 @@ def test_volume_table_d2():
 
 
 # ---------------------------------------------------------------------------
-# 2. d=3 volume table under the simplex^2 x Haar measure, with a quantified
-#    discrepancy report as the accepted alternative
+# 2. d=3 volume table under the simplex^2 x Haar measure: each cell within
+#    5 combined SE of its pinned 10^7-sample value, with a quantified
+#    discrepancy report against the reference values
+
+
+# The seven cells at 10^7 samples, from the Ginibre-column Haar sampler that
+# drew C = |U|^2 up to commit f4947b2, computed there by
+#     qud table2 --dim 3 --samples 10000000 --seed 7 --format json
+# So this gate also holds the closed-form overlap draw to the old law.
+D3_PINNED_SAMPLES = 10_000_000
+D3_PINNED = {
+    "U_tr": 0.9348554,
+    "U_tr_prime": 0.9354473,
+    "U_rd[alpha=0.5]": 0.9023527,
+    "U_re": 0.8801813,
+    "U_ts[alpha=0.5]": 0.9240591,
+    "U_hs": 0.8671738,
+    "EUR_MU[alpha=1,beta=1]": 0.9996826,
+}
 
 
 def test_volume_table_d3(tmp_path):
@@ -131,9 +149,15 @@ def test_volume_table_d3(tmp_path):
         rel.label(): est
         for rel, est in zip(table, estimate_volumes(table, 3, MILLION, seed=1))
     }
-    rows, outside = [], []
+    rows, outside, off_pinned = [], [], []
     for label, ref in TABLE2_REFERENCE[3].items():
         est = estimates[label]
+        pinned = D3_PINNED[label]
+        se = math.hypot(est.std_error,
+                        math.sqrt(pinned * (1.0 - pinned) / D3_PINNED_SAMPLES))
+        z = (est.volume - pinned) / se
+        if abs(z) > 5.0:
+            off_pinned.append(f"{label} {est.volume:.6f} vs pinned {pinned} (z {z:+.2f})")
         gap = est.volume - ref
         within = abs(gap) <= 0.015
         rows.append([label, 3, est.samples, est.seed,
@@ -157,7 +181,13 @@ def test_volume_table_d3(tmp_path):
         )
     else:
         detail = "all 7 volumes within +/-0.015 of the reference values"
-    assert _report("volume table d=3 (10^6 samples/relation)", True, detail)
+    if off_pinned:
+        pinned_note = f"beyond 5 combined SE of the pinned values: {'; '.join(off_pinned)}"
+    else:
+        pinned_note = "all 7 within 5 combined SE of the pinned 10^7 values"
+    detail = f"{pinned_note}; {detail}"
+    ok = not off_pinned
+    assert _report("volume table d=3 (10^6 samples/relation)", ok, detail), detail
 
 
 # ---------------------------------------------------------------------------

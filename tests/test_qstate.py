@@ -423,25 +423,67 @@ def test_haar_unitaries_equal_phase_fixed_qr(dim):
         assert np.abs(gram_schmidt - reference).max() <= 1e-12
 
 
-def test_haar_overlaps_complete_the_drawn_columns_exactly():
-    # the third column of a unitary is conj(u1 x u2) up to a phase, so the
-    # row complement is its squared modulus
-    u = _haar_unitaries(stream(91), 1 << 14, 3, 2)
-    c = _haar_overlaps(stream(91), 1 << 14, 3)
+def _closed_form_unitaries(rng, count):
+    """The unitaries behind `_haar_overlaps`, rebuilt from the same draws.
+
+    U = [r, v, conj(r x v)]: r = sqrt(x), and v = a e1 + b e2 in the real
+    basis of r's complement, with |a|^2 = s and a conj(b) = sqrt(s (1 - s))
+    exp(2 pi i t).
+    """
+    x = rng.dirichlet(np.ones(3), count)
+    s, t = rng.random((2, count))
+    r = np.sqrt(x)
+    m = x[:, 0] + x[:, 1]
+    e1 = np.stack([r[:, 1], -r[:, 0], np.zeros(count)], axis=1)
+    e2 = np.stack([r[:, 0] * r[:, 2], r[:, 1] * r[:, 2], -m], axis=1)
+    a = np.sqrt(s / m)
+    b = np.sqrt((1.0 - s) / m) * np.exp(-2j * np.pi * t)
+    v = a[:, None] * e1 + b[:, None] * e2
+    return np.stack([r + 0j, v, np.cross(r, v).conj()], axis=2)
+
+
+def test_haar_overlaps_are_the_moduli_of_the_rebuilt_unitaries():
+    u = _closed_form_unitaries(stream(91), 1 << 14)
+    c = _haar_overlaps(stream(91), 1 << 14)
     assert c.shape == (1 << 14, 3, 3)
-    assert np.array_equal(c[:, :, :2], np.abs(u) ** 2)
-    third = np.abs(np.cross(u[:, :, 0], u[:, :, 1]).conj()) ** 2
-    assert np.abs(c[:, :, 2] - third).max() <= 1e-14
+    assert np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(3)).max() <= 1e-12
+    assert np.abs(c - np.abs(u) ** 2).max() <= 1e-14
     assert np.abs(c.sum(axis=2) - 1.0).max() <= 4e-16
     assert np.abs(c.sum(axis=1) - 1.0).max() <= 1e-12
     assert c.min() >= 0.0
+
+
+def _ginibre_overlaps(rng, count):
+    """The reference law: C = |U|^2 of phase-fixed Gram-Schmidt Haar U(3)."""
+    u = _haar_unitaries(rng, count, 3, 2)
+    head = np.abs(u) ** 2
+    return np.concatenate([head, 1.0 - head.sum(axis=2, keepdims=True)], axis=2)
+
+
+def test_haar_overlaps_match_the_ginibre_sampler_in_law():
+    # a two-sample check on 2^18 draws a side: third and fourth moments of
+    # every cell, and the law of the largest overlap, agree within 6 SE
+    n = 1 << 18
+    new = _haar_overlaps(stream(93), n).reshape(n, 9)
+    ref = _ginibre_overlaps(stream(94), n).reshape(n, 9)
+
+    def check(x, y, what):
+        se = np.sqrt(x.var(axis=0) / len(x) + y.var(axis=0) / len(y))
+        z = np.abs(x.mean(axis=0) - y.mean(axis=0)) / se
+        assert (z <= 6).all(), (what, z.max())
+
+    check(new ** 3, ref ** 3, "E C^3")
+    check(new ** 4, ref ** 4, "E C^4")
+    for level in (0.5, 0.6, 0.7, 0.8, 0.9):
+        below = [(x.max(axis=1) <= level).astype(float)[:, None] for x in (new, ref)]
+        check(*below, f"P(max C <= {level})")
 
 
 def test_haar_overlaps_have_the_haar_u3_moments():
     # E C_ij = 1/3 and E C_ij^2 = 1/6 in every cell; E C_ij C_kl = 1/12 for
     # two cells of one row or column and 1/8 otherwise, over every pair of
     # cells, so the completed third column is checked against both kinds
-    c = _haar_overlaps(stream(92), 1 << 18, 3)
+    c = _haar_overlaps(stream(92), 1 << 18)
 
     def check(x, expected):
         se = x.std() / np.sqrt(len(x))

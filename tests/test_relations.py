@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from qud.qstate import (
     _scan_rows,
     _triples,
     dephase,
+    fourier_basis,
     make_density,
     make_overlap,
     make_prob,
@@ -430,8 +432,7 @@ def test_universal_bound_is_the_gauged_maximum(dim):
 def test_universal_bound_fixture(f1):
     _, q, qp, _ = triple_of(*f1)
     assert_allclose(universal_bound(q, qp), RT2, atol=1e-12)
-    # sqrt(1 - x) with x one ulp below 1 floors out near sqrt(eps)
-    assert universal_bound(qp, qp) < 1e-7
+    assert universal_bound(qp, qp) == 0.0
 
 
 def test_universal_bound_dominates_components(f1):
@@ -485,6 +486,26 @@ def test_dpi_margin_nonnegative_and_consistent(f1):
                 spec, outcome_dist(rho_r, b_r), outcome_dist(rho_a, b_r)
             )
             assert abs(margin - direct) < 1e-8, kind
+
+
+def _incoherent_qubit():
+    # the dephasing leaves diag(0.7, 0.3) as it is, so both DPI sides vanish
+    return make_density(np.diag([0.7, 0.3])), standard_basis(2), fourier_basis(2)
+
+
+def test_infidelity_dpi_margin_of_an_incoherent_state_keeps_the_floor():
+    assert dpi_margin(DivergenceSpec("infidelity"), *_incoherent_qubit()) >= -1e-8
+
+
+def test_sandwiched_renyi_dpi_margin_of_an_incoherent_state_is_plus_zero():
+    margin = dpi_margin(DivergenceSpec("renyi_sandwiched", 0.5), *_incoherent_qubit())
+    assert math.copysign(1.0, margin) == 1.0
+
+
+def test_classical_infidelity_is_exact_at_equal_and_disjoint_rows():
+    q = np.random.default_rng(3).dirichlet(np.ones(3), 4096)
+    assert (classical_infidelity(q, q) == 0).all()
+    assert classical_infidelity(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.5])) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
     python tools/tier1.py
 
-Runs `python -m pytest -q --continue-on-collection-errors` from the repo
-root with src on PYTHONPATH, under `python -X dev -W error::RuntimeWarning`
+Runs `python -m pytest -q --continue-on-collection-errors --durations=10`
+from the repo root with src on PYTHONPATH (so every log lists the ten
+slowest tests), under `python -X dev -W error::RuntimeWarning`
 (so a floating-point warning that escapes a kernel fails its test) and
 without pytest's cache, and reads each test's outcome from a JUnit XML
 report written to a temporary directory. The d=2 U_tr volume cell is
@@ -48,7 +49,8 @@ def main() -> int:
         report = Path(tmp) / "tier1.xml"
         subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", "-m", "pytest",
-             "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+             "-q", "--continue-on-collection-errors", "--durations=10",
+             "-p", "no:cacheprovider",
              f"--junitxml={report}"],
             cwd=ROOT, env=env, check=False)
         if not report.exists():
