@@ -250,7 +250,8 @@ def _dephased(kind: str, alpha: float | None, batch: TripleBatch, base: float = 
         return np.sqrt(np.clip(1.0 - f**2, 0.0, None))
     if kind == "renyi_sandwiched":
         total = _sandwiched_trace(batch, alpha)
-        with np.errstate(divide="ignore"):  # + 0.0: an incoherent state gives +0.0
+        # an incoherent state's log 1 / (alpha - 1) is -0.0; + 0.0 makes it +0.0
+        with np.errstate(divide="ignore"):
             return np.log(total) / (np.log(base) * (alpha - 1.0)) + 0.0
     if kind == "tsallis":
         lam, vec = np.linalg.eigh(batch.rho)

@@ -368,9 +368,8 @@ def _haar_overlaps(rng, count: int):
 
     and the first two rows are clipped at 0 against rounding. Each row of U
     has unit norm, so the last column of C is each row's complement
-    1 - sum of its other entries, clipped at 0. From rng it draws x, then
-    (s, t) = rng.random((2, count)): one Dirichlet column and two uniforms a
-    row, where a Ginibre draw would take 12 normals and two Gram-Schmidt steps.
+    1 - sum of its other entries, clipped at 0. It draws x from rng, then
+    (s, t) = rng.random((2, count)).
     """
     x = rng.dirichlet(np.ones(3), count)
     s, t = rng.random((2, count))

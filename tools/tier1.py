@@ -48,10 +48,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "tier1.xml"
         subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", "-m", "pytest",
-             "-q", "--continue-on-collection-errors", "--durations=10",
-             "-p", "no:cacheprovider",
-             f"--junitxml={report}"],
+            [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning",
+             "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10",
+             "-p", "no:cacheprovider", f"--junitxml={report}"],
             cwd=ROOT, env=env, check=False)
         if not report.exists():
             print("tier1: pytest wrote no report", file=sys.stderr)
