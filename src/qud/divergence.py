@@ -22,9 +22,9 @@ from .qstate import (
     ProbDist,
     TripleBatch,
     _check_same_dim,
+    _diagonal_probs,
     _pseudo_power,
     _row_sum,
-    fidelity,
 )
 from .uncertainty import shannon_entropy
 
@@ -148,63 +148,7 @@ def kl_divergence(q, qp, base: float = 2.0):
 
 
 # ---------------------------------------------------------------------------
-# quantum divergences
-
-
-def _trace_distance(rho1, rho2):
-    diff = rho1.matrix - rho2.matrix
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def _sandwiched_renyi(rho1, rho2, alpha):
-    c = (1.0 - alpha) / (2.0 * alpha)
-    half = rho2.power(c)
-    core = half @ rho1.matrix @ half
-    lam = np.clip(np.linalg.eigvalsh((core + core.conj().T) / 2.0), 0.0, None)
-    total = float(_pseudo_power(lam, alpha).sum())
-    if total <= ZERO_CUTOFF:
-        return math.inf
-    return math.log(total) / (math.log(2.0) * (alpha - 1.0))
-
-
-def _tsallis_quantum(rho1, rho2, alpha):
-    cross = float(np.real(np.trace(rho1.power(alpha) @ rho2.power(1.0 - alpha))))
-    return (1.0 - cross) / (1.0 - alpha)
-
-
-def _relative_entropy(rho1, rho2):
-    lam1 = rho1.eigenvalues
-    lam2 = rho2.eigenvalues
-    # mass of rho1 on the kernel of rho2
-    weights = np.real(
-        np.einsum("ij,ik,jk->k", rho1.matrix, rho2.eigenvectors.conj(), rho2.eigenvectors)
-    )
-    weights = np.clip(weights, 0.0, None)
-    kernel = lam2 <= ZERO_CUTOFF
-    if float(weights[kernel].sum()) > SUPPORT_LEAK_TOL:
-        return math.inf
-    on1 = lam1 > ZERO_CUTOFF
-    term1 = float((lam1[on1] * np.log(lam1[on1])).sum())
-    on2 = ~kernel
-    term2 = float((weights[on2] * np.log(lam2[on2])).sum())
-    return (term1 - term2) / math.log(2.0)
-
-
-def qdiv(spec: DivergenceSpec, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Divergence between two states; entropic kinds are in bits."""
-    _check_same_dim(rho1, rho2)
-    if spec.kind == "trace":
-        return _trace_distance(rho1, rho2)
-    if spec.kind == "infidelity":
-        f = fidelity(rho1, rho2)
-        return float(np.sqrt(max(1.0 - f * f, 0.0)))
-    if spec.kind == "renyi_sandwiched":
-        return _sandwiched_renyi(rho1, rho2, spec.alpha)
-    if spec.kind == "tsallis":
-        return _tsallis_quantum(rho1, rho2, spec.alpha)
-    if spec.kind == "relative_entropy":
-        return _relative_entropy(rho1, rho2)
-    return float(np.linalg.norm(rho1.matrix - rho2.matrix))
+# the kind maps and the scalar front ends
 
 
 def _classical(kind: str, alpha: float | None, q, qp, base: float = 2.0):
@@ -223,27 +167,35 @@ def _classical(kind: str, alpha: float | None, q, qp, base: float = 2.0):
 
 
 def _sandwiched_trace(batch: TripleBatch, alpha: float):
-    """tr (s rho s)^alpha with s = diag(p)^((1-alpha)/(2 alpha)) on the support.
+    """tr (s rho s)^alpha with s = diag(p)^((1-alpha)/(2 alpha)) on the support:
+    the sandwiched Renyi trace of each state against diag(p), from one
+    batched eigh.
 
-    In the A frame the dephased state is diag(p), so this is the sandwiched
-    Renyi trace against the dephased state, from one batched eigh.
+    It is 0 where s rho s has no more than ZERO_CUTOFF of trace: there the
+    supports clash, and the power alpha < 1 would lift eigh's rounding on
+    the empty overlap to a finite trace.
     """
     scale = _pseudo_power(batch.p, (1.0 - alpha) / (2.0 * alpha))
     core = batch.rho * scale[:, :, None]
     core *= scale[:, None, :]
     lam = np.clip(np.linalg.eigvalsh(core), 0.0, None)
-    return _row_sum(_pseudo_power(lam, alpha))
+    return np.where(_row_sum(lam) > ZERO_CUTOFF, _row_sum(_pseudo_power(lam, alpha)), 0.0)
 
 
 def _dephased(kind: str, alpha: float | None, batch: TripleBatch, base: float = 2.0):
-    """The quantum side of `kind`'s data processing inequality: the divergence
-    between each state and its A-dephased state, diag(p) in A's frame. For
-    relative_entropy it is the relative entropy of coherence."""
+    """The divergence of each state from diag(p), both in the batch's frame.
+
+    In A's frame diag(p) is the A-dephased state, so this is the quantum side
+    of `kind`'s data processing inequality; for relative_entropy it is the
+    relative entropy of coherence. A support clash gives +inf.
+    """
     p = batch.p
-    if kind == "trace":
+    if kind in ("trace", "hilbert_schmidt"):
         diff = batch.rho.copy()
         idx = np.arange(batch.dim)
         diff[:, idx, idx] -= p
+        if kind == "hilbert_schmidt":
+            return np.sqrt((np.abs(diff) ** 2).sum(axis=(1, 2)))
         return 0.5 * _row_sum(np.abs(np.linalg.eigvalsh(diff)))
     if kind == "infidelity":
         f = np.clip(_sandwiched_trace(batch, 0.5), 0.0, 1.0)
@@ -252,23 +204,42 @@ def _dephased(kind: str, alpha: float | None, batch: TripleBatch, base: float = 
         total = _sandwiched_trace(batch, alpha)
         # an incoherent state's log 1 / (alpha - 1) is -0.0; + 0.0 makes it +0.0
         with np.errstate(divide="ignore"):
-            return np.log(total) / (np.log(base) * (alpha - 1.0)) + 0.0
+            value = np.log(total) / (np.log(base) * (alpha - 1.0)) + 0.0
+        return np.where(total > ZERO_CUTOFF, value, np.inf)
     if kind == "tsallis":
         lam, vec = np.linalg.eigh(batch.rho)
         lam_a = _pseudo_power(np.clip(lam, 0.0, None), alpha)
         diag_pow = np.einsum("nik,nk->ni", np.abs(vec) ** 2, lam_a)
         cross = _row_sum(diag_pow * _pseudo_power(p, 1.0 - alpha))
         return (1.0 - cross) / (1.0 - alpha)
-    if kind == "relative_entropy":
-        return shannon_entropy(p, base=base) - shannon_entropy(batch.spectrum, base=base)
-    fro2 = np.real(np.abs(batch.rho) ** 2).sum(axis=(1, 2))
-    return np.sqrt(np.clip(fro2 - _row_sum(p**2), 0.0, None))
+    # -sum w log p - S(rho), with w rho's diagonal reduced as p is, so on an
+    # A-frame batch w is p and this is H(p) - S(rho) to the bit
+    w = _diagonal_probs(batch.rho)
+    on = p > ZERO_CUTOFF
+    cross = -_row_sum(np.where(on, w * np.log(np.maximum(p, ZERO_CUTOFF)), 0.0))
+    value = cross / np.log(base) + 0.0 - shannon_entropy(batch.spectrum, base=base)
+    return np.where(_row_sum(np.where(on, 0.0, w)) > SUPPORT_LEAK_TOL, np.inf, value)
+
+
+def qdiv(spec: DivergenceSpec, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
+    """Divergence between two states; entropic kinds are in bits.
+
+    In rho2's eigenframe rho2 is diag(lambda), so this is `_dephased` on a
+    batch of one: rho1 in that frame, with p = lambda. Rounding can leave an
+    equal pair a hair below zero, which reads as +0.0.
+    """
+    _check_same_dim(rho1, rho2)
+    v = rho2.eigenvectors
+    batch = TripleBatch((v.conj().T @ rho1.matrix @ v)[None], rho2.eigenvalues[None],
+                        None, None, None, rho1.eigenvalues[None])
+    return max(0.0, float(_dephased(spec.kind, spec.alpha, batch)[0]))
 
 
 def cdiv(spec: DivergenceSpec, q: ProbDist, qp: ProbDist) -> float:
-    """Classical counterpart of `qdiv` on outcome distributions, in bits."""
+    """Classical counterpart of `qdiv` on outcome distributions, in bits; like
+    `qdiv`, it reads a rounding hair below zero as +0.0."""
     _check_same_dim(q, qp)
-    return float(_classical(spec.kind, spec.alpha, q.probs, qp.probs))
+    return max(0.0, float(_classical(spec.kind, spec.alpha, q.probs, qp.probs)))
 
 
 def gauge_inverse(spec: DivergenceSpec, value: float) -> float:

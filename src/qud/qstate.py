@@ -451,11 +451,16 @@ class TripleBatch:
         return np.clip(np.linalg.eigvalsh(self.rho), 0.0, 1.0)
 
 
+def _diagonal_probs(rho):
+    """Each state's diagonal as a distribution: clipped to [0, 1], renormalized."""
+    p = np.clip(np.real(np.einsum("nii->ni", rho)), 0.0, 1.0)
+    return p / _row_sum(p)[:, None]
+
+
 def _triples(rho, w, pure: bool) -> TripleBatch:
     """Reduce A-frame states and unitaries W; a pure spectrum is one-hot."""
     overlap = np.abs(w) ** 2
-    p = np.clip(np.real(np.einsum("nii->ni", rho)), 0.0, 1.0)
-    p = p / _row_sum(p)[:, None]
+    p = _diagonal_probs(rho)
     # Re(w conj(x)) is Re(conj(w) x) to the bit, so conjugating the fresh
     # x = rho W in place spares a copy of conj(W)
     x = rho @ w

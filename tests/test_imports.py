@@ -7,7 +7,8 @@ reduction over an axis bypasses the row helpers outside an allow-list,
 complex Gaussians are drawn only by the Haar sampler and the Ginibre states,
 random streams are made only by `qud.rng`, for the roles it names, relations
 and sweeps reach the kernels through the kind maps, only `divergence` and
-`uncertainty` import a kernel, and every source line fits in MAX_COLUMNS.
+`uncertainty` import a kernel, `divergence` states each quantum divergence
+once, and every source line fits in MAX_COLUMNS.
 """
 
 import ast
@@ -232,6 +233,16 @@ def test_sweeps_reads_both_dpi_sides_through_the_kind_maps():
     compared = {side.value for node in ast.walk(tree) if isinstance(node, ast.Compare)
                 for side in (node.left, *node.comparators) if isinstance(side, ast.Constant)}
     assert not compared & set(DIVERGENCE_KINDS)
+
+
+def test_divergence_states_each_quantum_formula_once():
+    # qdiv is _dephased on a batch of one, so only the batched kernels call
+    # into np.linalg and no second quantum kernel can come back
+    tree = ast.parse((SRC / "divergence.py").read_text(encoding="utf-8"))
+    owners = {getattr(stmt, "name", "<module>") for stmt in tree.body
+              for node in ast.walk(stmt)
+              if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.linalg.")}
+    assert owners == {"_dephased", "_sandwiched_trace"}
 
 
 def test_source_lines_fit_in_max_columns():

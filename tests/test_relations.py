@@ -8,13 +8,13 @@ from numpy.testing import assert_allclose
 from qud import relations
 from qud.divergence import (
     DivergenceSpec,
+    _dephased,
     cdiv,
     classical_infidelity,
     euclidean_distance,
     kl_divergence,
     l1_distance,
     power_overlap,
-    qdiv,
     renyi_divergence,
 )
 from qud.errors import (
@@ -27,6 +27,7 @@ from qud.errors import (
 from qud.experiments import _draw_parameters
 from qud.qstate import (
     TripleBatch,
+    _frame_of_one,
     _ginibre_states,
     _haar_unitaries,
     _scan_rows,
@@ -73,7 +74,7 @@ from qud.uncertainty import (
     shannon_entropy,
 )
 
-from conftest import RT2, triple_of
+from conftest import RT2, oracle_qdiv, triple_of
 
 ALL_RELATIONS = (
     RelationId("U_tr"),
@@ -467,7 +468,7 @@ def test_dpi_margin_nonnegative_and_consistent(f1):
     rho, a, b = f1
     margin = dpi_margin(DivergenceSpec("trace"), rho, a, b)
     p, q, qp, _ = triple_of(rho, a, b)
-    direct = qdiv(DivergenceSpec("trace"), rho, dephase(rho, a)) - cdiv(
+    direct = oracle_qdiv(DivergenceSpec("trace"), rho, dephase(rho, a)) - cdiv(
         DivergenceSpec("trace"), q, qp
     )
     assert_allclose(margin, direct, atol=1e-12)
@@ -482,7 +483,7 @@ def test_dpi_margin_nonnegative_and_consistent(f1):
             spec = DivergenceSpec(kind, alpha)
             margin = dpi_margin(spec, rho_r, a_r, b_r)
             assert margin >= -1e-8
-            direct = qdiv(spec, rho_r, rho_a) - cdiv(
+            direct = oracle_qdiv(spec, rho_r, rho_a) - cdiv(
                 spec, outcome_dist(rho_r, b_r), outcome_dist(rho_a, b_r)
             )
             assert abs(margin - direct) < 1e-8, kind
@@ -500,6 +501,21 @@ def test_infidelity_dpi_margin_of_an_incoherent_state_keeps_the_floor():
 def test_sandwiched_renyi_dpi_margin_of_an_incoherent_state_is_plus_zero():
     margin = dpi_margin(DivergenceSpec("renyi_sandwiched", 0.5), *_incoherent_qubit())
     assert math.copysign(1.0, margin) == 1.0
+
+
+def test_hilbert_schmidt_side_keeps_its_digits_near_incoherence():
+    # [[0.7, eps], [eps, 0.3]] is sqrt(2) eps from its Z-dephased state, and
+    # its Hilbert-Schmidt margin against Z then X is exactly 0
+    z, x = standard_basis(2), fourier_basis(2)
+
+    def rho(eps):
+        return make_density(np.array([[0.7, eps], [eps, 0.3]]))
+
+    for eps in (1e-6, 1e-9, 1e-12):
+        side = _dephased("hilbert_schmidt", None, _frame_of_one(rho(eps), z, x))[0]
+        assert abs(side / (np.sqrt(2.0) * eps) - 1.0) <= 1e-12, eps
+    for eps in np.linspace(1e-9, 5e-8, 200):
+        assert dpi_margin(DivergenceSpec("hilbert_schmidt"), rho(eps), z, x) >= -1e-12, eps
 
 
 def test_classical_infidelity_is_exact_at_equal_and_disjoint_rows():
@@ -721,7 +737,7 @@ def test_dpi_margins_match_scalar_eval():
             rho = make_density(batch.rho[k])
             a = standard_basis(2)
             margin_direct = (
-                qdiv(DivergenceSpec(kind, alpha), rho, dephase(rho, a))
+                oracle_qdiv(DivergenceSpec(kind, alpha), rho, dephase(rho, a))
                 - cdiv(
                     DivergenceSpec(kind, alpha),
                     make_prob(batch.q[k]),
@@ -762,7 +778,7 @@ def test_chain_margins_match_scalar_eval():
     for k in (0, 17):
         rho = make_density(batch.rho[k])
         a = standard_basis(3)
-        infid = qdiv(DivergenceSpec("infidelity"), rho, dephase(rho, a))
+        infid = oracle_qdiv(DivergenceSpec("infidelity"), rho, dephase(rho, a))
         delta = np.sqrt(max(0.0, 1.0 - float((batch.p[k] ** 2).sum())))
         bound = universal_bound(make_prob(batch.q[k]), make_prob(batch.qp[k]))
         assert abs(first[k] - (delta - infid)) < 1e-9
