@@ -187,7 +187,8 @@ def _dephased(kind: str, alpha: float | None, batch: TripleBatch, base: float = 
 
     In A's frame diag(p) is the A-dephased state, so this is the quantum side
     of `kind`'s data processing inequality; for relative_entropy it is the
-    relative entropy of coherence. A support clash gives +inf.
+    relative entropy of coherence. renyi_sandwiched and relative_entropy
+    read +inf on a support clash.
     """
     p = batch.p
     if kind in ("trace", "hilbert_schmidt"):
