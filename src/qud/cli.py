@@ -37,18 +37,11 @@ from .experiments import (
     simulate_shots,
 )
 from .io import _basis_record, _state_record, load_basis, load_state
-from .qstate import (
-    _haar_frames,
-    make_basis,
-    make_density,
-    outcome_dist,
-    overlap_matrix,
-    standard_basis,
-)
+from .qstate import _frame_of_one, _haar_frames, make_basis, make_density, standard_basis
 from .relations import (
     RELATION_IDS,
     RelationId,
-    eval_with_dual,
+    _verdict_pair,
     search_counterexample,
     table2_relations,
 )
@@ -232,10 +225,9 @@ def _load_instance(args):
 def _cmd_verify(args) -> int:
     rel = _relation_from_args(args)
     rho, a, b, source = _load_instance(args)
-    base = _base_value(args.log_base)
-    forward, dual = eval_with_dual(
-        rel, outcome_dist(rho, a), outcome_dist(rho, b), overlap_matrix(a, b), base=base
-    )
+    batch = _frame_of_one(rho, a, b)
+    forward, dual = _verdict_pair(rel, batch.p, batch.q, batch.overlap,
+                                  _base_value(args.log_base))
     _emit({
         "relation": rel.id,
         "variant": rel.variant,
@@ -350,9 +342,10 @@ def _cmd_coherence(args) -> int:
     rho, a, b, source = _load_instance(args)
     base = _base_value(args.log_base)
     if args.shots is not None:
+        smoothing = 0.5 if args.smoothing is None else args.smoothing
         sequential = simulate_shots(rho, a, b, args.shots, args.seed)
         direct = simulate_shots(rho, None, b, args.shots, args.seed)
-        lower, upper = estimate_coherence(direct, sequential, args.smoothing, base=base)
+        lower, upper = estimate_coherence(direct, sequential, smoothing, base=base)
         if math.isinf(lower):
             print("warn: lower estimate unbounded (empirical support violation)",
                   file=sys.stderr)
@@ -360,7 +353,7 @@ def _cmd_coherence(args) -> int:
             "lower_estimate": lower,
             "upper_estimate": upper,
             "shots": args.shots,
-            "smoothing": args.smoothing,
+            "smoothing": smoothing,
             "seed": args.seed,
             "source": source,
             "log_base": args.log_base,
@@ -474,7 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coherence", help="coherence bounds, exact or from shots")
     _add_instance_flags(p)
     p.add_argument("--shots", type=_bounded(int, 1, MAX_SHOTS), default=None)
-    p.add_argument("--smoothing", type=_bounded(float, 0.0), default=0.5)
+    p.add_argument("--smoothing", type=_bounded(float, 0.0), default=None,
+                   help="pseudo-counts per cell of the --shots estimate (default: 0.5)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_coherence)
 
@@ -505,7 +499,11 @@ def _check_output(path) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # smoothing acts on shot counts only: the exact bracket would ignore it
+    if args.command == "coherence" and args.smoothing is not None and args.shots is None:
+        parser.error("argument --smoothing: needs --shots")
     try:
         _check_output(args.output)
         code = args.handler(args)

@@ -19,8 +19,6 @@ from .qstate import (
     _frame_of_one,
     _frozen,
     _haar_overlaps,
-    outcome_dist,
-    overlap_matrix,
 )
 from .relations import RelationId, _accepts, _dpi_chain, _shared_arrays, relation_sides
 from .rng import _map_chunks, role_stream, stream
@@ -168,21 +166,18 @@ def simulate_shots(rho: DensityMatrix, a: OrthonormalBasis | None,
                    b: OrthonormalBasis, n: int, seed: int) -> ShotCounts:
     """Multinomial shot counts for measuring B directly (a=None) or A then B.
 
+    p and C are those of `_frame_of_one`; measuring B directly is measuring
+    it first, so its probabilities are the p of the instance (rho, B, B).
     Each kind draws from its own role stream of `seed`, so neither shares
     bits with the other or with an instance drawn from stream(seed).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if a is None:
-        q = outcome_dist(rho, b).probs
-        counts = role_stream(seed, "direct_B").multinomial(n, q / q.sum())
-        return ShotCounts("direct_B", rho.dim, _frozen(counts), n, seed)
-    p = outcome_dist(rho, a).probs
-    c = overlap_matrix(a, b).entries
-    joint = (p[:, None] * c).ravel()
-    counts = role_stream(seed, "sequential_AB").multinomial(n, joint / joint.sum())
-    return ShotCounts("sequential_AB", rho.dim, _frozen(counts.reshape(rho.dim, rho.dim)),
-                      n, seed)
+    kind = "direct_B" if a is None else "sequential_AB"
+    batch = _frame_of_one(rho, b if a is None else a, b)
+    joint = batch.p[0] if a is None else batch.p[0][:, None] * batch.overlap[0]
+    counts = role_stream(seed, kind).multinomial(n, joint.ravel() / joint.sum())
+    return ShotCounts(kind, rho.dim, _frozen(counts.reshape(joint.shape)), n, seed)
 
 
 def estimate_coherence(direct: ShotCounts, sequential: ShotCounts,

@@ -109,6 +109,11 @@ def _check_matrix(m, what):
     _check_finite(m, what)
 
 
+def _check_dim(dim: int):
+    if dim < 2:
+        raise DimensionTooSmall(f"need dimension >= 2, got {dim}")
+
+
 def _check_same_dim(x, y):
     if x.dim != y.dim:
         raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
@@ -253,27 +258,22 @@ def make_overlap(entries) -> OverlapMatrix:
 
 
 def standard_basis(dim: int) -> OrthonormalBasis:
-    if dim < 2:
-        raise DimensionTooSmall(f"need dimension >= 2, got {dim}")
+    _check_dim(dim)
     return OrthonormalBasis(_frozen(np.eye(dim, dtype=np.complex128)))
 
 
 def fourier_basis(dim: int) -> OrthonormalBasis:
     """Discrete-Fourier basis, mutually unbiased with the standard one."""
-    if dim < 2:
-        raise DimensionTooSmall(f"need dimension >= 2, got {dim}")
+    _check_dim(dim)
     j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     u = np.exp(2j * np.pi * j * k / dim) / np.sqrt(dim)
     return OrthonormalBasis(_frozen(u))
 
 
 def outcome_dist(rho: DensityMatrix, basis: OrthonormalBasis) -> ProbDist:
-    """Born probabilities p_k = <a_k| rho |a_k>."""
-    _check_same_dim(rho, basis)
-    u = basis.kets
-    raw = np.real(np.einsum("ik,ij,jk->k", u.conj(), rho.matrix, u))
-    raw = np.clip(raw, 0.0, 1.0)
-    return ProbDist(_frozen(raw / raw.sum()))
+    """Born probabilities p_k = <a_k| rho |a_k>: the p of `_frame_of_one`, a
+    batch of one with the basis as both A and B."""
+    return ProbDist(_frozen(_frame_of_one(rho, basis, basis).p[0]))
 
 
 def dephase(rho: DensityMatrix, basis: OrthonormalBasis) -> DensityMatrix:
@@ -408,8 +408,7 @@ def _haar_frames(rng, count: int, dim: int, pure: bool):
     unitarily invariant, so this is the law of an independent (rho, U_A, U_B)
     draw rotated into A's frame (Zyczkowski & Sommers 2001).
     """
-    if dim < 2:
-        raise DimensionTooSmall(f"need dimension >= 2, got {dim}")
+    _check_dim(dim)
     if pure:
         kets = _haar_unitaries(rng, count, dim, 1)[:, :, 0]
         rho = kets[:, :, None] * kets[:, None, :].conj()
@@ -486,8 +485,7 @@ def _haar_chunks(dim: int, samples: int, seed: int, pure: bool):
     grows with neither `samples` nor d. The dimension is checked before the
     first chunk, so a budget of no samples refuses it too.
     """
-    if dim < 2:
-        raise DimensionTooSmall(f"need dimension >= 2, got {dim}")
+    _check_dim(dim)
     rows = _scan_rows(dim)
     for index, offset, count in _chunks(samples, rows):
         rho, w = _haar_frames(stream(seed, index), rows, dim, pure)
@@ -505,8 +503,7 @@ def _frame_of_one(rho: DensityMatrix, a: OrthonormalBasis,
 
 def sample(kind: str, dim: int, seed: int):
     """Draw one object of the given kind; bit-reproducible in (kind, dim, seed)."""
-    if dim < 2:
-        raise DimensionTooSmall(f"need dimension >= 2, got {dim}")
+    _check_dim(dim)
     rng = stream(seed)
     if kind in ("haar_state_pure", "haar_state_mixed"):
         rho = _haar_frames(rng, 1, dim, pure=kind == "haar_state_pure")[0]

@@ -247,9 +247,13 @@ def eval_with_dual(rel: RelationId, p: ProbDist, q: ProbDist, c: OverlapMatrix,
     """
     _check_same_dim(p, q)
     _check_same_dim(p, c)
-    p1, q1 = p.probs[None, :], q.probs[None, :]
-    verdicts = _forward_dual(rel, p1, q1, _shared_arrays(p1, q1, c.entries[None]),
-                             _verdict, base)
+    return _verdict_pair(rel, p.probs[None, :], q.probs[None, :], c.entries[None], base)
+
+
+def _verdict_pair(rel: RelationId, p, q, c, base: float = 2.0):
+    """(forward, dual) verdicts of one instance: (1, d) arrays p, q and its
+    (1, d, d) overlaps C, such as the p, q and overlap of `_frame_of_one`."""
+    verdicts = _forward_dual(rel, p, q, _shared_arrays(p, q, c), _verdict, base)
     return verdicts[0], verdicts[-1]
 
 

@@ -1,11 +1,12 @@
 """Acceptance gate: one check per shipped guarantee, each printing a PASS or
 FAIL line so a full run reads as a checklist.
 
-The d=2 volume check is expected to stay red on U_tr: its measured feasible
-volume is ~0.802 at 10^6 samples, far from the reference value 0.930, which
-instead matches a halved-rhs variant of the relation. The reference-volume
-notes in README.md carry the analysis; the check is kept faithful rather
-than adjusted to pass.
+The d=2 U_tr volume cell, test_volume_table_d2, is expected to stay red: its
+measured feasible volume is ~0.802 at 10^6 samples, far from the reference
+value 0.930, which instead matches a halved-rhs variant of the relation. The
+reference-volume notes in README.md carry the analysis; the check is kept
+faithful rather than adjusted to pass. Every other check of that table is a
+separate test, which must pass.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from qud.cli import main
 from qud.divergence import DivergenceSpec, cdiv, qdiv
@@ -68,34 +70,49 @@ def _report(label: str, ok: bool, detail: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # 1. d=2 volume table at 10^6 samples per relation, variant adjudication,
-#    runtime budget
+#    runtime budget. The U_tr cell is its own test, the expected red one, so
+#    every other check of the table must pass.
 
 
-def test_volume_table_d2():
-    table = table2_relations()
-    extra = (
+@pytest.fixture(scope="module")
+def d2_volumes():
+    """(volume by relation label, seconds) of one estimate_volumes call at d=2:
+    the table, printed U_ts and both forms of U_if."""
+    rels = table2_relations() + (
         RelationId("U_ts", "printed", 0.5),
         RelationId("U_if"),
         RelationId("U_if", "printed"),
     )
     start = time.perf_counter()
-    estimates = estimate_volumes(table + extra, 2, MILLION, seed=1)
+    estimates = estimate_volumes(rels, 2, MILLION, seed=1)
     elapsed = time.perf_counter() - start
-    volumes = {rel.label(): est.volume for rel, est in zip(table, estimates)}
-    uts_printed, uif_canon, uif_printed = (est.volume for est in estimates[len(table):])
+    return {rel.label(): est.volume for rel, est in zip(rels, estimates)}, elapsed
+
+
+def test_volume_table_d2(d2_volumes):
+    volumes, _ = d2_volumes
+    ref = TABLE2_REFERENCE[2]["U_tr"]
+    gap = volumes["U_tr"] - ref
+    detail = (f"U_tr measured {volumes['U_tr']:.4f} vs reference {ref} "
+              f"(gap {gap:+.4f}; see README reference-volume notes)")
+    ok = abs(gap) <= 0.01
+    assert _report("volume table d=2, U_tr cell (10^6 samples)", ok, detail), detail
+
+
+def test_volume_table_d2_other_cells_and_adjudication(d2_volumes):
+    volumes, elapsed = d2_volumes
     problems = []
     for label, ref in TABLE2_REFERENCE[2].items():
         gap = volumes[label] - ref
-        if abs(gap) > 0.01:
-            problems.append(
-                f"{label} measured {volumes[label]:.4f} vs reference {ref} "
-                f"(gap {gap:+.4f}; see README reference-volume notes)"
-            )
+        if label != "U_tr" and abs(gap) > 0.01:
+            problems.append(f"{label} measured {volumes[label]:.4f} vs reference {ref} "
+                            f"(gap {gap:+.4f})")
     # adjudication: canonical forms are the hypothesis for the 0.814 / 0.787
     # cells; the printed variants must sit further from them
     uts_ref = TABLE2_REFERENCE[2]["U_ts[alpha=0.5]"]
     uif_ref = TABLE2_REFERENCE[2]["U_rd[alpha=0.5]"]
-    uts_canon = volumes["U_ts[alpha=0.5]"]
+    uts_canon, uts_printed = volumes["U_ts[alpha=0.5]"], volumes["U_ts[alpha=0.5,printed]"]
+    uif_canon, uif_printed = volumes["U_if"], volumes["U_if[printed]"]
     if abs(uts_canon - uts_ref) >= abs(uts_printed - uts_ref):
         problems.append(
             f"U_ts adjudication: canonical {uts_canon:.4f} not closer to "
@@ -110,15 +127,11 @@ def test_volume_table_d2():
         problems.append("shipped default variant is not canonical")
     if elapsed > 60.0:
         problems.append(f"table runtime {elapsed:.1f}s exceeds 60s")
-    summary = ", ".join(f"{k}={v:.4f}" for k, v in volumes.items())
-    detail = (
-        f"{summary}; U_ts printed={uts_printed:.4f}, U_if canonical="
-        f"{uif_canon:.4f}, printed={uif_printed:.4f}; {elapsed:.1f}s"
-    )
+    detail = ", ".join(f"{k}={v:.4f}" for k, v in volumes.items()) + f"; {elapsed:.1f}s"
     if problems:
         detail = "; ".join(problems) + f" [{detail}]"
     ok = not problems
-    assert _report("volume table d=2 (10^6 samples/relation)", ok, detail), detail
+    assert _report("volume table d=2, other cells and adjudication", ok, detail), detail
 
 
 # ---------------------------------------------------------------------------

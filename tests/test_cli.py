@@ -17,7 +17,7 @@ from qud import cli
 from qud.cli import _cell, _emit, main
 from qud.io import save_basis, save_state
 from qud.experiments import VOLUME_CHUNK, ShotCounts, estimate_coherence
-from qud.qstate import fourier_basis, make_density, standard_basis
+from qud.qstate import fourier_basis, make_density, sample, standard_basis
 from qud.relations import SEARCH_CHUNK, RelationId, _accepts, _shared_arrays
 from qud.sweeps import dpi_margins, haar_triples
 
@@ -479,6 +479,39 @@ def test_shots_sequential(instance_files, capsys):
     assert {(r["i"], r["j"]) for r in rows} == {("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")}
 
 
+@pytest.fixture(scope="module")
+def fourier_a_instances(tmp_path_factory):
+    """File flags of ten instances a dimension, d = 2, 3, 4, each measured
+    first in the Fourier basis and then in a Haar-random basis."""
+    root = tmp_path_factory.mktemp("fourier_a")
+    instances = []
+    for dim in (2, 3, 4):
+        fourier = root / f"fourier{dim}.json"
+        save_basis(fourier, fourier_basis(dim))
+        for k in range(10):
+            rho, b = root / f"rho{dim}_{k}.json", root / f"b{dim}_{k}.json"
+            save_state(rho, sample("haar_state_mixed", dim, k))
+            save_basis(b, sample("haar_unitary_basis", dim, 100 + k))
+            instances.append(FILE_FLAGS([str(rho), str(fourier), str(b)]))
+    return instances
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_u_re_sides_are_the_coherence_bracket(fmt, fourier_a_instances, capsys):
+    # each instance is reduced once, in basis A's frame, so verify's U_re
+    # sides H(p) and KL(q||q') are coherence's upper and lower to the bit
+    sampled = [["--dim", str(dim), "--seed", str(seed)]
+               for dim in (2, 3, 4) for seed in range(60)]
+    for instance in sampled + fourier_a_instances:
+        rows = []
+        for command in (["verify", "--relation", "U_re"], ["coherence"]):
+            _, out, _ = run([*command, *instance, "--format", fmt], capsys)
+            rows.append(json.loads(out)["rows"][0] if fmt == "json" else rows_of(out)[0])
+        verify, coherence = rows
+        assert (verify["lhs"], verify["rhs"]) == (coherence["upper"], coherence["lower"]), \
+            instance
+
+
 def test_coherence_shots_are_the_shots_reports_of_its_seed(capsys):
     # coherence --shots draws both records from the seed's own shot streams,
     # which are those of the shots command, not the next seed's instance stream
@@ -609,6 +642,8 @@ def test_unknown_subcommand_exits_two(capsys):
     (["region", "--relation", "U_tr", "--c00", "-0.1"], "--c00"),
     (["region", "--relation", "U_tr", "--c00", "1.5"], "--c00"),
     (["region", "--relation", "U_tr", "--c00", "inf"], "--c00"),
+    # smoothing acts on shot counts, so without --shots it is refused
+    (["coherence", "--dim", "2", "--seed", "1", "--smoothing", "7"], "--smoothing"),
 ])
 def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -161,7 +161,7 @@ def test_random_streams_are_made_only_by_the_rng_roles():
     assert found == {
         "stream": ["cli.py:_load_instance", "experiments.py:estimate_volumes",
                    "qstate.py:_haar_chunks", "qstate.py:sample", "sweeps.py:haar_triples"],
-        "role_stream": ["experiments.py:simulate_shots", "experiments.py:simulate_shots"],
+        "role_stream": ["experiments.py:simulate_shots"],
     }
     for path in MODULES:
         if path.name != "rng.py":
@@ -243,6 +243,17 @@ def test_divergence_states_each_quantum_formula_once():
               for node in ast.walk(stmt)
               if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.linalg.")}
     assert owners == {"_dephased", "_sandwiched_trace"}
+
+
+def test_front_ends_reduce_an_instance_only_in_basis_a_frame():
+    # cli and experiments turn one (rho, A, B) into (p, q, C) through
+    # qstate._frame_of_one alone, so a second Born-rule reduction cannot come back
+    second = {"outcome_dist", "overlap_matrix", "sequential_dist"}
+    for name in ("cli.py", "experiments.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for a in node.names}
+        assert not imported & second, name
 
 
 def test_source_lines_fit_in_max_columns():

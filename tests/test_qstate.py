@@ -20,6 +20,7 @@ from qud.errors import (
 from qud.qstate import (
     SAMPLE_KINDS,
     _complex_normal,
+    _frame_of_one,
     _ginibre_states,
     _haar_frames,
     _haar_overlaps,
@@ -191,6 +192,17 @@ def test_outcome_dist_normalized():
     p = outcome_dist(rho, b).probs
     assert p.min() >= 0.0
     assert_allclose(p.sum(), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_outcome_dist_is_the_p_of_frame_of_one(dim):
+    # one Born rule: a basis's statistics are the p its instance reduces to
+    for seed in range(20):
+        rho = sample("haar_state_mixed", dim, seed)
+        b = sample("haar_unitary_basis", dim, 100 + seed)
+        for a in (sample("haar_unitary_basis", dim, 200 + seed), fourier_basis(dim)):
+            p = _frame_of_one(rho, a, b).p[0]
+            assert outcome_dist(rho, a).probs.tobytes() == p.tobytes()
 
 
 def test_dephase_kills_off_diagonals(plus_state, z_basis):
