@@ -32,7 +32,6 @@ from .qstate import (
     OverlapMatrix,
     ProbDist,
     SAMPLE_KINDS,
-    dephase,
     fidelity,
     fourier_basis,
     make_basis,
@@ -42,23 +41,19 @@ from .qstate import (
     outcome_dist,
     overlap_matrix,
     sample,
-    sequential_dist,
     standard_basis,
-    von_neumann_entropy,
 )
 from .relations import (
     Counterexample,
     RELATION_IDS,
     RelationId,
     RelationVerdict,
-    eval_relation,
     eval_with_dual,
     search_counterexample,
     table2_relations,
-    universal_bound,
 )
 from .sweeps import dpi_margin
-from .uncertainty import UMEASURE_KINDS, UncertaintySpec, majorizes, umeasure
+from .uncertainty import UMEASURE_KINDS, UncertaintySpec, umeasure
 
 __version__ = "0.1.0"
 
@@ -82,17 +77,14 @@ __all__ = [
     "VolumeEstimate",
     "cdiv",
     "coherence_bounds",
-    "dephase",
     "dpi_margin",
     "estimate_coherence",
     "estimate_volume",
     "estimate_volumes",
-    "eval_relation",
     "eval_with_dual",
     "fidelity",
     "fourier_basis",
     "gauge_inverse",
-    "majorizes",
     "make_basis",
     "make_density",
     "make_overlap",
@@ -103,11 +95,8 @@ __all__ = [
     "region_grid",
     "sample",
     "search_counterexample",
-    "sequential_dist",
     "simulate_shots",
     "standard_basis",
     "table2_relations",
     "umeasure",
-    "universal_bound",
-    "von_neumann_entropy",
 ]

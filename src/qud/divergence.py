@@ -95,6 +95,17 @@ def classical_infidelity(q, qp):
     It is computed as sqrt(h (2 - h)) from the squared Hellinger distance
     h = 1 - F = sum (sqrt q - sqrt q')^2 / 2, clipped to [0, 1], which keeps
     its digits near F = 1: equal rows give 0 and disjoint supports give 1.
+
+    It is the largest of the gauged disturbances 1/2 sum|q - q'|,
+    sqrt(1 - S_a^(1/a)) and sqrt(1 - S_a) for 1/2 <= a < 1, where
+    S_a = sum over q_i > 0 of q_i^a q'_i^(1-a), so F = S_(1/2):
+      - 1/2 sum|q - q'| <= sqrt(1 - F^2) (Fuchs & van de Graaf, IEEE TIT 45,
+        1216, 1999);
+      - log S_a is convex in a and S_0 <= 1, so with 1/2 = (1 - t) 0 + t a,
+        t = 1/(2a): log F <= t log S_a, that is S_a^(1/a) >= F^2;
+      - S_a <= 1 (Holder) and 1/a > 1 give S_a >= S_a^(1/a) >= F^2.
+    Every term is thus at most the infidelity, which is itself one of them,
+    so it is the whole of THM1_UNIVERSAL's bound.
     """
     q = np.asarray(q, dtype=np.float64)
     qp = np.asarray(qp, dtype=np.float64)

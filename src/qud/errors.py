@@ -57,10 +57,6 @@ class MissingOverlap(QudError, ValueError):
     """The relation needs an overlap matrix that was not supplied."""
 
 
-class InconsistentTriple(QudError, ValueError):
-    """Supplied disturbed statistics disagree with the overlap matrix."""
-
-
 class UnsupportedDim(QudError, ValueError):
     """The requested dimension is outside the supported set."""
 

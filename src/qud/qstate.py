@@ -1,4 +1,4 @@
-"""States, bases, dephasing, and sequential-measurement statistics.
+"""States, bases, and sequential-measurement statistics.
 
 Everything downstream works with the four frozen value types defined here,
 or with TripleBatch, their batched form in the first basis's frame.
@@ -186,9 +186,6 @@ class OverlapMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def transpose(self) -> "OverlapMatrix":
-        return OverlapMatrix(_frozen(self.entries.T.copy()), self.cmax)
-
 
 def make_density(entries) -> DensityMatrix:
     """Validate a raw matrix and return the cleaned DensityMatrix.
@@ -276,32 +273,12 @@ def outcome_dist(rho: DensityMatrix, basis: OrthonormalBasis) -> ProbDist:
     return ProbDist(_frozen(_frame_of_one(rho, basis, basis).p[0]))
 
 
-def dephase(rho: DensityMatrix, basis: OrthonormalBasis) -> DensityMatrix:
-    """Project onto the basis diagonal: sum_k p_k |a_k><a_k|."""
-    _check_same_dim(rho, basis)
-    p = outcome_dist(rho, basis).probs
-    u = basis.kets
-    matrix = (u * p) @ u.conj().T
-    matrix = (matrix + matrix.conj().T) / 2.0
-    return DensityMatrix(_frozen(matrix), _frozen(p.copy()), _frozen(u.copy()))
-
-
 def overlap_matrix(a: OrthonormalBasis, b: OrthonormalBasis) -> OverlapMatrix:
-    """c_ij = |<a_i|b_j>|^2; unistochastic by construction."""
+    """c_ij = |<a_i|b_j>|^2, unistochastic by construction: the overlap of
+    `_frame_of_one` for any state, bit for bit."""
     _check_same_dim(a, b)
     c = np.abs(a.kets.conj().T @ b.kets) ** 2
-    c = np.clip(c, 0.0, None)
     return OverlapMatrix(_frozen(c), float(c.max()))
-
-
-def sequential_dist(p: ProbDist, c: OverlapMatrix) -> ProbDist:
-    """Statistics of the second measurement after dephasing by the first:
-    q'_j = sum_i p_i c_ij. The dual map, with the roles of the two bases
-    exchanged, is sequential_dist(q, c.transpose()).
-    """
-    _check_same_dim(p, c)
-    out = np.clip(p.probs @ c.entries, 0.0, 1.0)
-    return ProbDist(_frozen(out / out.sum()))
 
 
 def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -310,12 +287,6 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     cross = rho1.power(0.5) @ rho2.power(0.5)
     sv = np.linalg.svd(cross, compute_uv=False)
     return float(np.clip(sv.sum(), 0.0, 1.0))
-
-
-def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
-    lam = rho.eigenvalues
-    lam = lam[lam > ZERO_CUTOFF]
-    return float(-(lam * np.log(lam)).sum() / np.log(base) + 0.0)  # a pure state gives +0.0
 
 
 def _complex_normal(rng, shape):

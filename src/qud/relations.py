@@ -1,5 +1,4 @@
-"""The trade-off catalog: relations, duals, the universal bound, and
-counterexample search.
+"""The trade-off catalog: relations, duals and counterexample search.
 
 Each relation compares an uncertainty functional of the first measurement's
 statistics p against a disturbance functional of (q, q'), where q is the
@@ -15,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _check_order, _classical, _dephased
-from .errors import (
-    AlphaOutOfRange,
-    InconsistentTriple,
-    MissingOverlap,
-    ValidationError,
-)
+from .errors import AlphaOutOfRange, MissingOverlap, ValidationError
 from . import qstate
 from .qstate import (
     DensityMatrix,
@@ -32,7 +26,6 @@ from .qstate import (
     _matrix_max,
     make_basis,
     make_density,
-    sequential_dist,
     standard_basis,
 )
 from .uncertainty import _measure
@@ -64,7 +57,6 @@ VERDICT_RTOL = 1e-9
 SEARCH_MARGIN = -1e-6
 # rows per scan chunk up to d=4 (qstate._scan_rows), read here by the benchmark
 SEARCH_CHUNK = qstate.SEARCH_CHUNK
-TRIPLE_TOL = 1e-9
 _FLOAT_MAX = np.finfo(np.float64).max
 
 
@@ -217,27 +209,6 @@ def _verdict(lhs, rhs, index: int = 0) -> RelationVerdict:
     return RelationVerdict(lhs, rhs, lhs - rhs, bool(satisfied_mask(lhs, rhs)))
 
 
-def eval_relation(rel: RelationId, p: ProbDist, q: ProbDist, qp: ProbDist,
-                  c: OverlapMatrix | None = None, base: float = 2.0) -> RelationVerdict:
-    """Evaluate one relation on the statistics triple (p, q, q').
-
-    When the overlap matrix is supplied, q' is checked against the
-    sequential map C^T p to 1e-9; EUR_* relations require it for cmax.
-    """
-    _check_same_dim(p, q)
-    _check_same_dim(p, qp)
-    cmax = None
-    if c is not None:
-        expected = sequential_dist(p, c)
-        drift = float(np.max(np.abs(expected.probs - qp.probs)))
-        if drift > TRIPLE_TOL:
-            raise InconsistentTriple(f"qp deviates from C^T p by {drift:.3g}")
-        cmax = np.array([c.cmax])
-    return _verdict(*relation_sides(
-        rel, p.probs[None, :], q.probs[None, :], qp.probs[None, :], cmax, base
-    ))
-
-
 def eval_with_dual(rel: RelationId, p: ProbDist, q: ProbDist, c: OverlapMatrix,
                    base: float = 2.0) -> tuple[RelationVerdict, RelationVerdict]:
     """Forward verdict on (p, q, C^T p) and dual on (q, p, C q).
@@ -255,23 +226,6 @@ def _verdict_pair(rel: RelationId, p, q, c, base: float = 2.0):
     (1, d, d) overlaps C, such as the p, q and overlap of `_frame_of_one`."""
     verdicts = _forward_dual(rel, p, q, _shared_arrays(p, q, c), _verdict, base)
     return verdicts[0], verdicts[-1]
-
-
-def universal_bound(q: ProbDist, qp: ProbDist) -> float:
-    """The classical infidelity sqrt(1 - F^2), F = sum sqrt(q q').
-
-    This is the largest of the gauged disturbances 1/2 sum|q - q'|,
-    sqrt(1 - S_a^(1/a)) and sqrt(1 - S_a) for 1/2 <= a < 1, where
-    S_a = sum over q_i > 0 of q_i^a q'_i^(1-a), so F = S_(1/2):
-      - 1/2 sum|q - q'| <= sqrt(1 - F^2) (Fuchs & van de Graaf, IEEE TIT 45,
-        1216, 1999);
-      - log S_a is convex in a and S_0 <= 1, so with 1/2 = (1 - t) 0 + t a,
-        t = 1/(2a): log F <= t log S_a, that is S_a^(1/a) >= F^2;
-      - S_a <= 1 (Holder) and 1/a > 1 give S_a >= S_a^(1/a) >= F^2.
-    Every term is thus at most the infidelity, which is itself one of them.
-    """
-    _check_same_dim(q, qp)
-    return float(_classical("infidelity", None, q.probs[None, :], qp.probs[None, :])[0])
 
 
 def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,

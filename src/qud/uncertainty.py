@@ -1,4 +1,4 @@
-"""Uncertainty measures over outcome distributions, plus majorization.
+"""Uncertainty measures over outcome distributions.
 
 The array kernels accept any batch shape and reduce over the last axis;
 `_measure` maps a kind to its kernel, and `umeasure` is that map on one
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRange
-from .qstate import ZERO_CUTOFF, ProbDist, _check_same_dim, _row_sum
+from .qstate import ZERO_CUTOFF, ProbDist, _row_sum
 
 UMEASURE_KINDS = ("delta", "renyi", "shannon", "half_norm")
 
@@ -89,10 +89,3 @@ def umeasure(spec: UncertaintySpec, p: ProbDist, base: float = 2.0) -> float:
     """Evaluate the chosen measure on one distribution (bits by default)."""
     return float(_measure(spec.kind, spec.alpha, p.probs, base))
 
-
-def majorizes(p1: ProbDist, p2: ProbDist) -> bool:
-    """True when every partial sum of p1 (sorted down) weakly dominates p2's."""
-    _check_same_dim(p1, p2)
-    a = np.cumsum(np.sort(p1.probs)[::-1])
-    b = np.cumsum(np.sort(p2.probs)[::-1])
-    return bool(np.all(a - b >= -1e-10))

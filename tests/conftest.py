@@ -1,6 +1,14 @@
 """Shared fixtures: the qubit instance used throughout (plus state, Z then X),
-and `oracle_qdiv`, the scalar quantum divergences as first written, one
-kernel per kind, kept as the reference `qdiv` must match.
+and the independent checks the tests hold the program to:
+
+- `oracle_qdiv`, the scalar quantum divergences as first written, one
+  kernel per kind, kept as the reference `qdiv` must match;
+- `oracle_dephase`, the A-dephased state built as a matrix, and
+  `sequential_dist`, the classical q' = p C, which the A-frame reduction
+  must factor through;
+- `majorizes`, the partial-sum order behind the Schur-concavity checks;
+- `verdict_of`, one relation judged on one (p, q, q') triple from
+  `relation_sides` and `satisfied_mask` alone, with no forward/dual rule.
 """
 
 import math
@@ -12,6 +20,9 @@ from qud.divergence import SUPPORT_LEAK_TOL, DivergenceSpec
 from qud.qstate import (
     ZERO_CUTOFF,
     DensityMatrix,
+    OrthonormalBasis,
+    OverlapMatrix,
+    ProbDist,
     _check_same_dim,
     _pseudo_power,
     fidelity,
@@ -19,9 +30,9 @@ from qud.qstate import (
     make_density,
     outcome_dist,
     overlap_matrix,
-    sequential_dist,
     standard_basis,
 )
+from qud.relations import RelationId, RelationVerdict, relation_sides, satisfied_mask
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -59,6 +70,48 @@ def triple_of(rho, a, b):
     c = overlap_matrix(a, b)
     qp = sequential_dist(p, c)
     return p, q, qp, c
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles the package no longer carries
+
+
+def oracle_dephase(rho: DensityMatrix, basis: OrthonormalBasis) -> DensityMatrix:
+    """Project onto the basis diagonal: sum_k p_k |a_k><a_k|."""
+    _check_same_dim(rho, basis)
+    p = outcome_dist(rho, basis).probs
+    u = basis.kets
+    matrix = (u * p) @ u.conj().T
+    matrix = (matrix + matrix.conj().T) / 2.0
+    return DensityMatrix(matrix, p.copy(), u.copy())
+
+
+def sequential_dist(p: ProbDist, c: OverlapMatrix) -> ProbDist:
+    """Statistics of the second measurement after dephasing by the first:
+    q'_j = sum_i p_i c_ij. With the roles of the two bases exchanged, the
+    dual map is the forward map of make_overlap(c.entries.T).
+    """
+    _check_same_dim(p, c)
+    out = np.clip(p.probs @ c.entries, 0.0, 1.0)
+    return ProbDist(out / out.sum())
+
+
+def majorizes(p1: ProbDist, p2: ProbDist) -> bool:
+    """True when every partial sum of p1 (sorted down) weakly dominates p2's."""
+    _check_same_dim(p1, p2)
+    a = np.cumsum(np.sort(p1.probs)[::-1])
+    b = np.cumsum(np.sort(p2.probs)[::-1])
+    return bool(np.all(a - b >= -1e-10))
+
+
+def verdict_of(rel: RelationId, p: ProbDist, q: ProbDist, qp: ProbDist,
+               c: OverlapMatrix | None = None) -> RelationVerdict:
+    """The forward verdict of one relation on (p, q, q'), in bits; the
+    overlap matrix supplies cmax, which only the EUR_* relations read."""
+    cmax = None if c is None else np.array([c.cmax])
+    sides = relation_sides(rel, p.probs[None], q.probs[None], qp.probs[None], cmax)
+    lhs, rhs = (float(side[0]) for side in sides)
+    return RelationVerdict(lhs, rhs, lhs - rhs, bool(satisfied_mask(lhs, rhs)))
 
 
 # ---------------------------------------------------------------------------

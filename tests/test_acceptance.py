@@ -32,7 +32,6 @@ from qud.experiments import (
 from qud.qstate import (
     _ginibre_states,
     _haar_unitaries,
-    dephase,
     make_density,
     make_prob,
 )
@@ -40,11 +39,9 @@ from qud.relations import (
     RelationId,
     _accepts,
     _shared_arrays,
-    eval_relation,
     relation_sides,
     search_counterexample,
     table2_relations,
-    universal_bound,
 )
 from qud.rng import stream
 from qud.sweeps import chain_margins, dpi_margins, haar_triples
@@ -52,13 +49,12 @@ from qud.uncertainty import (
     UncertaintySpec,
     delta_measure,
     half_norm_measure,
-    majorizes,
     renyi_entropy,
     shannon_entropy,
     umeasure,
 )
 
-from conftest import RT2, triple_of
+from conftest import RT2, majorizes, oracle_dephase, triple_of, verdict_of
 
 MILLION = 1_000_000
 
@@ -303,10 +299,10 @@ def test_printed_variant_adjudication(plus_state, zero_state, z_basis, x_basis):
     problems = []
     uts_printed = RelationId("U_ts", "printed", 0.5)
     eur_printed = RelationId("EUR_TS", "printed", 0.5)
-    v1 = eval_relation(uts_printed, *triple_of(plus_state, z_basis, x_basis))
+    v1 = verdict_of(uts_printed, *triple_of(plus_state, z_basis, x_basis))
     if abs(v1.margin + 1.0 / 3.0) > 1e-9:
         problems.append(f"printed U_ts fixture margin {v1.margin:.6f} != -1/3")
-    v2 = eval_relation(eur_printed, *triple_of(zero_state, z_basis, x_basis))
+    v2 = verdict_of(eur_printed, *triple_of(zero_state, z_basis, x_basis))
     if abs(v2.margin + 1.0 / 3.0) > 1e-9:
         problems.append(f"printed EUR_TS fixture margin {v2.margin:.6f} != -1/3")
     hit_uts = search_counterexample(uts_printed, 2, 10_000, seed=1)
@@ -347,11 +343,11 @@ def test_printed_variant_adjudication(plus_state, zero_state, z_basis, x_basis):
 
 def test_tightness_fixtures(plus_state, z_basis, x_basis):
     p, q, qp, _ = triple_of(plus_state, z_basis, x_basis)
-    rho_a = dephase(plus_state, z_basis)
+    rho_a = oracle_dephase(plus_state, z_basis)
     checks = [
         ("delta(p)", umeasure(UncertaintySpec("delta"), p), RT2, 1e-9),
         ("IF(rho,rho_A)", qdiv(DivergenceSpec("infidelity"), plus_state, rho_a), RT2, 1e-9),
-        ("universal bound", universal_bound(q, qp), RT2, 1e-9),
+        ("universal bound", cdiv(DivergenceSpec("infidelity"), q, qp), RT2, 1e-9),
         ("H(p)", umeasure(UncertaintySpec("shannon"), p), 1.0, 1e-9),
         ("S(rho||rho_A)", qdiv(DivergenceSpec("relative_entropy"), plus_state, rho_a), 1.0, 1e-9),
         ("KL(q||q')", cdiv(DivergenceSpec("relative_entropy"), q, qp), 1.0, 1e-9),

@@ -597,53 +597,75 @@ def test_unknown_subcommand_exits_two(capsys):
     capsys.readouterr()
 
 
+# Each row keeps the id it was first recorded under, so a row inserted
+# anywhere renames no other; a new row takes a new id of its own.
 @pytest.mark.parametrize("argv, flag", [
-    (["dpi", "--divergence", "trace", "--samples", "0"], "--samples"),
-    (["dpi", "--divergence", "trace", "--dim", "1"], "--dim"),
-    (["search", "--relation", "U_tr", "--samples", "0"], "--samples"),
-    (["search", "--relation", "U_tr", "--dim", "1"], "--dim"),
-    (["verify", "--relation", "U_tr", "--dim", "1"], "--dim"),
-    (["coherence", "--dim", "1"], "--dim"),
-    (["shots", "--dim", "1"], "--dim"),
-    (["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "0"], "--workers"),
-    (["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "-3"], "--workers"),
-    (["table2", "--samples", "1000", "--workers", "0"], "--workers"),
-    (["dpi", "--divergence", "trace", "--seed", "-1"], "--seed"),
-    (["search", "--relation", "U_tr", "--seed", "-1"], "--seed"),
-    (["verify", "--relation", "U_tr", "--seed", "-1"], "--seed"),
-    (["volume", "--relation", "U_tr", "--seed", "-1"], "--seed"),
-    (["table2", "--seed", "-1"], "--seed"),
-    (["coherence", "--seed", "-1"], "--seed"),
-    (["shots", "--seed", "-1"], "--seed"),
-    (["dpi", "--divergence", "trace", "--samples", "ten"], "--samples"),
-    (["volume", "--relation", "U_tr", "--dim", "4"], "--dim"),
-    (["table2", "--dim", "1"], "--dim"),
-    (["volume", "--relation", "U_tr", "--samples", "999"], "--samples"),
-    (["table2", "--samples", "0"], "--samples"),
-    (["region", "--relation", "U_tr", "--c00", "0.5", "--resolution", "1"], "--resolution"),
-    (["coherence", "--shots", "0"], "--shots"),
-    (["shots", "--n", "-1"], "--n"),
+    pytest.param(["dpi", "--divergence", "trace", "--samples", "0"],
+                 "--samples", id="argv0---samples"),
+    pytest.param(["dpi", "--divergence", "trace", "--dim", "1"], "--dim", id="argv1---dim"),
+    pytest.param(["search", "--relation", "U_tr", "--samples", "0"],
+                 "--samples", id="argv2---samples"),
+    pytest.param(["search", "--relation", "U_tr", "--dim", "1"], "--dim", id="argv3---dim"),
+    pytest.param(["verify", "--relation", "U_tr", "--dim", "1"], "--dim", id="argv4---dim"),
+    pytest.param(["coherence", "--dim", "1"], "--dim", id="argv5---dim"),
+    pytest.param(["shots", "--dim", "1"], "--dim", id="argv6---dim"),
+    pytest.param(["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "0"],
+                 "--workers", id="argv7---workers"),
+    pytest.param(["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "-3"],
+                 "--workers", id="argv8---workers"),
+    pytest.param(["table2", "--samples", "1000", "--workers", "0"],
+                 "--workers", id="argv9---workers"),
+    pytest.param(["dpi", "--divergence", "trace", "--seed", "-1"],
+                 "--seed", id="argv10---seed"),
+    pytest.param(["search", "--relation", "U_tr", "--seed", "-1"],
+                 "--seed", id="argv11---seed"),
+    pytest.param(["verify", "--relation", "U_tr", "--seed", "-1"],
+                 "--seed", id="argv12---seed"),
+    pytest.param(["volume", "--relation", "U_tr", "--seed", "-1"],
+                 "--seed", id="argv13---seed"),
+    pytest.param(["table2", "--seed", "-1"], "--seed", id="argv14---seed"),
+    pytest.param(["coherence", "--seed", "-1"], "--seed", id="argv15---seed"),
+    pytest.param(["shots", "--seed", "-1"], "--seed", id="argv16---seed"),
+    pytest.param(["dpi", "--divergence", "trace", "--samples", "ten"],
+                 "--samples", id="argv17---samples"),
+    pytest.param(["volume", "--relation", "U_tr", "--dim", "4"], "--dim", id="argv18---dim"),
+    pytest.param(["table2", "--dim", "1"], "--dim", id="argv19---dim"),
+    pytest.param(["volume", "--relation", "U_tr", "--samples", "999"],
+                 "--samples", id="argv20---samples"),
+    pytest.param(["table2", "--samples", "0"], "--samples", id="argv21---samples"),
+    pytest.param(["region", "--relation", "U_tr", "--c00", "0.5", "--resolution", "1"],
+                 "--resolution", id="argv22---resolution"),
+    pytest.param(["coherence", "--shots", "0"], "--shots", id="argv23---shots"),
+    pytest.param(["shots", "--n", "-1"], "--n", id="argv24---n"),
     # numpy's multinomial takes at most 2^63 - 1 shots
-    (["shots", "--n", str(2**63)], "--n"),
-    (["shots", "--kind", "sequential_AB", "--n", "1" + "0" * 400], "--n"),
-    (["coherence", "--shots", str(2**63)], "--shots"),
+    pytest.param(["shots", "--n", str(2**63)], "--n", id="argv25---n"),
+    pytest.param(["shots", "--kind", "sequential_AB", "--n", "1" + "0" * 400],
+                 "--n", id="argv26---n"),
+    pytest.param(["coherence", "--shots", str(2**63)], "--shots", id="argv27---shots"),
     # at most 32 pool threads, each holding one chunk
-    (["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "33"], "--workers"),
-    (["table2", "--samples", "1000", "--workers", "33"], "--workers"),
+    pytest.param(["volume", "--relation", "U_tr", "--samples", "1000", "--workers", "33"],
+                 "--workers", id="argv28---workers"),
+    pytest.param(["table2", "--samples", "1000", "--workers", "33"],
+                 "--workers", id="argv29---workers"),
     # the float flags: finite and in range, read or not
-    (["coherence", "--dim", "2", "--smoothing", "nan"], "--smoothing"),
-    (["coherence", "--dim", "2", "--smoothing", "-1"], "--smoothing"),
-    (["coherence", "--dim", "2", "--seed", "1", "--shots", "100", "--smoothing", "nan"],
-     "--smoothing"),
-    (["coherence", "--dim", "2", "--seed", "1", "--shots", "100", "--smoothing", "inf"],
-     "--smoothing"),
-    (["coherence", "--dim", "2", "--smoothing", "half"], "--smoothing"),
-    (["region", "--relation", "U_tr", "--c00", "nan"], "--c00"),
-    (["region", "--relation", "U_tr", "--c00", "-0.1"], "--c00"),
-    (["region", "--relation", "U_tr", "--c00", "1.5"], "--c00"),
-    (["region", "--relation", "U_tr", "--c00", "inf"], "--c00"),
+    pytest.param(["coherence", "--dim", "2", "--smoothing", "nan"],
+                 "--smoothing", id="argv30---smoothing"),
+    pytest.param(["coherence", "--dim", "2", "--smoothing", "-1"],
+                 "--smoothing", id="argv31---smoothing"),
+    pytest.param(["coherence", "--dim", "2", "--seed", "1", "--shots", "100",
+                  "--smoothing", "nan"], "--smoothing", id="argv32---smoothing"),
+    pytest.param(["coherence", "--dim", "2", "--seed", "1", "--shots", "100",
+                  "--smoothing", "inf"], "--smoothing", id="argv33---smoothing"),
+    pytest.param(["coherence", "--dim", "2", "--smoothing", "half"],
+                 "--smoothing", id="argv34---smoothing"),
+    pytest.param(["region", "--relation", "U_tr", "--c00", "nan"], "--c00", id="argv35---c00"),
+    pytest.param(["region", "--relation", "U_tr", "--c00", "-0.1"],
+                 "--c00", id="argv36---c00"),
+    pytest.param(["region", "--relation", "U_tr", "--c00", "1.5"], "--c00", id="argv37---c00"),
+    pytest.param(["region", "--relation", "U_tr", "--c00", "inf"], "--c00", id="argv38---c00"),
     # smoothing acts on shot counts, so without --shots it is refused
-    (["coherence", "--dim", "2", "--seed", "1", "--smoothing", "7"], "--smoothing"),
+    pytest.param(["coherence", "--dim", "2", "--seed", "1", "--smoothing", "7"],
+                 "--smoothing", id="argv39---smoothing"),
 ])
 def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -32,19 +32,17 @@ from qud.qstate import (
     outcome_dist,
     overlap_matrix,
     sample,
-    sequential_dist,
 )
 from qud.relations import (
     RelationId,
     _accepts,
     _shared_arrays,
-    eval_relation,
     table2_relations,
 )
 from qud.rng import role_stream, stream
 from qud.sweeps import dpi_margin
 
-from conftest import triple_of
+from conftest import sequential_dist, triple_of, verdict_of
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +51,10 @@ from conftest import triple_of
 
 def _scalar_admits(rel, p, q, c):
     # forward verdict on (p, q, C) and on the transposed instance (q, p, C^T),
-    # each from eval_relation alone, not from the shared forward/dual rule
+    # each from verdict_of alone, not from the shared forward/dual rule
     def forward(p, q, c):
         p, c = make_prob(p), make_overlap(c)
-        return eval_relation(rel, p, make_prob(q), sequential_dist(p, c), c).satisfied
+        return verdict_of(rel, p, make_prob(q), sequential_dist(p, c), c).satisfied
 
     return forward(p, q, c) and forward(q, p, c.T)
 

@@ -1,4 +1,4 @@
-"""Guards over the package source.
+"""Guards over the package source and its public surface.
 
 Every package module uses every name it imports (`__init__.py` is exempt,
 since its imports are the public re-exports), every module-level private
@@ -8,17 +8,22 @@ complex Gaussians are drawn only by the Haar sampler and the Ginibre states,
 random streams are made only by `qud.rng`, for the roles it names, relations
 and sweeps reach the kernels through the kind maps, only `divergence` and
 `uncertainty` import a kernel, `divergence` states each quantum divergence
-once, and every source line fits in MAX_COLUMNS.
+once, and every source line fits in MAX_COLUMNS. `qud.__all__` is pinned,
+and every qud name the benchmark's probes read resolves.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import qud
 from qud.divergence import DIVERGENCE_KINDS
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qud"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qud"
+BENCH_LAYERS = ROOT / "bench" / "layers.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 MAX_COLUMNS = 95  # the longest source line, so a line count cannot fall by packing
 
@@ -248,7 +253,7 @@ def test_divergence_states_each_quantum_formula_once():
 def test_front_ends_reduce_an_instance_only_in_basis_a_frame():
     # cli and experiments turn one (rho, A, B) into (p, q, C) through
     # qstate._frame_of_one alone, so a second Born-rule reduction cannot come back
-    second = {"outcome_dist", "overlap_matrix", "sequential_dist"}
+    second = {"outcome_dist", "overlap_matrix"}
     for name in ("cli.py", "experiments.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
         imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -261,3 +266,86 @@ def test_source_lines_fit_in_max_columns():
             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > MAX_COLUMNS]
     assert long == []
+
+
+# What the instrument, its README quick start and its benchmark call. A name
+# comes back into the public surface only by an edit here.
+PUBLIC_SURFACE = (
+    "CoherenceBounds", "Counterexample", "DIVERGENCE_KINDS", "DensityMatrix",
+    "DivergenceSpec", "OrthonormalBasis", "OverlapMatrix", "ProbDist", "QudError",
+    "RELATION_IDS", "RelationId", "RelationVerdict", "SAMPLE_KINDS", "ShotCounts",
+    "UMEASURE_KINDS", "UncertaintySpec", "VolumeEstimate", "cdiv", "coherence_bounds",
+    "dpi_margin", "estimate_coherence", "estimate_volume", "estimate_volumes",
+    "eval_with_dual", "fidelity", "fourier_basis", "gauge_inverse", "make_basis",
+    "make_density", "make_overlap", "make_prob", "outcome_dist", "overlap_matrix",
+    "qdiv", "region_grid", "sample", "search_counterexample", "simulate_shots",
+    "standard_basis", "table2_relations", "umeasure",
+)
+
+
+def test_the_public_surface_is_pinned():
+    assert tuple(qud.__all__) == PUBLIC_SURFACE
+    assert len(set(qud.__all__)) == len(qud.__all__)
+    for name in qud.__all__:
+        assert hasattr(qud, name), name
+
+
+def qud_reads(source: str) -> list[str]:
+    """`module.name` for every qud name a script reads: `mod.name` on a module
+    bound by `from qud import mod`, each `from qud.mod import name`, and
+    `getattr(mod, var)` inside `for var, ... in TABLE`, for the first entry of
+    each row of the module-level literal TABLE."""
+    tree = ast.parse(source)
+    tables = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+            try:
+                tables[stmt.targets[0].id] = ast.literal_eval(stmt.value)
+            except ValueError:
+                pass
+    modules, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "qud":
+            modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qud."):
+            found.update(f"{node.module[4:]}.{a.name}" for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add(f"{node.value.id}.{node.attr}")
+        if not (isinstance(node, ast.For) and isinstance(node.iter, ast.Name)
+                and node.iter.id in tables and isinstance(node.target, ast.Tuple)):
+            continue
+        var = node.target.elts[0].id
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and ast.unparse(call.func) == "getattr"
+                    and ast.unparse(call.args[0]) in modules
+                    and ast.unparse(call.args[1]) == var):
+                found.update(f"{call.args[0].id}.{row[0]}" for row in tables[node.iter.id])
+    return sorted(found)
+
+
+def test_guard_finds_qud_reads():
+    source = ("from qud import relations, sweeps\nfrom qud.relations import RelationId\n"
+              "ROWS = (('relation_sides', ()), ('gone', (0.5,)))\n"
+              "def f(other):\n"
+              "    for name, extra in ROWS:\n"
+              "        getattr(relations, name)(*extra)\n"
+              "        getattr(other, name)\n"
+              "    return sweeps.haar_triples, other.x\n")
+    assert qud_reads(source) == ["relations.RelationId", "relations.gone",
+                                 "relations.relation_sides", "sweeps.haar_triples"]
+
+
+def resolves(read: str) -> bool:
+    module, _, name = read.partition(".")
+    return hasattr(importlib.import_module(f"qud.{module}"), name)
+
+
+def test_every_qud_name_the_benchmark_reads_resolves():
+    # the benchmark's probes call the program by name; a name deleted or
+    # renamed here would otherwise first fail in bench/smoke.py
+    reads = qud_reads(BENCH_LAYERS.read_text(encoding="utf-8"))
+    assert {"uncertainty.shannon_entropy", "divergence.power_overlap",
+            "sweeps.relation_margins", "relations.RelationId"} <= set(reads)
+    assert [read for read in reads if not resolves(read)] == []

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from qud.qstate import (
     _row_max,
     _row_sum,
     _triples,
-    dephase,
     fidelity,
     fourier_basis,
     make_basis,
@@ -38,13 +36,11 @@ from qud.qstate import (
     outcome_dist,
     overlap_matrix,
     sample,
-    sequential_dist,
     standard_basis,
-    von_neumann_entropy,
 )
 from qud.rng import ROLE_KEYS, role_stream, stream
 
-from conftest import RT2, triple_of
+from conftest import RT2, oracle_dephase, sequential_dist, triple_of
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +161,6 @@ def test_make_overlap_validation():
         make_overlap([[np.inf, 0.0], [0.0, 1.0]])
 
 
-def test_overlap_transpose():
-    c = make_overlap([[0.3, 0.7], [0.7, 0.3]])
-    assert_allclose(c.transpose().entries, c.entries.T, atol=0)
-
-
 # ---------------------------------------------------------------------------
 # bases, statistics, dephasing
 
@@ -206,7 +197,7 @@ def test_outcome_dist_is_the_p_of_frame_of_one(dim):
 
 
 def test_dephase_kills_off_diagonals(plus_state, z_basis):
-    rho_a = dephase(plus_state, z_basis)
+    rho_a = oracle_dephase(plus_state, z_basis)
     frame = z_basis.kets.conj().T @ rho_a.matrix @ z_basis.kets
     off = frame - np.diag(np.diag(frame))
     assert np.abs(off).max() < 1e-10
@@ -216,8 +207,8 @@ def test_dephase_kills_off_diagonals(plus_state, z_basis):
 def test_dephase_is_a_fixed_point():
     rho = sample("haar_state_mixed", 3, 21)
     b = sample("haar_unitary_basis", 3, 22)
-    once = dephase(rho, b)
-    twice = dephase(once, b)
+    once = oracle_dephase(rho, b)
+    twice = oracle_dephase(once, b)
     assert_allclose(twice.matrix, once.matrix, atol=1e-12)
 
 
@@ -225,7 +216,7 @@ def test_dephase_preserves_basis_statistics():
     rho = sample("haar_state_mixed", 3, 31)
     b = sample("haar_unitary_basis", 3, 32)
     assert_allclose(
-        outcome_dist(dephase(rho, b), b).probs, outcome_dist(rho, b).probs, atol=1e-10
+        outcome_dist(oracle_dephase(rho, b), b).probs, outcome_dist(rho, b).probs, atol=1e-10
     )
 
 
@@ -238,7 +229,8 @@ def test_sequential_dist_directions():
     c = make_overlap([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]])
     q = make_prob([0.2, 0.3, 0.5])
     assert_allclose(sequential_dist(q, c).probs, [0.3, 0.3, 0.4], atol=1e-12)
-    assert_allclose(sequential_dist(q, c.transpose()).probs, [0.25, 0.375, 0.375], atol=1e-12)
+    dual = sequential_dist(q, make_overlap(c.entries.T)).probs
+    assert_allclose(dual, [0.25, 0.375, 0.375], atol=1e-12)
 
 
 def test_sequential_dist_dimension_mismatch():
@@ -247,7 +239,8 @@ def test_sequential_dist_dimension_mismatch():
 
 
 def test_dephase_factorizes_through_the_overlap_matrix():
-    # q' computed on the dephased state agrees with the classical propagation
+    # the q' = p C of the A-frame reduction is the B-statistics of the
+    # A-dephased state
     per_dim = {2: 3400, 3: 3300, 4: 3300}
     for dim, cases in per_dim.items():
         rng = stream(900 + dim)
@@ -258,9 +251,23 @@ def test_dephase_factorizes_through_the_overlap_matrix():
             rho = make_density(states[k])
             a = make_basis(ua[k])
             b = make_basis(ub[k])
-            left = outcome_dist(dephase(rho, a), b).probs
-            right = sequential_dist(outcome_dist(rho, a), overlap_matrix(a, b)).probs
+            rho_a = oracle_dephase(rho, a).matrix
+            left = np.real(np.einsum("ij,ik,jk->k", rho_a, b.kets.conj(), b.kets))
+            right = _frame_of_one(rho, a, b).qp[0]
             assert np.abs(left - right).max() < 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_overlap_matrix_is_the_overlap_of_frame_of_one(dim):
+    # one overlap formula: a basis pair's C is the overlap its instance reduces to
+    rng = stream(950 + dim)
+    states = _ginibre_states(rng, 200, dim)
+    ua = _haar_unitaries(rng, 200, dim)
+    ub = _haar_unitaries(rng, 200, dim)
+    for k in range(200):
+        a, b = make_basis(ua[k]), make_basis(ub[k])
+        c = _frame_of_one(make_density(states[k]), a, b).overlap[0]
+        assert overlap_matrix(a, b).entries.tobytes() == c.tobytes()
 
 
 def test_overlap_matrix_is_doubly_stochastic_in_bulk():
@@ -323,16 +330,6 @@ def test_fidelity_unitary_invariance():
 def test_fidelity_dimension_mismatch(plus_state):
     with pytest.raises(DimensionMismatch):
         fidelity(plus_state, make_density(np.eye(3) / 3))
-
-
-def test_von_neumann_entropy_fixtures(plus_state, zero_state):
-    assert_allclose(von_neumann_entropy(plus_state), 0.0, atol=1e-12)
-    # a pure state's entropy is +0.0, as shannon_entropy's point mass is
-    assert math.copysign(1.0, von_neumann_entropy(zero_state)) == 1.0
-    assert_allclose(von_neumann_entropy(make_density(np.eye(2) / 2)), 1.0, atol=1e-12)
-    rho = make_density(np.diag([0.75, 0.25]))
-    assert_allclose(von_neumann_entropy(rho), 0.8112781244591328, atol=1e-12)
-    assert_allclose(von_neumann_entropy(rho, base=np.e), 0.5623351446188083, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from qud.divergence import (
 from qud.errors import (
     AlphaOutOfRange,
     DimensionTooSmall,
-    InconsistentTriple,
     MissingOverlap,
     ValidationError,
 )
@@ -32,7 +31,6 @@ from qud.qstate import (
     _haar_unitaries,
     _scan_rows,
     _triples,
-    dephase,
     fourier_basis,
     make_density,
     make_overlap,
@@ -40,7 +38,6 @@ from qud.qstate import (
     outcome_dist,
     overlap_matrix,
     sample,
-    sequential_dist,
     standard_basis,
 )
 from qud.relations import (
@@ -50,13 +47,11 @@ from qud.relations import (
     RelationId,
     _accepts,
     _shared_arrays,
-    eval_relation,
     eval_with_dual,
     relation_sides,
     satisfied_mask,
     search_counterexample,
     table2_relations,
-    universal_bound,
 )
 from qud.rng import stream
 from qud.sweeps import (
@@ -74,7 +69,14 @@ from qud.uncertainty import (
     shannon_entropy,
 )
 
-from conftest import RT2, oracle_qdiv, triple_of
+from conftest import (
+    RT2,
+    oracle_dephase,
+    oracle_qdiv,
+    sequential_dist,
+    triple_of,
+    verdict_of,
+)
 
 ALL_RELATIONS = (
     RelationId("U_tr"),
@@ -177,7 +179,7 @@ def test_catalog_contents():
 
 def test_fixture_verdicts(f1):
     p, q, qp, c = triple_of(*f1)
-    v = eval_relation(RelationId("U_tr"), p, q, qp, c)
+    v = verdict_of(RelationId("U_tr"), p, q, qp, c)
     assert_allclose(v.lhs, RT2, atol=1e-12)
     assert_allclose(v.rhs, 0.5, atol=1e-12)
     assert_allclose(v.margin, 0.20710678118654757, atol=1e-12)
@@ -195,32 +197,32 @@ def test_fixture_verdicts(f1):
         "EUR_MU": RelationId("EUR_MU", alpha=1.0, beta=1.0),
     }
     for rel in tight_zero.values():
-        v = eval_relation(rel, p, q, qp, c)
+        v = verdict_of(rel, p, q, qp, c)
         assert v.satisfied, rel.label()
         assert abs(v.margin) < 1e-9, rel.label()
 
 
 def test_printed_variants_fail_their_fixtures(f1, zero_state, z_basis, x_basis):
     p, q, qp, c = triple_of(*f1)
-    v = eval_relation(RelationId("U_ts", "printed", 0.5), p, q, qp, c)
+    v = verdict_of(RelationId("U_ts", "printed", 0.5), p, q, qp, c)
     assert not v.satisfied
     assert_allclose(v.lhs, 2.0 / 3.0, atol=1e-12)
     assert_allclose(v.rhs, 1.0, atol=1e-12)
     assert_allclose(v.margin, -1.0 / 3.0, atol=1e-12)
 
     p0, q0, qp0, c0 = triple_of(zero_state, z_basis, x_basis)
-    v0 = eval_relation(RelationId("EUR_TS", "printed", 0.5), p0, q0, qp0, c0)
+    v0 = verdict_of(RelationId("EUR_TS", "printed", 0.5), p0, q0, qp0, c0)
     assert not v0.satisfied
     assert_allclose(v0.margin, -1.0 / 3.0, atol=1e-12)
     # the canonical orientation holds on the same instance
-    vc = eval_relation(RelationId("EUR_TS", alpha=0.5), p0, q0, qp0, c0)
+    vc = verdict_of(RelationId("EUR_TS", alpha=0.5), p0, q0, qp0, c0)
     assert vc.satisfied
 
 
 def test_printed_u_if_holds_at_the_fixture(f1):
     # both readings are tight here; adjudication needs the volume scan
     p, q, qp, c = triple_of(*f1)
-    v = eval_relation(RelationId("U_if", "printed"), p, q, qp, c)
+    v = verdict_of(RelationId("U_if", "printed"), p, q, qp, c)
     assert v.satisfied
     assert abs(v.margin) < 1e-9
 
@@ -230,7 +232,7 @@ def test_zero_disturbance_always_satisfied(f1):
     p, q, qp, c = triple_of(rho, a, a)
     assert_allclose(qp.probs, q.probs, atol=1e-12)
     for rel in ALL_RELATIONS:
-        v = eval_relation(rel, p, q, qp, c)
+        v = verdict_of(rel, p, q, qp, c)
         assert v.satisfied, rel.label()
 
 
@@ -238,7 +240,7 @@ def test_unbounded_rhs_is_a_violation():
     p = make_prob([0.5, 0.5])
     q = make_prob([1.0, 0.0])
     qp = make_prob([0.0, 1.0])
-    v = eval_relation(RelationId("U_re"), p, q, qp)
+    v = verdict_of(RelationId("U_re"), p, q, qp)
     assert v.rhs == np.inf
     assert v.margin == -np.inf
     assert not v.satisfied
@@ -280,12 +282,11 @@ def test_satisfied_mask_keeps_the_two_pass_rule_on_the_edges():
             assert np.ndim(one) == 0 and bool(one) == bool(_two_pass_mask(a, b))
 
 
-def test_eval_relation_error_paths(f1):
-    p, q, qp, c = triple_of(*f1)
+def test_an_eur_relation_without_cmax_is_a_missing_overlap(f1):
+    p, q, qp, _ = triple_of(*f1)
     with pytest.raises(MissingOverlap):
-        eval_relation(RelationId("EUR_MU", alpha=1.0, beta=1.0), p, q, qp)
-    with pytest.raises(InconsistentTriple):
-        eval_relation(RelationId("U_tr"), p, q, q, c)
+        relation_sides(RelationId("EUR_MU", alpha=1.0, beta=1.0),
+                       p.probs[None], q.probs[None], qp.probs[None])
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +397,8 @@ def test_relation_sides_match_the_catalog_formulas(rel):
 
 # The universal bound as first written: the largest of 24 gauged classical
 # disturbances (l1, the infidelity, and a Renyi and a Tsallis gauge at each
-# order of this grid). Kept as the reference `universal_bound` must match.
+# order of this grid). Kept as the reference THM1_UNIVERSAL's bound, the
+# classical infidelity, must match.
 REFERENCE_ALPHA_GRID = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
 
 
@@ -426,21 +428,21 @@ def test_universal_bound_is_the_gauged_maximum(dim):
     assert (reference - bound).max() <= 1e-7
     assert (classical_infidelity(q, qp) == 1.0).any()  # some supports are disjoint
     for k in range(0, len(q), len(q) // 16):
-        scalar = universal_bound(make_prob(q[k]), make_prob(qp[k]))
+        scalar = cdiv(DivergenceSpec("infidelity"), make_prob(q[k]), make_prob(qp[k]))
         assert_allclose(scalar, bound[k], rtol=1e-12, atol=1e-15)
 
 
 def test_universal_bound_fixture(f1):
     _, q, qp, _ = triple_of(*f1)
-    assert_allclose(universal_bound(q, qp), RT2, atol=1e-12)
-    assert universal_bound(qp, qp) == 0.0
+    infidelity = DivergenceSpec("infidelity")
+    assert_allclose(cdiv(infidelity, q, qp), RT2, atol=1e-12)
+    assert cdiv(infidelity, qp, qp) == 0.0
 
 
 def test_universal_bound_dominates_components(f1):
     _, q, qp, _ = triple_of(*f1)
-    bound = universal_bound(q, qp)
+    bound = cdiv(DivergenceSpec("infidelity"), q, qp)
     assert bound >= cdiv(DivergenceSpec("trace"), q, qp) - 1e-12
-    assert bound >= cdiv(DivergenceSpec("infidelity"), q, qp) - 1e-12
 
 
 def test_dual_swaps_roles(f1):
@@ -468,7 +470,7 @@ def test_dpi_margin_nonnegative_and_consistent(f1):
     rho, a, b = f1
     margin = dpi_margin(DivergenceSpec("trace"), rho, a, b)
     p, q, qp, _ = triple_of(rho, a, b)
-    direct = oracle_qdiv(DivergenceSpec("trace"), rho, dephase(rho, a)) - cdiv(
+    direct = oracle_qdiv(DivergenceSpec("trace"), rho, oracle_dephase(rho, a)) - cdiv(
         DivergenceSpec("trace"), q, qp
     )
     assert_allclose(margin, direct, atol=1e-12)
@@ -476,7 +478,7 @@ def test_dpi_margin_nonnegative_and_consistent(f1):
         rho_r = sample("haar_state_mixed", 3, 300 + seed)
         a_r = sample("haar_unitary_basis", 3, 400 + seed)
         b_r = sample("haar_unitary_basis", 3, 500 + seed)
-        rho_a = dephase(rho_r, a_r)
+        rho_a = oracle_dephase(rho_r, a_r)
         for kind, alpha in (("trace", None), ("infidelity", None),
                             ("renyi_sandwiched", 0.75), ("tsallis", 0.5),
                             ("relative_entropy", None), ("hilbert_schmidt", None)):
@@ -536,7 +538,7 @@ def test_search_finds_printed_tsallis_violation():
     assert 0 <= found.sample_index < 1000
     # the returned instance replays to the same verdict
     p, q, qp, c = triple_of(found.state, found.basis_a, found.basis_b)
-    replay = eval_relation(rel, p, q, qp, c)
+    replay = verdict_of(rel, p, q, qp, c)
     assert_allclose(replay.margin, found.verdict.margin, atol=1e-9)
     again = search_counterexample(rel, 2, 1000, 1)
     assert again.sample_index == found.sample_index
@@ -718,7 +720,7 @@ def test_relation_margins_match_scalar_eval():
             q = make_prob(batch.q[k])
             c = make_overlap(batch.overlap[k])
             qp = sequential_dist(p, c)
-            v = eval_relation(rel, p, q, qp, c)
+            v = verdict_of(rel, p, q, qp, c)
             if np.isinf(v.margin):
                 assert np.isinf(margins[k])
             else:
@@ -737,7 +739,7 @@ def test_dpi_margins_match_scalar_eval():
             rho = make_density(batch.rho[k])
             a = standard_basis(2)
             margin_direct = (
-                oracle_qdiv(DivergenceSpec(kind, alpha), rho, dephase(rho, a))
+                oracle_qdiv(DivergenceSpec(kind, alpha), rho, oracle_dephase(rho, a))
                 - cdiv(
                     DivergenceSpec(kind, alpha),
                     make_prob(batch.q[k]),
@@ -778,9 +780,10 @@ def test_chain_margins_match_scalar_eval():
     for k in (0, 17):
         rho = make_density(batch.rho[k])
         a = standard_basis(3)
-        infid = oracle_qdiv(DivergenceSpec("infidelity"), rho, dephase(rho, a))
+        infid = oracle_qdiv(DivergenceSpec("infidelity"), rho, oracle_dephase(rho, a))
         delta = np.sqrt(max(0.0, 1.0 - float((batch.p[k] ** 2).sum())))
-        bound = universal_bound(make_prob(batch.q[k]), make_prob(batch.qp[k]))
+        bound = cdiv(DivergenceSpec("infidelity"), make_prob(batch.q[k]),
+                     make_prob(batch.qp[k]))
         assert abs(first[k] - (delta - infid)) < 1e-9
         assert abs(second[k] - (infid - bound)) < 1e-9
 

@@ -11,13 +11,12 @@ from qud.uncertainty import (
     _measure,
     delta_measure,
     half_norm_measure,
-    majorizes,
     renyi_entropy,
     shannon_entropy,
     umeasure,
 )
 
-from conftest import RT2
+from conftest import RT2, majorizes
 
 
 def test_spec_validation():
