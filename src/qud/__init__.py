@@ -32,7 +32,6 @@ from .qstate import (
     OverlapMatrix,
     ProbDist,
     SAMPLE_KINDS,
-    fidelity,
     fourier_basis,
     make_basis,
     make_density,
@@ -82,7 +81,6 @@ __all__ = [
     "estimate_volume",
     "estimate_volumes",
     "eval_with_dual",
-    "fidelity",
     "fourier_basis",
     "gauge_inverse",
     "make_basis",

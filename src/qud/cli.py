@@ -14,6 +14,7 @@ reader closed the output pipe.
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -414,6 +415,7 @@ def _add_volume_flags(p) -> None:
                         f"{MAX_DEFAULT_WORKERS})")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so a process builds it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qud",

@@ -22,7 +22,7 @@ from .errors import (
     NotPositive,
     TraceNotOne,
 )
-from .rng import _chunks, stream
+from .rng import stream
 
 VALIDATION_TOL = 1e-8
 
@@ -281,14 +281,6 @@ def overlap_matrix(a: OrthonormalBasis, b: OrthonormalBasis) -> OverlapMatrix:
     return OverlapMatrix(_frozen(c), float(c.max()))
 
 
-def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho2) rho1 sqrt(rho2)), clipped to [0, 1]."""
-    _check_same_dim(rho1, rho2)
-    cross = rho1.power(0.5) @ rho2.power(0.5)
-    sv = np.linalg.svd(cross, compute_uv=False)
-    return float(np.clip(sv.sum(), 0.0, 1.0))
-
-
 def _complex_normal(rng, shape):
     """rng.standard_normal(shape) + 1j * rng.standard_normal(shape), filled in
     place: all real parts are drawn first, so stream and values are the same,
@@ -442,25 +434,18 @@ def _triples(rho, w, pure: bool) -> TripleBatch:
 
 
 def _scan_rows(dim: int) -> int:
-    """Rows per scan chunk at dimension dim: SEARCH_CHUNK up to d=4, then fewer."""
+    """Rows per scan chunk at dimension dim >= 2: SEARCH_CHUNK up to d=4, then fewer."""
+    _check_dim(dim)
     return max(1, _SCAN_ENTRIES // max(dim, 4) ** 2)
 
 
-def _haar_chunks(dim: int, samples: int, seed: int, pure: bool):
-    """Yield (offset, batch, w) for `samples` Haar draws, one scan chunk at a time.
-
-    Chunk k is drawn whole from stream(seed, k), as haar_triples(dim,
-    _scan_rows(dim), seed, chunk=k) draws it, and its first `count` rows
-    become the batch and its unitaries W. So a larger budget streams a
-    superset of a smaller one, and the memory a caller holds for the draw
-    grows with neither `samples` nor d. The dimension is checked before the
-    first chunk, so a budget of no samples refuses it too.
-    """
-    _check_dim(dim)
-    rows = _scan_rows(dim)
-    for index, offset, count in _chunks(samples, rows):
-        rho, w = _haar_frames(stream(seed, index), rows, dim, pure)
-        yield offset, _triples(rho[:count], w[:count], pure), w[:count]
+def _scan_chunk(dim: int, seed: int, pure: bool, index: int, count: int):
+    """(batch, w): the first `count` rows of scan chunk `index` and their W,
+    drawn whole from stream(seed, index) as haar_triples(dim, _scan_rows(dim),
+    seed, chunk=index) draws it. So a larger budget scans a superset of a
+    smaller one, and a scan's memory grows with neither its budget nor d."""
+    rho, w = _haar_frames(stream(seed, index), _scan_rows(dim), dim, pure)
+    return _triples(rho[:count], w[:count], pure), w[:count]
 
 
 def _frame_of_one(rho: DensityMatrix, a: OrthonormalBasis,

@@ -22,12 +22,14 @@ from .qstate import (
     OverlapMatrix,
     ProbDist,
     _check_same_dim,
-    _haar_chunks,
     _matrix_max,
+    _scan_chunk,
+    _scan_rows,
     make_basis,
     make_density,
     standard_basis,
 )
+from .rng import _map_chunks
 from .uncertainty import _measure
 
 # The catalog, one row per id: the divergence kind whose order range its
@@ -232,21 +234,24 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
                           base: float = 2.0) -> Counterexample | None:
     """Scan Haar-random pure states and basis pairs for a violation.
 
-    Returns the first instance with margin < -1e-6 (absolute), scanning
-    fixed-size chunks with per-chunk derived streams; deterministic in seed
-    and independent of chunk scheduling. Every chunk is drawn whole and a
-    short last chunk scans its first samples, so a larger budget scans a
-    superset of a smaller one. A hit is drawn in basis A's frame and carries
-    the sides its scan computed.
+    Returns the first instance with margin < -1e-6 (absolute): each chunk's
+    first hit, folded in chunk order, stops the scan, so no later chunk is
+    drawn. Chunks have derived streams, each is drawn whole and a short last
+    chunk scans its first samples, so a larger budget scans a superset of a
+    smaller one. A hit is drawn in basis A's frame and carries the sides its
+    scan computed.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    for offset, batch, w in _haar_chunks(dim, budget, seed, pure=True):
+
+    def first_hit(index, offset, count):
+        batch, w = _scan_chunk(dim, seed, True, index, count)
         lhs, rhs = relation_sides(rel, batch.p, batch.q, batch.qp, batch.cmax, base)
         with np.errstate(invalid="ignore"):
             bad = np.nonzero((lhs - rhs) < SEARCH_MARGIN)[0]
-        if bad.size:
+        if bad.size:  # else the chunk's result is None
             i = int(bad[0])
             return Counterexample(make_density(batch.rho[i]), standard_basis(dim),
                                   make_basis(w[i]), _verdict(lhs, rhs, i), offset + i)
-    return None
+
+    return next(filter(None, _map_chunks(first_hit, budget, _scan_rows(dim), 1)), None)

@@ -1,9 +1,9 @@
-"""Seeded random streams: one per role, with a fixed chunk-splitting rule.
+"""Seeded random streams, one per role, and the one chunk runner.
 
 A seed's plain stream, `stream(seed)`, draws a command's sampled instance.
-A chunked run draws chunk k from the spawn key (k,). Every other role draws
-from its own two-element spawn key in ROLE_KEYS, which never equals a chunk
-key, so no two roles of a seed draw from the same seed sequence.
+Chunk k of a chunked run draws from the spawn key (k,) and every other role
+from its own two-element key in ROLE_KEYS, so no two roles share a seed
+sequence. Every Monte-Carlo command is a per-chunk reduction `_map_chunks` runs.
 """
 
 from collections import deque
@@ -40,15 +40,9 @@ def role_stream(seed: int, role: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=ROLE_KEYS[role]))
 
 
-def _chunks(samples: int, size: int):
-    """Yield (index, offset, count) for full chunks of `size`, then the rest."""
-    for index, offset in enumerate(range(0, samples, size)):
-        yield index, offset, min(size, samples - offset)
-
-
 def _map_chunks(fn, samples: int, size: int, workers: int):
-    """Yield fn(index, offset, count) for each chunk of _chunks(samples, size),
-    in chunk order, computed on `workers` threads.
+    """Yield fn(index, offset, count) for the chunks of `samples`, full chunks
+    of `size` and then the rest, in chunk order, computed on `workers` threads.
 
     At most 2 * `workers` chunks are submitted and not yet consumed: one
     running and one queued per thread, so a thread that finishes a chunk
@@ -56,11 +50,13 @@ def _map_chunks(fn, samples: int, size: int, workers: int):
     two workers on 2^18 d=3 volume samples took 5-8 % longer). Only a
     running chunk holds its arrays, so a run holds `workers` chunks' arrays
     and at most 2 * `workers` results however many chunks it has. With one
-    worker each chunk runs in the consumer's thread.
+    worker each chunk runs in the consumer's thread. A consumer may stop:
+    closing the generator waits only for the chunks already submitted.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
-    chunks = _chunks(samples, size)
+    chunks = ((index, offset, min(size, samples - offset))
+              for index, offset in enumerate(range(0, samples, size)))
     if workers == 1:
         for chunk in chunks:
             yield fn(*chunk)

@@ -16,12 +16,13 @@ from .qstate import (
     OrthonormalBasis,
     TripleBatch,
     _frame_of_one,
-    _haar_chunks,
     _haar_frames,
+    _scan_chunk,
+    _scan_rows,
     _triples,
 )
 from .relations import RelationId, _dpi_chain, relation_sides
-from .rng import stream
+from .rng import _map_chunks, stream
 
 
 def haar_triples(dim: int, count: int, seed: int, pure: bool = False,
@@ -53,8 +54,13 @@ def dpi_scan(kind: str, alpha: float | None, dim: int, samples: int, seed: int,
     are read, and only their margins, one float per sample, are kept. So a
     larger budget's margins begin with a smaller one's."""
     margins = np.empty(samples)
-    for offset, batch, _ in _haar_chunks(dim, samples, seed, pure=False):
-        margins[offset:offset + len(batch.p)] = dpi_margins(kind, alpha, batch, base)
+
+    def scan(index, offset, count):
+        batch, _ = _scan_chunk(dim, seed, False, index, count)
+        margins[offset:offset + count] = dpi_margins(kind, alpha, batch, base)
+
+    for _ in _map_chunks(scan, samples, _scan_rows(dim), 1):
+        pass
     return margins
 
 

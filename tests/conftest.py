@@ -7,6 +7,8 @@ and the independent checks the tests hold the program to:
   `sequential_dist`, the classical q' = p C, which the A-frame reduction
   must factor through;
 - `majorizes`, the partial-sum order behind the Schur-concavity checks;
+- `fidelity`, the Uhlmann fidelity from an SVD of sqrt(rho1) sqrt(rho2),
+  a second formula beside the sandwiched trace the kernels use;
 - `verdict_of`, one relation judged on one (p, q, q') triple from
   `relation_sides` and `satisfied_mask` alone, with no forward/dual rule.
 """
@@ -25,7 +27,6 @@ from qud.qstate import (
     ProbDist,
     _check_same_dim,
     _pseudo_power,
-    fidelity,
     fourier_basis,
     make_density,
     outcome_dist,
@@ -94,6 +95,14 @@ def sequential_dist(p: ProbDist, c: OverlapMatrix) -> ProbDist:
     _check_same_dim(p, c)
     out = np.clip(p.probs @ c.entries, 0.0, 1.0)
     return ProbDist(out / out.sum())
+
+
+def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
+    """Uhlmann fidelity tr sqrt(sqrt(rho2) rho1 sqrt(rho2)), clipped to [0, 1]."""
+    _check_same_dim(rho1, rho2)
+    cross = rho1.power(0.5) @ rho2.power(0.5)
+    sv = np.linalg.svd(cross, compute_uv=False)
+    return float(np.clip(sv.sum(), 0.0, 1.0))
 
 
 def majorizes(p1: ProbDist, p2: ProbDist) -> bool:

@@ -20,13 +20,12 @@ from qud.errors import AlphaOutOfRange, DimensionMismatch, NotGaugeable
 from qud.qstate import (
     _ginibre_states,
     _haar_unitaries,
-    fidelity,
     make_density,
     make_prob,
 )
 from qud.rng import stream
 
-from conftest import RT2, oracle_qdiv
+from conftest import RT2, fidelity, oracle_qdiv
 
 
 def _eye(dim):

@@ -139,19 +139,32 @@ def test_estimate_volumes_worker_invariance():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_chunk_runner_keeps_chunk_order_and_bounds_the_chunks_in_flight(workers):
-    # one chunk running and one queued per thread
-    consumed, in_flight = [], []
+    # one chunk running and one queued per thread; a consumer that stops
+    # after stop_after results and closes the runner waits only for the
+    # chunks already submitted, at most 2 * workers of them
+    chunks = [*((k, 7 * k, 7) for k in range(10)), (10, 70, 3)]
+    for stop_after in (None, 1):
+        consumed, in_flight, started, finished = [], [], [], []
 
-    def fn(index, offset, count):
-        # chunk `index` and every earlier one not yet consumed
-        in_flight.append(index + 1 - len(consumed))
-        time.sleep(0.002 * (index % 3))  # uneven chunks finish out of order
-        return index, offset, count
+        def fn(index, offset, count):
+            started.append(index)
+            # chunk `index` and every earlier one not yet consumed
+            in_flight.append(index + 1 - len(consumed))
+            time.sleep(0.002 * (index % 3))  # uneven chunks finish out of order
+            finished.append(index)
+            return index, offset, count
 
-    for result in rng._map_chunks(fn, 10 * 7 + 3, 7, workers):
-        consumed.append(result)
-    assert consumed == list(rng._chunks(73, 7))
-    assert max(in_flight) <= 2 * workers
+        results = rng._map_chunks(fn, 10 * 7 + 3, 7, workers)
+        for result in results:
+            consumed.append(result)
+            if len(consumed) == stop_after:
+                break
+        results.close()
+        assert consumed == chunks[:stop_after]
+        assert max(in_flight) <= 2 * workers
+        assert sorted(finished) == sorted(started)
+        if stop_after is not None:
+            assert len(started) <= 2 * workers
 
 
 def test_estimate_volumes_chunk_peak_memory():

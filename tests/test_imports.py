@@ -157,6 +157,15 @@ def test_complex_normals_feed_only_the_haar_sampler_and_ginibre_states():
     assert found == ["qstate.py:_ginibre_states", "qstate.py:_haar_unitaries"]
 
 
+def test_every_chunked_run_goes_through_the_one_chunk_runner():
+    # volume, search and dpi are per-chunk reductions that rng._map_chunks
+    # runs in chunk order; no command walks its chunks in a loop of its own
+    found = [f"{path.name}:{owner}" for path in MODULES
+             for owner in callers(path.read_text(encoding="utf-8"), "_map_chunks")]
+    assert found == ["experiments.py:estimate_volumes", "relations.py:search_counterexample",
+                     "sweeps.py:dpi_scan"]
+
+
 def test_random_streams_are_made_only_by_the_rng_roles():
     # stream(seed) draws a sampled instance and stream(seed, k) chunk k; every
     # other draw has a role key, and only qud.rng builds a generator
@@ -165,7 +174,7 @@ def test_random_streams_are_made_only_by_the_rng_roles():
              for callee in ("stream", "role_stream")}
     assert found == {
         "stream": ["cli.py:_load_instance", "experiments.py:estimate_volumes",
-                   "qstate.py:_haar_chunks", "qstate.py:sample", "sweeps.py:haar_triples"],
+                   "qstate.py:_scan_chunk", "qstate.py:sample", "sweeps.py:haar_triples"],
         "role_stream": ["experiments.py:simulate_shots"],
     }
     for path in MODULES:
@@ -276,7 +285,7 @@ PUBLIC_SURFACE = (
     "RELATION_IDS", "RelationId", "RelationVerdict", "SAMPLE_KINDS", "ShotCounts",
     "UMEASURE_KINDS", "UncertaintySpec", "VolumeEstimate", "cdiv", "coherence_bounds",
     "dpi_margin", "estimate_coherence", "estimate_volume", "estimate_volumes",
-    "eval_with_dual", "fidelity", "fourier_basis", "gauge_inverse", "make_basis",
+    "eval_with_dual", "fourier_basis", "gauge_inverse", "make_basis",
     "make_density", "make_overlap", "make_prob", "outcome_dist", "overlap_matrix",
     "qdiv", "region_grid", "sample", "search_counterexample", "simulate_shots",
     "standard_basis", "table2_relations", "umeasure",

@@ -27,7 +27,6 @@ from qud.qstate import (
     _row_max,
     _row_sum,
     _triples,
-    fidelity,
     fourier_basis,
     make_basis,
     make_density,
@@ -40,7 +39,7 @@ from qud.qstate import (
 )
 from qud.rng import ROLE_KEYS, role_stream, stream
 
-from conftest import RT2, oracle_dephase, sequential_dist, triple_of
+from conftest import RT2, fidelity, oracle_dephase, sequential_dist, triple_of
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from qud.qstate import (
     _frame_of_one,
     _ginibre_states,
     _haar_unitaries,
+    _scan_chunk,
     _scan_rows,
     _triples,
     fourier_basis,
@@ -630,6 +631,21 @@ def test_search_chunk_k_scans_the_first_rows_of_chunk_k(dim, monkeypatch):
         assert np.array_equal(q, full.q[:count])
         assert np.array_equal(qp, full.qp[:count])
         assert np.array_equal(cmax, full.cmax[:count])
+
+
+def test_search_stops_at_its_first_hit(monkeypatch):
+    # printed U_ts(1/2) at d=2, seed 1 hits at sample 1 of a 10-chunk budget,
+    # so the fold stops there and draws no later chunk
+    drawn = []
+
+    def recording_chunk(dim, seed, pure, index, count):
+        drawn.append(index)
+        return _scan_chunk(dim, seed, pure, index, count)
+
+    monkeypatch.setattr(relations, "_scan_chunk", recording_chunk)
+    found = search_counterexample(RelationId("U_ts", "printed", 0.5), 2, 10 * SEARCH_CHUNK, 1)
+    assert found.sample_index == 1
+    assert drawn == [0]
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
