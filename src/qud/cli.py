@@ -24,7 +24,7 @@ import types
 import numpy as np
 
 from .divergence import DIVERGENCE_KINDS, DivergenceSpec
-from .errors import DimensionMismatch, QudError, SchemaError
+from .errors import QudError, SchemaError, ValidationError
 from .experiments import (
     MIN_VOLUME_SAMPLES,
     SHOT_KINDS,
@@ -212,11 +212,11 @@ def _load_instance(args):
         a = load_basis(args.basis_a)
         b = load_basis(args.basis_b)
         if not rho.dim == a.dim == b.dim:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"file dimensions differ: state {rho.dim}, bases {a.dim}/{b.dim}"
             )
         if args.dim is not None and args.dim != rho.dim:
-            raise DimensionMismatch(f"--dim {args.dim} but files have dim {rho.dim}")
+            raise ValidationError(f"--dim {args.dim} but files have dim {rho.dim}")
         return rho, a, b, "files"
     dim = args.dim if args.dim is not None else 2
     rho, w = _haar_frames(stream(args.seed), 1, dim, pure=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, NotGaugeable
+from .errors import ValidationError
 from .qstate import (
     ZERO_CUTOFF,
     DensityMatrix,
@@ -50,14 +50,14 @@ _ORDER_RANGES = {"renyi_sandwiched": (0.5, 1.0), "tsallis": (0.0, 1.0)}
 
 
 def _check_order(kind: str | None, alpha: float | None, name: str) -> None:
-    """Raise AlphaOutOfRange for `name` unless alpha lies in kind's order
+    """Raise ValidationError for `name` unless alpha lies in kind's order
     range, or is None for a kind that takes no order."""
     if kind in _ORDER_RANGES:
         low, high = _ORDER_RANGES[kind]
         if alpha is None or not low <= alpha < high:  # a NaN fails the comparison
-            raise AlphaOutOfRange(f"{name} needs {low:g} <= alpha < {high:g}, got {alpha}")
+            raise ValidationError(f"{name} needs {low:g} <= alpha < {high:g}, got {alpha}")
     elif alpha is not None:
-        raise AlphaOutOfRange(f"{name} takes no alpha")
+        raise ValidationError(f"{name} takes no alpha")
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class DivergenceSpec:
 
     def __post_init__(self):
         if self.kind not in DIVERGENCE_KINDS:
-            raise ValueError(f"unknown divergence kind {self.kind!r}")
+            raise ValidationError(f"unknown divergence kind {self.kind!r}")
         _check_order(self.kind, self.alpha, self.kind)
 
 
@@ -135,7 +135,7 @@ def renyi_divergence(q, qp, alpha: float, base: float = 2.0):
     Equal distributions give +0.0 at every order.
     """
     if not 0 <= alpha < math.inf or alpha == 1.0:
-        raise AlphaOutOfRange(f"need finite alpha >= 0, alpha != 1, got {alpha}")
+        raise ValidationError(f"need finite alpha >= 0, alpha != 1, got {alpha}")
     s = power_overlap(q, qp, alpha)
     with np.errstate(divide="ignore"):
         return np.log(s) / (np.log(base) * (alpha - 1.0)) + 0.0
@@ -264,9 +264,9 @@ def gauge_inverse(spec: DivergenceSpec, value: float) -> float:
     input maps to 1.
     """
     if spec.kind not in GAUGEABLE_KINDS:
-        raise NotGaugeable(f"{spec.kind} has no distance gauge")
+        raise ValidationError(f"{spec.kind} has no distance gauge")
     if not value >= 0:  # a NaN fails this comparison, as a negative value does
-        raise ValueError(f"gauge input must be >= 0, got {value}")
+        raise ValidationError(f"gauge input must be >= 0, got {value}")
     if spec.kind in ("trace", "infidelity"):
         return float(min(value, 1.0))
     if spec.kind == "renyi_sandwiched":

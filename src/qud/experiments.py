@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCounts, KindMismatch, UnsupportedDim
+from .errors import ValidationError
 from .qstate import (
     DensityMatrix,
     OrthonormalBasis,
@@ -101,9 +101,9 @@ def estimate_volumes(rels, dim: int, samples: int, seed: int,
     """
     rels = tuple(rels)
     if dim not in VOLUME_DIMS:
-        raise UnsupportedDim(f"volume estimation supports dim in {VOLUME_DIMS}, got {dim}")
+        raise ValidationError(f"volume estimation supports dim in {VOLUME_DIMS}, got {dim}")
     if samples < MIN_VOLUME_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_VOLUME_SAMPLES}, got {samples}")
+        raise ValidationError(f"samples must be >= {MIN_VOLUME_SAMPLES}, got {samples}")
 
     def chunk_counts(index, offset, count):
         p, q, c = _draw_parameters(stream(seed, index), dim, count)
@@ -140,9 +140,9 @@ def region_grid(rel: RelationId, c00: float, resolution: int):
     Cell (i, j) covers p0 = i/(resolution-1), q0 = j/(resolution-1).
     """
     if not 0.0 <= c00 <= 1.0:
-        raise ValueError(f"c00 must lie in [0, 1], got {c00}")
+        raise ValidationError(f"c00 must lie in [0, 1], got {c00}")
     if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+        raise ValidationError(f"resolution must be >= 2, got {resolution}")
     axis = _grid_axis(resolution)
     p0, q0 = np.meshgrid(axis, axis, indexing="ij")
     p, q = _qubit_rows(p0.ravel()), _qubit_rows(q0.ravel())
@@ -172,7 +172,7 @@ def simulate_shots(rho: DensityMatrix, a: OrthonormalBasis | None,
     bits with the other or with an instance drawn from stream(seed).
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ValidationError(f"n must be >= 0, got {n}")
     kind = "direct_B" if a is None else "sequential_AB"
     batch = _frame_of_one(rho, b if a is None else a, b)
     joint = batch.p[0] if a is None else batch.p[0][:, None] * batch.overlap[0]
@@ -188,14 +188,14 @@ def estimate_coherence(direct: ShotCounts, sequential: ShotCounts,
     keeps the support-violation semantics (lower may be +inf).
     """
     if direct.kind != "direct_B":
-        raise KindMismatch(f"first record must be direct_B, got {direct.kind}")
+        raise ValidationError(f"first record must be direct_B, got {direct.kind}")
     if sequential.kind != "sequential_AB":
-        raise KindMismatch(f"second record must be sequential_AB, got {sequential.kind}")
+        raise ValidationError(f"second record must be sequential_AB, got {sequential.kind}")
     _check_same_dim(direct, sequential)
     if direct.total == 0 or sequential.total == 0:
-        raise EmptyCounts("need at least one shot in each record")
+        raise ValidationError("need at least one shot in each record")
     if not 0.0 <= smoothing < math.inf:
-        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
+        raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
     d = direct.dim
     q_hat = (direct.counts + smoothing) / (direct.total + d * smoothing)
     p_hat = (sequential.counts.sum(axis=1) + smoothing) / (sequential.total + d * smoothing)

@@ -2,26 +2,16 @@
 
 Everything downstream works with the four frozen value types defined here,
 or with TripleBatch, their batched form in the first basis's frame.
-A density matrix is eigendecomposed once at construction; the cleaned
-spectrum (clipped to [0, 1], renormalized) is what all spectral functions
-consume, so repeated measure evaluations never re-diagonalize.
+A density matrix is eigendecomposed once at construction; `qdiv` reads the
+cleaned spectrum (clipped to [0, 1], renormalized) and its eigenframe, so
+it never re-diagonalizes a validated state.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DimensionTooSmall,
-    NotDoublyStochastic,
-    NotFinite,
-    NotHermitian,
-    NotNormalized,
-    NotOrthonormal,
-    NotPositive,
-    TraceNotOne,
-)
+from .errors import ValidationError
 from .rng import stream
 
 VALIDATION_TOL = 1e-8
@@ -98,25 +88,25 @@ def _frozen(arr):
 def _check_finite(m, what):
     # every comparison with NaN is False, so the tolerance checks would pass it
     if not np.isfinite(m).all():
-        raise NotFinite(f"{what} has a non-finite entry")
+        raise ValidationError(f"{what} has a non-finite entry")
 
 
 def _check_matrix(m, what):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionTooSmall(f"{what} must be square, got shape {m.shape}")
+        raise ValidationError(f"{what} must be square, got shape {m.shape}")
     if m.shape[0] < 2:
-        raise DimensionTooSmall(f"{what} needs dimension >= 2, got {m.shape[0]}")
+        raise ValidationError(f"{what} needs dimension >= 2, got {m.shape[0]}")
     _check_finite(m, what)
 
 
 def _check_dim(dim: int):
     if dim < 2:
-        raise DimensionTooSmall(f"need dimension >= 2, got {dim}")
+        raise ValidationError(f"need dimension >= 2, got {dim}")
 
 
 def _check_same_dim(x, y):
     if x.dim != y.dim:
-        raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
+        raise ValidationError(f"dimensions differ: {x.dim} vs {y.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +126,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def purity(self) -> float:
-        return float(np.sum(self.eigenvalues**2))
-
-    def power(self, exponent: float) -> np.ndarray:
-        """Pseudo-power on the support: kernel eigenvalues stay zero."""
-        powered = _pseudo_power(self.eigenvalues, exponent)
-        return (self.eigenvectors * powered) @ self.eigenvectors.conj().T
-
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
@@ -155,9 +136,6 @@ class OrthonormalBasis:
     @property
     def dim(self) -> int:
         return self.kets.shape[0]
-
-    def ket(self, index: int) -> np.ndarray:
-        return self.kets[:, index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,14 +176,14 @@ def make_density(entries) -> DensityMatrix:
     _check_matrix(m, "a density matrix")
     drift = float(np.max(np.abs(m - m.conj().T)))
     if drift > VALIDATION_TOL:
-        raise NotHermitian(f"max Hermiticity drift {drift:.3g} exceeds {VALIDATION_TOL}")
+        raise ValidationError(f"max Hermiticity drift {drift:.3g} exceeds {VALIDATION_TOL}")
     h = (m + m.conj().T) / 2.0
     tr = float(np.real(np.trace(h)))
     if abs(tr - 1.0) > VALIDATION_TOL:
-        raise TraceNotOne(f"trace {tr:.10g} differs from 1 by more than {VALIDATION_TOL}")
+        raise ValidationError(f"trace {tr:.10g} differs from 1 by more than {VALIDATION_TOL}")
     lam, vec = np.linalg.eigh(h)
-    if float(lam[0]) < -VALIDATION_TOL:
-        raise NotPositive(f"minimum eigenvalue {float(lam[0]):.6g} below -{VALIDATION_TOL}")
+    if lam[0] < -VALIDATION_TOL:
+        raise ValidationError(f"minimum eigenvalue {lam[0]:.6g} below -{VALIDATION_TOL}")
     lam = np.clip(lam, 0.0, 1.0)
     lam = lam / lam.sum()
     cleaned = (vec * lam) @ vec.conj().T
@@ -219,7 +197,7 @@ def make_basis(kets) -> OrthonormalBasis:
     _check_matrix(u, "a basis")
     drift = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if drift > VALIDATION_TOL:
-        raise NotOrthonormal(f"max Gram drift {drift:.3g} exceeds {VALIDATION_TOL}")
+        raise ValidationError(f"max Gram drift {drift:.3g} exceeds {VALIDATION_TOL}")
     return OrthonormalBasis(_frozen(u))
 
 
@@ -227,13 +205,13 @@ def make_prob(probs) -> ProbDist:
     """Validate a probability vector; entries are clipped and renormalized."""
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] < 2:
-        raise DimensionTooSmall(f"need a 1-d vector of length >= 2, got shape {p.shape}")
+        raise ValidationError(f"need a 1-d vector of length >= 2, got shape {p.shape}")
     _check_finite(p, "a probability vector")
     if float(p.min()) < -VALIDATION_TOL or float(p.max()) > 1.0 + VALIDATION_TOL:
-        raise NotNormalized(f"entries outside [0, 1]: min {p.min():.3g}, max {p.max():.3g}")
+        raise ValidationError(f"entries outside [0, 1]: min {p.min():.3g}, max {p.max():.3g}")
     total = float(p.sum())
     if abs(total - 1.0) > VALIDATION_TOL:
-        raise NotNormalized(f"sum {total:.10g} differs from 1 by more than {VALIDATION_TOL}")
+        raise ValidationError(f"sum {total:.10g} differs from 1 by more than {VALIDATION_TOL}")
     p = np.clip(p, 0.0, 1.0)
     return ProbDist(_frozen(p / p.sum()))
 
@@ -243,13 +221,11 @@ def make_overlap(entries) -> OverlapMatrix:
     c = np.asarray(entries, dtype=np.float64)
     _check_matrix(c, "an overlap matrix")
     if float(c.min()) < -VALIDATION_TOL:
-        raise NotDoublyStochastic(f"negative entry {c.min():.3g}")
+        raise ValidationError(f"negative entry {c.min():.3g}")
     rows = np.abs(c.sum(axis=1) - 1.0).max()
     cols = np.abs(c.sum(axis=0) - 1.0).max()
     if max(float(rows), float(cols)) > VALIDATION_TOL:
-        raise NotDoublyStochastic(
-            f"row/column sums off 1 by {float(rows):.3g}/{float(cols):.3g}"
-        )
+        raise ValidationError(f"row/column sums off 1 by {float(rows):.3g}/{float(cols):.3g}")
     c = np.clip(c, 0.0, None)
     return OverlapMatrix(_frozen(c), float(c.max()))
 
@@ -468,4 +444,4 @@ def sample(kind: str, dim: int, seed: int):
         return make_basis(_haar_unitaries(rng, 1, dim)[0])
     if kind == "simplex":
         return ProbDist(_frozen(rng.dirichlet(np.ones(dim))))
-    raise ValueError(f"unknown sample kind {kind!r}; expected one of {SAMPLE_KINDS}")
+    raise ValidationError(f"unknown sample kind {kind!r}; expected one of {SAMPLE_KINDS}")

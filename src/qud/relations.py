@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _check_order, _classical, _dephased
-from .errors import AlphaOutOfRange, MissingOverlap, ValidationError
+from .errors import ValidationError
 from . import qstate
 from .qstate import (
     DensityMatrix,
@@ -83,11 +83,11 @@ class RelationId:
         if self.id != "EUR_MU":
             _check_order(kind, a, self.id)
             if b is not None:
-                raise AlphaOutOfRange(f"{self.id} takes no beta")
+                raise ValidationError(f"{self.id} takes no beta")
         elif a is None or b is None or not (0.5 <= a < math.inf and 0.5 <= b < math.inf):
-            raise AlphaOutOfRange("EUR_MU needs finite alpha, beta >= 1/2")
+            raise ValidationError("EUR_MU needs finite alpha, beta >= 1/2")
         elif abs(1.0 / a + 1.0 / b - 2.0) > 1e-9:
-            raise AlphaOutOfRange("EUR_MU needs conjugate orders 1/alpha + 1/beta = 2")
+            raise ValidationError("EUR_MU needs conjugate orders 1/alpha + 1/beta = 2")
 
     def label(self) -> str:
         """Compact single-cell form used in CSV report columns."""
@@ -151,7 +151,7 @@ def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0):
         lhs = lhs / (2.0 - a) if var == "printed" else lhs  # printed U_ts
         return lhs, _classical(kind, a, q, qp, base)
     if cmax is None:
-        raise MissingOverlap(f"{rid} needs the overlap matrix (cmax)")
+        raise ValidationError(f"{rid} needs the overlap matrix (cmax)")
     rhs = -np.log(np.asarray(cmax, dtype=np.float64)) / np.log(base)
     x, y = (a, rel.beta) if rid == "EUR_MU" else (2.0 - a, a)
     if var == "printed":
@@ -242,7 +242,7 @@ def search_counterexample(rel: RelationId, dim: int, budget: int, seed: int,
     scan computed.
     """
     if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+        raise ValidationError(f"budget must be >= 1, got {budget}")
 
     def first_hit(index, offset, count):
         batch, w = _scan_chunk(dim, seed, True, index, count)

@@ -11,6 +11,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Most threads a chunked run may use, each holding one chunk: the standard
 # library's own default cap on ThreadPoolExecutor workers. Chunks are drawn
 # from their own streams, so no result depends on the worker count.
@@ -54,7 +56,7 @@ def _map_chunks(fn, samples: int, size: int, workers: int):
     closing the generator waits only for the chunks already submitted.
     """
     if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
+        raise ValidationError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     chunks = ((index, offset, min(size, samples - offset))
               for index, offset in enumerate(range(0, samples, size)))
     if workers == 1:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange
+from .errors import ValidationError
 from .qstate import ZERO_CUTOFF, ProbDist, _row_sum
 
 UMEASURE_KINDS = ("delta", "renyi", "shannon", "half_norm")
@@ -27,13 +27,13 @@ class UncertaintySpec:
 
     def __post_init__(self):
         if self.kind not in UMEASURE_KINDS:
-            raise ValueError(f"unknown uncertainty kind {self.kind!r}")
+            raise ValidationError(f"unknown uncertainty kind {self.kind!r}")
         if self.kind == "renyi":
             alpha = self.alpha
             if alpha is None or not 0 < alpha < math.inf or alpha == 1.0:
-                raise AlphaOutOfRange(f"renyi needs finite alpha > 0, alpha != 1, got {alpha}")
+                raise ValidationError(f"renyi needs finite alpha > 0, alpha != 1, got {alpha}")
         elif self.alpha is not None:
-            raise AlphaOutOfRange(f"{self.kind} takes no alpha")
+            raise ValidationError(f"{self.kind} takes no alpha")
 
 
 def delta_measure(p):
@@ -57,7 +57,7 @@ def renyi_entropy(p, alpha: float, base: float = 2.0):
     mass gives +0.0 at every order.
     """
     if not 0 <= alpha < math.inf:
-        raise AlphaOutOfRange(f"alpha must be finite and >= 0, got {alpha}")
+        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
     if alpha == 1.0:
         return shannon_entropy(p, base=base)
     p = np.asarray(p, dtype=np.float64)

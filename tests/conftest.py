@@ -3,11 +3,12 @@ and the independent checks the tests hold the program to:
 
 - `oracle_qdiv`, the scalar quantum divergences as first written, one
   kernel per kind, kept as the reference `qdiv` must match;
-- `oracle_dephase`, the A-dephased state built as a matrix, and
-  `sequential_dist`, the classical q' = p C, which the A-frame reduction
-  must factor through;
+- `oracle_dephase`, the A-dephased state built as a matrix from the Born
+  rule, and `sequential_dist`, the classical q' = p C, which the A-frame
+  reduction must factor through;
 - `majorizes`, the partial-sum order behind the Schur-concavity checks;
-- `fidelity`, the Uhlmann fidelity from an SVD of sqrt(rho1) sqrt(rho2),
+- `power`, a state's pseudo-power from its eigendecomposition, and
+  `fidelity`, the Uhlmann fidelity from an SVD of sqrt(rho1) sqrt(rho2),
   a second formula beside the sandwiched trace the kernels use;
 - `verdict_of`, one relation judged on one (p, q, q') triple from
   `relation_sides` and `satisfied_mask` alone, with no forward/dual rule.
@@ -80,8 +81,8 @@ def triple_of(rho, a, b):
 def oracle_dephase(rho: DensityMatrix, basis: OrthonormalBasis) -> DensityMatrix:
     """Project onto the basis diagonal: sum_k p_k |a_k><a_k|."""
     _check_same_dim(rho, basis)
-    p = outcome_dist(rho, basis).probs
     u = basis.kets
+    p = np.clip(np.real(np.einsum("ik,ij,jk->k", u.conj(), rho.matrix, u)), 0.0, None)
     matrix = (u * p) @ u.conj().T
     matrix = (matrix + matrix.conj().T) / 2.0
     return DensityMatrix(matrix, p.copy(), u.copy())
@@ -97,10 +98,16 @@ def sequential_dist(p: ProbDist, c: OverlapMatrix) -> ProbDist:
     return ProbDist(out / out.sum())
 
 
+def power(rho: DensityMatrix, exponent: float) -> np.ndarray:
+    """Pseudo-power on the support: kernel eigenvalues stay zero."""
+    powered = _pseudo_power(rho.eigenvalues, exponent)
+    return (rho.eigenvectors * powered) @ rho.eigenvectors.conj().T
+
+
 def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho2) rho1 sqrt(rho2)), clipped to [0, 1]."""
     _check_same_dim(rho1, rho2)
-    cross = rho1.power(0.5) @ rho2.power(0.5)
+    cross = power(rho1, 0.5) @ power(rho2, 0.5)
     sv = np.linalg.svd(cross, compute_uv=False)
     return float(np.clip(sv.sum(), 0.0, 1.0))
 
@@ -134,7 +141,7 @@ def _trace_distance(rho1, rho2):
 
 def _sandwiched_renyi(rho1, rho2, alpha):
     c = (1.0 - alpha) / (2.0 * alpha)
-    half = rho2.power(c)
+    half = power(rho2, c)
     core = half @ rho1.matrix @ half
     lam = np.clip(np.linalg.eigvalsh((core + core.conj().T) / 2.0), 0.0, None)
     total = float(_pseudo_power(lam, alpha).sum())
@@ -144,7 +151,7 @@ def _sandwiched_renyi(rho1, rho2, alpha):
 
 
 def _tsallis_quantum(rho1, rho2, alpha):
-    cross = float(np.real(np.trace(rho1.power(alpha) @ rho2.power(1.0 - alpha))))
+    cross = float(np.real(np.trace(power(rho1, alpha) @ power(rho2, 1.0 - alpha))))
     return (1.0 - cross) / (1.0 - alpha)
 
 

@@ -16,7 +16,7 @@ from qud.divergence import (
     renyi_divergence,
     tsallis_divergence,
 )
-from qud.errors import AlphaOutOfRange, DimensionMismatch, NotGaugeable
+from qud.errors import ValidationError
 from qud.qstate import (
     _ginibre_states,
     _haar_unitaries,
@@ -59,12 +59,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         DivergenceSpec("bures")
     for bad in (0.4, 1.0, None):
-        with pytest.raises(AlphaOutOfRange):
+        with pytest.raises(ValidationError, match="renyi_sandwiched needs 0.5 <= alpha < 1,"):
             DivergenceSpec("renyi_sandwiched", bad)
     for bad in (-0.1, 1.0, None):
-        with pytest.raises(AlphaOutOfRange):
+        with pytest.raises(ValidationError, match="tsallis needs 0 <= alpha < 1,"):
             DivergenceSpec("tsallis", bad)
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(ValidationError, match="trace takes no alpha"):
         DivergenceSpec("trace", 0.5)
 
 
@@ -123,7 +123,7 @@ def test_sandwiched_renyi_disjoint_support_is_infinite(zero_state):
 
 
 def test_qdiv_dimension_mismatch(plus_state):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="dimensions differ"):
         qdiv(DivergenceSpec("trace"), plus_state, _eye(3))
 
 
@@ -248,13 +248,13 @@ def test_power_overlap_alpha_above_one():
 
 @pytest.mark.parametrize("alpha", [1.0, -0.1, np.nan])
 def test_tsallis_divergence_rejects_alpha_off_its_range(alpha):
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(ValidationError, match="tsallis_divergence needs 0 <= alpha < 1,"):
         tsallis_divergence(np.array([0.3, 0.7]), np.array([0.5, 0.5]), alpha)
 
 
 @pytest.mark.parametrize("alpha", [np.inf, np.nan])
 def test_renyi_divergence_rejects_non_finite_alpha(alpha):
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(ValidationError, match="need finite alpha >= 0, alpha != 1"):
         renyi_divergence(np.array([0.3, 0.7]), np.array([0.5, 0.5]), alpha)
 
 
@@ -272,7 +272,7 @@ def test_cdiv_matches_qdiv_on_diagonal_states():
 
 
 def test_cdiv_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="dimensions differ"):
         cdiv(DivergenceSpec("trace"), make_prob([0.5, 0.5]), make_prob([1 / 3] * 3))
 
 
@@ -310,7 +310,7 @@ def test_gauge_inverse_rejects_negative_and_nan_input(kind, value):
 
 def test_gauge_inverse_rejects_ungaugeable_kinds():
     for kind in ("relative_entropy", "hilbert_schmidt"):
-        with pytest.raises(NotGaugeable):
+        with pytest.raises(ValidationError, match="has no distance gauge"):
             gauge_inverse(DivergenceSpec(kind), 0.5)
     assert set(GAUGEABLE_KINDS) == {"trace", "infidelity", "renyi_sandwiched", "tsallis"}
 

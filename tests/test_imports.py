@@ -8,8 +8,9 @@ complex Gaussians are drawn only by the Haar sampler and the Ginibre states,
 random streams are made only by `qud.rng`, for the roles it names, relations
 and sweeps reach the kernels through the kind maps, only `divergence` and
 `uncertainty` import a kernel, `divergence` states each quantum divergence
-once, and every source line fits in MAX_COLUMNS. `qud.__all__` is pinned,
-and every qud name the benchmark's probes read resolves.
+once, `qud.errors` defines three classes and only two of them are raised
+outside the CLI, and every source line fits in MAX_COLUMNS. `qud.__all__` is
+pinned, and every qud name the benchmark's probes read resolves.
 """
 
 import ast
@@ -268,6 +269,46 @@ def test_front_ends_reduce_an_instance_only_in_basis_a_frame():
         imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for a in node.names}
         assert not imported & second, name
+
+
+def raised(source: str) -> list[str]:
+    """What each raise statement raises: the exception it calls or names,
+    or `raise` for a bare re-raise."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc
+            if exc is None:
+                found.append("raise")
+            else:
+                found.append(ast.unparse(exc.func if isinstance(exc, ast.Call) else exc))
+    return sorted(found)
+
+
+def test_guard_finds_raises():
+    source = ("def f(x):\n    try:\n        x()\n    except E:\n        raise\n"
+              "    raise E('bad') from None\n\ndef g():\n    raise C\n")
+    assert raised(source) == ["C", "E", "raise"]
+
+
+def test_errors_defines_one_error_per_kind_of_bad_input():
+    # a value that breaks an invariant and a bad input file; the base class
+    # is what the CLI catches. Any statement past the docstring other than
+    # these three classes, an alias of a retired name say, shows unparsed.
+    body = ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+    assert [getattr(stmt, "name", None) or ast.unparse(stmt) for stmt in body[1:]] == [
+        "QudError", "ValidationError", "SchemaError"]
+
+
+def test_the_package_raises_only_validation_and_schema_errors():
+    # outside the CLI's own argument and output checks, every check raises
+    # ValidationError or SchemaError, each with a message naming the broken
+    # invariant, or re-raises what it caught
+    allowed = {"ValidationError", "SchemaError", "raise"}
+    found = [f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "cli.py"
+             for name in raised(path.read_text(encoding="utf-8")) if name not in allowed]
+    assert found == []
 
 
 def test_source_lines_fit_in_max_columns():

@@ -29,7 +29,7 @@ def test_basis_round_trip(tmp_path):
     data = json.loads(path.read_text())
     # columns[k] holds ket k
     assert_allclose(
-        [complex(re, im) for re, im in data["columns"][1]], basis.ket(1), atol=1e-15
+        [complex(re, im) for re, im in data["columns"][1]], basis.kets[:, 1], atol=1e-15
     )
 
 

@@ -4,18 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qud.errors import (
-    DimensionMismatch,
-    DimensionTooSmall,
-    NotDoublyStochastic,
-    NotFinite,
-    NotHermitian,
-    NotNormalized,
-    NotOrthonormal,
-    NotPositive,
-    TraceNotOne,
-    ValidationError,
-)
+from qud.errors import ValidationError
 from qud.qstate import (
     SAMPLE_KINDS,
     _complex_normal,
@@ -39,7 +28,7 @@ from qud.qstate import (
 )
 from qud.rng import ROLE_KEYS, role_stream, stream
 
-from conftest import RT2, fidelity, oracle_dephase, sequential_dist, triple_of
+from conftest import RT2, fidelity, oracle_dephase, power, sequential_dist, triple_of
 
 
 # ---------------------------------------------------------------------------
@@ -52,32 +41,32 @@ def test_make_density_rejects_non_square():
 
 
 def test_make_density_rejects_dim_one():
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(ValidationError, match="needs dimension >= 2"):
         make_density(np.ones((1, 1)))
 
 
 def test_make_density_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(ValidationError, match="Hermiticity drift"):
         make_density(np.array([[0.5, 0.2], [0.0, 0.5]]))
 
 
 def test_make_density_rejects_wrong_trace():
-    with pytest.raises(TraceNotOne):
+    with pytest.raises(ValidationError, match="^trace 1.2 differs from 1"):
         make_density(np.diag([0.6, 0.6]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_make_density_and_basis_reject_non_finite(bad):
     # a NaN fails every tolerance comparison, so only an explicit check catches it
-    with pytest.raises(NotFinite):
+    with pytest.raises(ValidationError, match="a density matrix has a non-finite entry"):
         make_density(np.array([[0.5, bad], [bad, 0.5]]))
-    with pytest.raises(NotFinite):
+    with pytest.raises(ValidationError, match="a basis has a non-finite entry"):
         make_basis(np.array([[1.0, 0.0], [0.0, bad]], dtype=complex))
 
 
 def test_make_density_rejects_negative_spectrum():
     # eigenvalues 0.5 +- sqrt(0.29), min about -0.04
-    with pytest.raises(NotPositive):
+    with pytest.raises(ValidationError, match="minimum eigenvalue"):
         make_density(np.array([[0.7, 0.5], [0.5, 0.3]]))
 
 
@@ -96,20 +85,20 @@ def test_density_matrix_is_frozen(plus_state):
 
 def test_density_properties(plus_state):
     assert plus_state.dim == 2
-    assert_allclose(plus_state.purity, 1.0, atol=1e-12)
+    assert_allclose(np.sum(plus_state.eigenvalues**2), 1.0, atol=1e-12)
     mixed = make_density(np.diag([0.75, 0.25]))
-    assert_allclose(mixed.purity, 0.625, atol=1e-12)
+    assert_allclose(np.sum(mixed.eigenvalues**2), 0.625, atol=1e-12)
 
 
 def test_density_power():
     rho = make_density(np.diag([0.25, 0.75]))
-    assert_allclose(rho.power(0.5), np.diag([0.5, np.sqrt(0.75)]), atol=1e-12)
+    assert_allclose(power(rho, 0.5), np.diag([0.5, np.sqrt(0.75)]), atol=1e-12)
 
 
 def test_density_power_is_pseudo_power_on_support(plus_state, zero_state):
     # rank-1 projectors are fixed points of every power
-    assert_allclose(plus_state.power(0.5), plus_state.matrix, atol=1e-12)
-    assert_allclose(zero_state.power(-1.0), zero_state.matrix, atol=1e-12)
+    assert_allclose(power(plus_state, 0.5), plus_state.matrix, atol=1e-12)
+    assert_allclose(power(zero_state, -1.0), zero_state.matrix, atol=1e-12)
 
 
 def test_make_basis_accepts_unitary_columns():
@@ -117,27 +106,27 @@ def test_make_basis_accepts_unitary_columns():
 
 
 def test_make_basis_rejects_unnormalized():
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(ValidationError, match="Gram drift"):
         make_basis(np.diag([1.0, 2.0]).astype(complex))
 
 
 def test_make_basis_rejects_non_orthogonal():
     kets = np.array([[1.0, RT2], [0.0, RT2]], dtype=complex)
-    with pytest.raises(NotOrthonormal):
+    with pytest.raises(ValidationError, match="Gram drift"):
         make_basis(kets)
 
 
 def test_make_prob_validation():
     make_prob([0.2, 0.8])
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(ValidationError, match="1-d vector of length >= 2"):
         make_prob([1.0])
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValidationError, match="^sum 1.1 differs from 1"):
         make_prob([0.5, 0.6])
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValidationError, match="entries outside"):
         make_prob([-0.2, 1.2])
-    with pytest.raises(NotFinite):
+    with pytest.raises(ValidationError, match="a probability vector has a non-finite entry"):
         make_prob([np.nan, 1.0])
-    with pytest.raises(NotFinite):
+    with pytest.raises(ValidationError, match="a probability vector has a non-finite entry"):
         make_prob([np.inf, 0.0])
 
 
@@ -150,13 +139,13 @@ def test_make_prob_clips_rounding_noise():
 def test_make_overlap_validation():
     c = make_overlap([[0.3, 0.7], [0.7, 0.3]])
     assert c.cmax == 0.7
-    with pytest.raises(NotDoublyStochastic):
+    with pytest.raises(ValidationError, match="row/column sums off 1"):
         make_overlap([[0.5, 0.6], [0.5, 0.4]])
-    with pytest.raises(NotDoublyStochastic):
+    with pytest.raises(ValidationError, match="negative entry"):
         make_overlap([[-0.1, 1.1], [1.1, -0.1]])
-    with pytest.raises(NotFinite):
+    with pytest.raises(ValidationError, match="an overlap matrix has a non-finite entry"):
         make_overlap([[np.nan, 1.0], [1.0, 0.0]])
-    with pytest.raises(NotFinite):
+    with pytest.raises(ValidationError, match="an overlap matrix has a non-finite entry"):
         make_overlap([[np.inf, 0.0], [0.0, 1.0]])
 
 
@@ -233,7 +222,7 @@ def test_sequential_dist_directions():
 
 
 def test_sequential_dist_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="dimensions differ"):
         sequential_dist(make_prob([0.5, 0.5]), make_overlap(np.full((3, 3), 1 / 3)))
 
 
@@ -327,7 +316,7 @@ def test_fidelity_unitary_invariance():
 
 
 def test_fidelity_dimension_mismatch(plus_state):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="dimensions differ"):
         fidelity(plus_state, make_density(np.eye(3) / 3))
 
 
@@ -347,7 +336,7 @@ def test_sample_kinds_cover_contract():
 def test_sample_pure_states_have_unit_purity():
     for seed in range(20):
         rho = sample("haar_state_pure", 3, seed)
-        assert abs(rho.purity - 1.0) < 1e-10
+        assert abs(np.sum(rho.eigenvalues**2) - 1.0) < 1e-10
 
 
 def test_sample_mixed_states_are_valid():
@@ -375,14 +364,14 @@ def test_sample_is_deterministic():
 
 @pytest.mark.parametrize("make", [standard_basis, fourier_basis])
 def test_named_bases_reject_dim_one(make):
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(ValidationError, match="need dimension >= 2"):
         make(1)
 
 
 def test_sample_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sample("bell_pair", 2, 0)
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(ValidationError, match="need dimension >= 2"):
         sample("simplex", 1, 0)
 
 
