@@ -1,16 +1,15 @@
 """Uncertainty-disturbance trade-offs for sequential projective measurements.
 
-Value types (density matrices, bases, distributions, overlap matrices) are
-immutable and validated at construction; everything else is pure functions:
-divergences with their distance gauges, uncertainty measures, the relation
-catalog with duals and counterexample search, and Monte-Carlo experiment
-drivers. All stochastic entry points take explicit integer seeds.
+Value types (density matrices and bases) are immutable and validated at
+construction; everything else is pure functions: divergences with their
+distance gauges, uncertainty measures, the relation catalog with duals and
+counterexample search, and Monte-Carlo experiment drivers. All stochastic
+entry points take explicit integer seeds.
 """
 
 from .divergence import (
     DIVERGENCE_KINDS,
     DivergenceSpec,
-    cdiv,
     gauge_inverse,
     qdiv,
 )
@@ -29,16 +28,10 @@ from .experiments import (
 from .qstate import (
     DensityMatrix,
     OrthonormalBasis,
-    OverlapMatrix,
-    ProbDist,
     SAMPLE_KINDS,
     fourier_basis,
     make_basis,
     make_density,
-    make_overlap,
-    make_prob,
-    outcome_dist,
-    overlap_matrix,
     sample,
     standard_basis,
 )
@@ -52,7 +45,6 @@ from .relations import (
     table2_relations,
 )
 from .sweeps import dpi_margin
-from .uncertainty import UMEASURE_KINDS, UncertaintySpec, umeasure
 
 __version__ = "0.1.0"
 
@@ -63,18 +55,13 @@ __all__ = [
     "DensityMatrix",
     "DivergenceSpec",
     "OrthonormalBasis",
-    "OverlapMatrix",
-    "ProbDist",
     "QudError",
     "RELATION_IDS",
     "RelationId",
     "RelationVerdict",
     "SAMPLE_KINDS",
     "ShotCounts",
-    "UMEASURE_KINDS",
-    "UncertaintySpec",
     "VolumeEstimate",
-    "cdiv",
     "coherence_bounds",
     "dpi_margin",
     "estimate_coherence",
@@ -85,10 +72,6 @@ __all__ = [
     "gauge_inverse",
     "make_basis",
     "make_density",
-    "make_overlap",
-    "make_prob",
-    "outcome_dist",
-    "overlap_matrix",
     "qdiv",
     "region_grid",
     "sample",
@@ -96,5 +79,4 @@ __all__ = [
     "simulate_shots",
     "standard_basis",
     "table2_relations",
-    "umeasure",
 ]

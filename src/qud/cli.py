@@ -24,7 +24,7 @@ import types
 import numpy as np
 
 from .divergence import DIVERGENCE_KINDS, DivergenceSpec
-from .errors import QudError, SchemaError, ValidationError
+from .errors import QudError, ValidationError
 from .experiments import (
     MIN_VOLUME_SAMPLES,
     SHOT_KINDS,
@@ -38,11 +38,11 @@ from .experiments import (
     simulate_shots,
 )
 from .io import _basis_record, _state_record, load_basis, load_state
-from .qstate import _frame_of_one, _haar_frames, make_basis, make_density, standard_basis
+from .qstate import _haar_frames, make_basis, make_density, standard_basis
 from .relations import (
     RELATION_IDS,
     RelationId,
-    _verdict_pair,
+    eval_with_dual,
     search_counterexample,
     table2_relations,
 )
@@ -182,8 +182,8 @@ def _emit(table: dict, args) -> None:
         sep, tail = "", ""
         float_text = "%.12g".__mod__
     fields = [table[k] for k in keys if k in varying]
-    target = (open(args.output, "w", encoding="utf-8") if args.output
-              else contextlib.nullcontext(sys.stdout))
+    target = (contextlib.nullcontext(sys.stdout) if args.output is None
+              else open(args.output, "w", encoding="utf-8"))
     with target as out:
         out.write(head)
         for start in range(0, rows, _BLOCK_ROWS):
@@ -203,11 +203,9 @@ def _relation_from_args(args) -> RelationId:
 
 
 def _load_instance(args):
-    """(state, basis A, basis B, source) from files or a seeded Haar draw."""
-    paths = (args.state, args.basis_a, args.basis_b)
-    if any(paths):
-        if not all(paths):
-            raise SchemaError("need all of --state, --basis-a, --basis-b to load files")
+    """(state, basis A, basis B, source) from files or a seeded Haar draw;
+    `main` has refused a partial set of file flags."""
+    if args.state is not None:
         rho = load_state(args.state)
         a = load_basis(args.basis_a)
         b = load_basis(args.basis_b)
@@ -226,9 +224,7 @@ def _load_instance(args):
 def _cmd_verify(args) -> int:
     rel = _relation_from_args(args)
     rho, a, b, source = _load_instance(args)
-    batch = _frame_of_one(rho, a, b)
-    forward, dual = _verdict_pair(rel, batch.p, batch.q, batch.overlap,
-                                  _base_value(args.log_base))
+    forward, dual = eval_with_dual(rel, rho, a, b, _base_value(args.log_base))
     _emit({
         "relation": rel.id,
         "variant": rel.variant,
@@ -488,11 +484,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output(path) -> None:
-    """Refuse an --output that is a directory or whose parent is not one,
-    before any work is done. The file itself is opened only once the report
-    is ready, so a failed command leaves none behind."""
-    if not path:
+    """Refuse an --output that is empty, a directory or whose parent is not
+    one, before any work is done. The file itself is opened only once the
+    report is ready, so a failed command leaves none behind."""
+    if path is None:
         return
+    if not path:
+        raise ValueError("--output: the path is empty")
     if os.path.isdir(path):
         raise ValueError(f"--output: {path} is a directory")
     parent = os.path.dirname(path) or "."
@@ -506,6 +504,13 @@ def main(argv=None) -> int:
     # smoothing acts on shot counts only: the exact bracket would ignore it
     if args.command == "coherence" and args.smoothing is not None and args.shots is None:
         parser.error("argument --smoothing: needs --shots")
+    # an instance is read from all three files or drawn, never from some of them
+    files = [(flag, getattr(args, flag[2:].replace("-", "_"), None))
+             for flag in ("--state", "--basis-a", "--basis-b")]
+    given = [flag for flag, path in files if path is not None]
+    if 0 < len(given) < len(files):
+        missing = " and ".join(flag for flag, path in files if path is None)
+        parser.error(f"argument {given[0]}: needs {missing}")
     try:
         _check_output(args.output)
         code = args.handler(args)

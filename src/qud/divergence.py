@@ -3,11 +3,12 @@
 Six kinds are supported: trace, infidelity, renyi_sandwiched, tsallis,
 relative_entropy, hilbert_schmidt. The first four admit a gauge G putting
 them on the common [0, 1] distance scale used by the trade-off relations;
-`gauge_inverse` maps a divergence value back through G^{-1}. `qdiv`, `cdiv`
-and `gauge_inverse` work in bits; the array kernels take a log base.
-Divergences that can diverge return math.inf, and every consumer of these
-values (gauges, verdicts) handles inf. The kind maps `_dephased` and
-`_classical` give the two sides of each kind's data processing inequality.
+`gauge_inverse` maps a divergence value back through G^{-1}. `qdiv` and
+`gauge_inverse` work in bits; the array kernels, which accept any batch
+shape (a single 1-d distribution included), take a log base. Divergences
+that can diverge return math.inf, and every consumer of these values
+(gauges, verdicts) handles inf. The kind maps `_dephased` and `_classical`
+give the two sides of each kind's data processing inequality.
 """
 
 import math
@@ -19,7 +20,6 @@ from .errors import ValidationError
 from .qstate import (
     ZERO_CUTOFF,
     DensityMatrix,
-    ProbDist,
     TripleBatch,
     _check_same_dim,
     _diagonal_probs,
@@ -132,7 +132,7 @@ def power_overlap(q, qp, alpha: float):
 def renyi_divergence(q, qp, alpha: float, base: float = 2.0):
     """log(sum q^alpha q'^(1-alpha)) / (alpha - 1); +inf on support clash.
 
-    Equal distributions give +0.0 at every order.
+    Equal distributions give 0 up to rounding, which may leave either sign.
     """
     if not 0 <= alpha < math.inf or alpha == 1.0:
         raise ValidationError(f"need finite alpha >= 0, alpha != 1, got {alpha}")
@@ -159,7 +159,7 @@ def kl_divergence(q, qp, base: float = 2.0):
 
 
 # ---------------------------------------------------------------------------
-# the kind maps and the scalar front ends
+# the kind maps and the scalar front end
 
 
 def _classical(kind: str, alpha: float | None, q, qp, base: float = 2.0):
@@ -245,13 +245,6 @@ def qdiv(spec: DivergenceSpec, rho1: DensityMatrix, rho2: DensityMatrix) -> floa
     batch = TripleBatch((v.conj().T @ rho1.matrix @ v)[None], rho2.eigenvalues[None],
                         None, None, None, rho1.eigenvalues[None])
     return max(0.0, float(_dephased(spec.kind, spec.alpha, batch)[0]))
-
-
-def cdiv(spec: DivergenceSpec, q: ProbDist, qp: ProbDist) -> float:
-    """Classical counterpart of `qdiv` on outcome distributions, in bits; like
-    `qdiv`, it reads a rounding hair below zero as +0.0."""
-    _check_same_dim(q, qp)
-    return max(0.0, float(_classical(spec.kind, spec.alpha, q.probs, qp.probs)))
 
 
 def gauge_inverse(spec: DivergenceSpec, value: float) -> float:

@@ -1,7 +1,8 @@
 """States, bases, and sequential-measurement statistics.
 
-Everything downstream works with the four frozen value types defined here,
-or with TripleBatch, their batched form in the first basis's frame.
+Everything downstream works with the two frozen value types defined here,
+DensityMatrix and OrthonormalBasis, or with TripleBatch, an ensemble of
+(state, A, B) instances reduced in the first basis's frame.
 A density matrix is eigendecomposed once at construction; `qdiv` reads the
 cleaned spectrum (clipped to [0, 1], renormalized) and its eigenframe, so
 it never re-diagonalizes a validated state.
@@ -22,7 +23,7 @@ RANK_TOL = 1e-13
 # probabilities below ZERO_CUTOFF count as exact zeros before any log or power
 ZERO_CUTOFF = 1e-15
 
-SAMPLE_KINDS = ("haar_state_pure", "haar_state_mixed", "haar_unitary_basis", "simplex")
+SAMPLE_KINDS = ("haar_state_pure", "haar_state_mixed", "haar_unitary_basis")
 
 # Rows per scan chunk of search and dpi up to d=4. Above that a chunk's rows
 # shrink as 1/d^2, so each complex d x d array of a chunk stays at
@@ -85,18 +86,14 @@ def _frozen(arr):
     return arr
 
 
-def _check_finite(m, what):
-    # every comparison with NaN is False, so the tolerance checks would pass it
-    if not np.isfinite(m).all():
-        raise ValidationError(f"{what} has a non-finite entry")
-
-
 def _check_matrix(m, what):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
     if m.shape[0] < 2:
         raise ValidationError(f"{what} needs dimension >= 2, got {m.shape[0]}")
-    _check_finite(m, what)
+    # every comparison with NaN is False, so the tolerance checks would pass it
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} has a non-finite entry")
 
 
 def _check_dim(dim: int):
@@ -138,33 +135,6 @@ class OrthonormalBasis:
         return self.kets.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ProbDist:
-    """Outcome distribution: nonnegative entries with unit sum."""
-
-    probs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.probs.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class OverlapMatrix:
-    """Doubly stochastic matrix of squared basis overlaps.
-
-    Row i holds |<a_i|b_j>|^2 over j, so rows follow the first (dephasing)
-    measurement and columns the second one.
-    """
-
-    entries: np.ndarray
-    cmax: float
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def make_density(entries) -> DensityMatrix:
     """Validate a raw matrix and return the cleaned DensityMatrix.
 
@@ -201,35 +171,6 @@ def make_basis(kets) -> OrthonormalBasis:
     return OrthonormalBasis(_frozen(u))
 
 
-def make_prob(probs) -> ProbDist:
-    """Validate a probability vector; entries are clipped and renormalized."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise ValidationError(f"need a 1-d vector of length >= 2, got shape {p.shape}")
-    _check_finite(p, "a probability vector")
-    if float(p.min()) < -VALIDATION_TOL or float(p.max()) > 1.0 + VALIDATION_TOL:
-        raise ValidationError(f"entries outside [0, 1]: min {p.min():.3g}, max {p.max():.3g}")
-    total = float(p.sum())
-    if abs(total - 1.0) > VALIDATION_TOL:
-        raise ValidationError(f"sum {total:.10g} differs from 1 by more than {VALIDATION_TOL}")
-    p = np.clip(p, 0.0, 1.0)
-    return ProbDist(_frozen(p / p.sum()))
-
-
-def make_overlap(entries) -> OverlapMatrix:
-    """Validate a doubly stochastic overlap matrix (sums within 1e-8 of 1)."""
-    c = np.asarray(entries, dtype=np.float64)
-    _check_matrix(c, "an overlap matrix")
-    if float(c.min()) < -VALIDATION_TOL:
-        raise ValidationError(f"negative entry {c.min():.3g}")
-    rows = np.abs(c.sum(axis=1) - 1.0).max()
-    cols = np.abs(c.sum(axis=0) - 1.0).max()
-    if max(float(rows), float(cols)) > VALIDATION_TOL:
-        raise ValidationError(f"row/column sums off 1 by {float(rows):.3g}/{float(cols):.3g}")
-    c = np.clip(c, 0.0, None)
-    return OverlapMatrix(_frozen(c), float(c.max()))
-
-
 def standard_basis(dim: int) -> OrthonormalBasis:
     _check_dim(dim)
     return OrthonormalBasis(_frozen(np.eye(dim, dtype=np.complex128)))
@@ -241,20 +182,6 @@ def fourier_basis(dim: int) -> OrthonormalBasis:
     j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     u = np.exp(2j * np.pi * j * k / dim) / np.sqrt(dim)
     return OrthonormalBasis(_frozen(u))
-
-
-def outcome_dist(rho: DensityMatrix, basis: OrthonormalBasis) -> ProbDist:
-    """Born probabilities p_k = <a_k| rho |a_k>: the p of `_frame_of_one`, a
-    batch of one with the basis as both A and B."""
-    return ProbDist(_frozen(_frame_of_one(rho, basis, basis).p[0]))
-
-
-def overlap_matrix(a: OrthonormalBasis, b: OrthonormalBasis) -> OverlapMatrix:
-    """c_ij = |<a_i|b_j>|^2, unistochastic by construction: the overlap of
-    `_frame_of_one` for any state, bit for bit."""
-    _check_same_dim(a, b)
-    c = np.abs(a.kets.conj().T @ b.kets) ** 2
-    return OverlapMatrix(_frozen(c), float(c.max()))
 
 
 def _complex_normal(rng, shape):
@@ -442,6 +369,4 @@ def sample(kind: str, dim: int, seed: int):
         return make_density(rho[0])
     if kind == "haar_unitary_basis":
         return make_basis(_haar_unitaries(rng, 1, dim)[0])
-    if kind == "simplex":
-        return ProbDist(_frozen(rng.dirichlet(np.ones(dim))))
     raise ValidationError(f"unknown sample kind {kind!r}; expected one of {SAMPLE_KINDS}")

@@ -19,9 +19,7 @@ from . import qstate
 from .qstate import (
     DensityMatrix,
     OrthonormalBasis,
-    OverlapMatrix,
-    ProbDist,
-    _check_same_dim,
+    _frame_of_one,
     _matrix_max,
     _scan_chunk,
     _scan_rows,
@@ -211,22 +209,18 @@ def _verdict(lhs, rhs, index: int = 0) -> RelationVerdict:
     return RelationVerdict(lhs, rhs, lhs - rhs, bool(satisfied_mask(lhs, rhs)))
 
 
-def eval_with_dual(rel: RelationId, p: ProbDist, q: ProbDist, c: OverlapMatrix,
-                   base: float = 2.0) -> tuple[RelationVerdict, RelationVerdict]:
-    """Forward verdict on (p, q, C^T p) and dual on (q, p, C q).
+def eval_with_dual(rel: RelationId, rho: DensityMatrix, a: OrthonormalBasis,
+                   b: OrthonormalBasis, base: float = 2.0
+                   ) -> tuple[RelationVerdict, RelationVerdict]:
+    """Forward verdict on (p, q, p C) and dual on (q, p, C q) of one instance
+    (rho, A, B), reduced once in A's frame as a batch of one.
 
     EUR_MU is self-dual under the order swap, so the same verdict is
     returned twice.
     """
-    _check_same_dim(p, q)
-    _check_same_dim(p, c)
-    return _verdict_pair(rel, p.probs[None, :], q.probs[None, :], c.entries[None], base)
-
-
-def _verdict_pair(rel: RelationId, p, q, c, base: float = 2.0):
-    """(forward, dual) verdicts of one instance: (1, d) arrays p, q and its
-    (1, d, d) overlaps C, such as the p, q and overlap of `_frame_of_one`."""
-    verdicts = _forward_dual(rel, p, q, _shared_arrays(p, q, c), _verdict, base)
+    batch = _frame_of_one(rho, a, b)
+    p, q = batch.p, batch.q
+    verdicts = _forward_dual(rel, p, q, _shared_arrays(p, q, batch.overlap), _verdict, base)
     return verdicts[0], verdicts[-1]
 
 

@@ -1,9 +1,9 @@
 """Batched Haar ensembles and vectorized margins for large property sweeps.
 
-These front ends reproduce the scalar qdiv/cdiv/relation results on whole
-ensembles at once, which is what makes the 10^5-sample soundness sweeps
-affordable; both sides of each data processing inequality come from the
-kind maps of `divergence`. Ensembles are drawn in the frame of the first
+These front ends reproduce the scalar `qdiv` and `eval_with_dual` results
+on whole ensembles at once, which is what makes the 10^5-sample soundness
+sweeps affordable; both sides of each data processing inequality come from
+the kind maps of `divergence`. Ensembles are drawn in the frame of the first
 basis, where the dephased state is diagonal, so nothing is rotated; the
 scalar `dpi_margin` is a batch of one, rotated into that frame first.
 """

@@ -1,39 +1,18 @@
 """Uncertainty measures over outcome distributions.
 
-The array kernels accept any batch shape and reduce over the last axis;
-`_measure` maps a kind to its kernel, and `umeasure` is that map on one
-ProbDist. Probabilities below 1e-15 are treated as exact zeros before any
+The array kernels accept any batch shape, a single 1-d distribution
+included, and reduce over the last axis; `_measure` maps a kind to its
+kernel. Probabilities below 1e-15 are treated as exact zeros before any
 log or power, so the 0 log 0 = 0 and 0^alpha = 0 conventions hold for
 every order.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .qstate import ZERO_CUTOFF, ProbDist, _row_sum
-
-UMEASURE_KINDS = ("delta", "renyi", "shannon", "half_norm")
-
-
-@dataclass(frozen=True)
-class UncertaintySpec:
-    """Choice of uncertainty measure; `alpha` only applies to `renyi`."""
-
-    kind: str
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in UMEASURE_KINDS:
-            raise ValidationError(f"unknown uncertainty kind {self.kind!r}")
-        if self.kind == "renyi":
-            alpha = self.alpha
-            if alpha is None or not 0 < alpha < math.inf or alpha == 1.0:
-                raise ValidationError(f"renyi needs finite alpha > 0, alpha != 1, got {alpha}")
-        elif self.alpha is not None:
-            raise ValidationError(f"{self.kind} takes no alpha")
+from .qstate import ZERO_CUTOFF, _row_sum
 
 
 def delta_measure(p):
@@ -83,9 +62,3 @@ def _measure(kind: str, alpha: float | None, p, base: float = 2.0):
     if kind == "renyi":
         return renyi_entropy(p, alpha, base=base)
     return half_norm_measure(p)
-
-
-def umeasure(spec: UncertaintySpec, p: ProbDist, base: float = 2.0) -> float:
-    """Evaluate the chosen measure on one distribution (bits by default)."""
-    return float(_measure(spec.kind, spec.alpha, p.probs, base))
-

@@ -3,6 +3,9 @@ and the independent checks the tests hold the program to:
 
 - `oracle_qdiv`, the scalar quantum divergences as first written, one
   kernel per kind, kept as the reference `qdiv` must match;
+- `born`, a basis's outcome distribution by the Born rule, and
+  `triple_of`, an instance's (p, q, q', C) read from it and from
+  C = |A^dag B|^2, apart from the program's A-frame reduction;
 - `oracle_dephase`, the A-dephased state built as a matrix from the Born
   rule, and `sequential_dist`, the classical q' = p C, which the A-frame
   reduction must factor through;
@@ -10,8 +13,9 @@ and the independent checks the tests hold the program to:
 - `power`, a state's pseudo-power from its eigendecomposition, and
   `fidelity`, the Uhlmann fidelity from an SVD of sqrt(rho1) sqrt(rho2),
   a second formula beside the sandwiched trace the kernels use;
-- `verdict_of`, one relation judged on one (p, q, q') triple from
-  `relation_sides` and `satisfied_mask` alone, with no forward/dual rule.
+- `verdict_of`, one relation judged on one (p, q, q') triple of plain
+  arrays from `relation_sides` and `satisfied_mask` alone, with no
+  forward/dual rule.
 """
 
 import math
@@ -20,18 +24,15 @@ import numpy as np
 import pytest
 
 from qud.divergence import SUPPORT_LEAK_TOL, DivergenceSpec
+from qud.errors import ValidationError
 from qud.qstate import (
     ZERO_CUTOFF,
     DensityMatrix,
     OrthonormalBasis,
-    OverlapMatrix,
-    ProbDist,
     _check_same_dim,
     _pseudo_power,
     fourier_basis,
     make_density,
-    outcome_dist,
-    overlap_matrix,
     standard_basis,
 )
 from qud.relations import RelationId, RelationVerdict, relation_sides, satisfied_mask
@@ -66,36 +67,46 @@ def f1(plus_state, z_basis, x_basis):
 
 
 def triple_of(rho, a, b):
-    """(p, q, qp, c) statistics for a measured instance."""
-    p = outcome_dist(rho, a)
-    q = outcome_dist(rho, b)
-    c = overlap_matrix(a, b)
-    qp = sequential_dist(p, c)
-    return p, q, qp, c
+    """(p, q, qp, c) arrays for a measured instance: p and q by the Born rule
+    in A and in B, C = |A^dag B|^2 and q' = p C."""
+    p, q = born(rho, a), born(rho, b)
+    c = np.abs(a.kets.conj().T @ b.kets) ** 2
+    return p, q, sequential_dist(p, c), c
 
 
 # ---------------------------------------------------------------------------
 # scalar oracles the package no longer carries
 
 
-def oracle_dephase(rho: DensityMatrix, basis: OrthonormalBasis) -> DensityMatrix:
-    """Project onto the basis diagonal: sum_k p_k |a_k><a_k|."""
+def _check_same_len(x, y):
+    if len(x) != len(y):
+        raise ValidationError(f"dimensions differ: {len(x)} vs {len(y)}")
+
+
+def born(rho: DensityMatrix, basis: OrthonormalBasis) -> np.ndarray:
+    """Born probabilities p_k = <a_k| rho |a_k>, clipped at 0."""
     _check_same_dim(rho, basis)
     u = basis.kets
-    p = np.clip(np.real(np.einsum("ik,ij,jk->k", u.conj(), rho.matrix, u)), 0.0, None)
+    return np.clip(np.real(np.einsum("ik,ij,jk->k", u.conj(), rho.matrix, u)), 0.0, None)
+
+
+def oracle_dephase(rho: DensityMatrix, basis: OrthonormalBasis) -> DensityMatrix:
+    """Project onto the basis diagonal: sum_k p_k |a_k><a_k|."""
+    u = basis.kets
+    p = born(rho, basis)
     matrix = (u * p) @ u.conj().T
     matrix = (matrix + matrix.conj().T) / 2.0
     return DensityMatrix(matrix, p.copy(), u.copy())
 
 
-def sequential_dist(p: ProbDist, c: OverlapMatrix) -> ProbDist:
+def sequential_dist(p, c) -> np.ndarray:
     """Statistics of the second measurement after dephasing by the first:
     q'_j = sum_i p_i c_ij. With the roles of the two bases exchanged, the
-    dual map is the forward map of make_overlap(c.entries.T).
+    dual map is the forward map of c.T.
     """
-    _check_same_dim(p, c)
-    out = np.clip(p.probs @ c.entries, 0.0, 1.0)
-    return ProbDist(out / out.sum())
+    _check_same_len(p, c)
+    out = np.clip(np.asarray(p) @ c, 0.0, 1.0)
+    return out / out.sum()
 
 
 def power(rho: DensityMatrix, exponent: float) -> np.ndarray:
@@ -112,20 +123,19 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(np.clip(sv.sum(), 0.0, 1.0))
 
 
-def majorizes(p1: ProbDist, p2: ProbDist) -> bool:
+def majorizes(p1, p2) -> bool:
     """True when every partial sum of p1 (sorted down) weakly dominates p2's."""
-    _check_same_dim(p1, p2)
-    a = np.cumsum(np.sort(p1.probs)[::-1])
-    b = np.cumsum(np.sort(p2.probs)[::-1])
+    _check_same_len(p1, p2)
+    a = np.cumsum(np.sort(p1)[::-1])
+    b = np.cumsum(np.sort(p2)[::-1])
     return bool(np.all(a - b >= -1e-10))
 
 
-def verdict_of(rel: RelationId, p: ProbDist, q: ProbDist, qp: ProbDist,
-               c: OverlapMatrix | None = None) -> RelationVerdict:
+def verdict_of(rel: RelationId, p, q, qp, c=None) -> RelationVerdict:
     """The forward verdict of one relation on (p, q, q'), in bits; the
     overlap matrix supplies cmax, which only the EUR_* relations read."""
-    cmax = None if c is None else np.array([c.cmax])
-    sides = relation_sides(rel, p.probs[None], q.probs[None], qp.probs[None], cmax)
+    cmax = None if c is None else np.array([np.max(c)])
+    sides = relation_sides(rel, *(np.asarray(x)[None] for x in (p, q, qp)), cmax)
     lhs, rhs = (float(side[0]) for side in sides)
     return RelationVerdict(lhs, rhs, lhs - rhs, bool(satisfied_mask(lhs, rhs)))
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qud.cli import main
-from qud.divergence import DivergenceSpec, cdiv, qdiv
+from qud.divergence import DivergenceSpec, _classical, qdiv
 from qud.experiments import (
     TABLE2_REFERENCE,
     _draw_parameters,
@@ -33,7 +33,6 @@ from qud.qstate import (
     _ginibre_states,
     _haar_unitaries,
     make_density,
-    make_prob,
 )
 from qud.relations import (
     RelationId,
@@ -46,12 +45,11 @@ from qud.relations import (
 from qud.rng import stream
 from qud.sweeps import chain_margins, dpi_margins, haar_triples
 from qud.uncertainty import (
-    UncertaintySpec,
+    _measure,
     delta_measure,
     half_norm_measure,
     renyi_entropy,
     shannon_entropy,
-    umeasure,
 )
 
 from conftest import RT2, majorizes, oracle_dephase, triple_of, verdict_of
@@ -345,12 +343,12 @@ def test_tightness_fixtures(plus_state, z_basis, x_basis):
     p, q, qp, _ = triple_of(plus_state, z_basis, x_basis)
     rho_a = oracle_dephase(plus_state, z_basis)
     checks = [
-        ("delta(p)", umeasure(UncertaintySpec("delta"), p), RT2, 1e-9),
+        ("delta(p)", float(_measure("delta", None, p)), RT2, 1e-9),
         ("IF(rho,rho_A)", qdiv(DivergenceSpec("infidelity"), plus_state, rho_a), RT2, 1e-9),
-        ("universal bound", cdiv(DivergenceSpec("infidelity"), q, qp), RT2, 1e-9),
-        ("H(p)", umeasure(UncertaintySpec("shannon"), p), 1.0, 1e-9),
+        ("universal bound", float(_classical("infidelity", None, q, qp)), RT2, 1e-9),
+        ("H(p)", float(_measure("shannon", None, p)), 1.0, 1e-9),
         ("S(rho||rho_A)", qdiv(DivergenceSpec("relative_entropy"), plus_state, rho_a), 1.0, 1e-9),
-        ("KL(q||q')", cdiv(DivergenceSpec("relative_entropy"), q, qp), 1.0, 1e-9),
+        ("KL(q||q')", float(_classical("relative_entropy", None, q, qp)), 1.0, 1e-9),
     ]
     pure = coherence_bounds(plus_state, z_basis, x_basis)
     checks += [
@@ -404,7 +402,7 @@ def test_limits_and_structure():
         mix = np.abs(_haar_unitaries(rng, count, dim)) ** 2
         flat = np.einsum("nij,nj->ni", mix, sharp)
         for k in range(0, count, 500):
-            assert majorizes(make_prob(sharp[k]), make_prob(flat[k]))
+            assert majorizes(sharp[k], flat[k])
         kernels = [delta_measure, shannon_entropy, half_norm_measure] + [
             (lambda x, a=a: renyi_entropy(x, a)) for a in (0.25, 0.5, 2.0, 3.0, 5.0)
         ]

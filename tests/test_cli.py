@@ -555,15 +555,6 @@ def test_missing_file_is_a_cli_error(capsys):
     assert err.startswith("error:")
 
 
-def test_partial_instance_flags_rejected(instance_files, capsys):
-    code, _, err = run(
-        ["verify", "--relation", "U_tr", "--dim", "2", "--state", instance_files[0]],
-        capsys,
-    )
-    assert code == 2
-    assert err.startswith("error:")
-
-
 @pytest.mark.parametrize("dims", [(3, 2, 2), (2, 2, 2)], ids=["files_differ", "dim_flag"])
 def test_file_dimension_conflict_is_an_input_error(dims, tmp_path, capsys):
     # files of different dimensions, or --dim 3 with dim-2 files
@@ -666,6 +657,16 @@ def test_unknown_subcommand_exits_two(capsys):
     # smoothing acts on shot counts, so without --shots it is refused
     pytest.param(["coherence", "--dim", "2", "--seed", "1", "--smoothing", "7"],
                  "--smoothing", id="argv39---smoothing"),
+    # an instance comes from all three files or from a draw, never from some
+    # files; the flag named is the first one given, and no file is opened
+    pytest.param(["verify", "--relation", "U_tr", "--dim", "2", "--state", "rho.json"],
+                 "--state", id="argv40---state"),
+    pytest.param(["verify", "--relation", "U_tr", "--state", "rho.json", "--basis-b", "b.json"],
+                 "--state", id="argv41---state"),
+    pytest.param(["coherence", "--basis-a", "a.json", "--basis-b", "b.json"],
+                 "--basis-a", id="argv42---basis-a"),
+    pytest.param(["shots", "--kind", "sequential_AB", "--basis-b", "b.json"],
+                 "--basis-b", id="argv43---basis-b"),
 ])
 def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -957,6 +958,17 @@ def test_bad_output_is_refused_before_any_work(target, tmp_path, monkeypatch, ca
     assert out == ""
     assert err.startswith("error: --output: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_empty_output_is_refused(tmp_path, monkeypatch, capsys):
+    # only a missing --output means stdout; an empty path names no file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["verify", "--relation", "U_tr", "--dim", "2", "--output", ""],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --output: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _no_memory(*args, **kwargs):

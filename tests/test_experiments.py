@@ -21,11 +21,8 @@ from qud.experiments import (
 )
 from qud.divergence import DivergenceSpec
 from qud.qstate import (
+    _frame_of_one,
     make_density,
-    make_overlap,
-    make_prob,
-    outcome_dist,
-    overlap_matrix,
     sample,
 )
 from qud.relations import (
@@ -37,7 +34,7 @@ from qud.relations import (
 from qud.rng import role_stream, stream
 from qud.sweeps import dpi_margin
 
-from conftest import sequential_dist, triple_of, verdict_of
+from conftest import sequential_dist, verdict_of
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +45,7 @@ def _scalar_admits(rel, p, q, c):
     # forward verdict on (p, q, C) and on the transposed instance (q, p, C^T),
     # each from verdict_of alone, not from the shared forward/dual rule
     def forward(p, q, c):
-        p, c = make_prob(p), make_overlap(c)
-        return verdict_of(rel, p, make_prob(q), sequential_dist(p, c), c).satisfied
+        return verdict_of(rel, p, q, sequential_dist(p, c), c).satisfied
 
     return forward(p, q, c) and forward(q, p, c.T)
 
@@ -315,11 +311,12 @@ def test_shot_streams_are_not_the_instance_stream():
     seed, n = 8, 1000
     rho, a, b = (sample("haar_state_mixed", 3, seed), sample("haar_unitary_basis", 3, 1),
                  sample("haar_unitary_basis", 3, 2))
-    q = outcome_dist(rho, b).probs
+    q = _frame_of_one(rho, b, b).p[0]
     direct = simulate_shots(rho, None, b, n, seed).counts
     assert np.array_equal(direct, role_stream(seed, "direct_B").multinomial(n, q / q.sum()))
     assert not np.array_equal(direct, stream(seed).multinomial(n, q / q.sum()))
-    joint = (outcome_dist(rho, a).probs[:, None] * overlap_matrix(a, b).entries).ravel()
+    batch = _frame_of_one(rho, a, b)
+    joint = (batch.p[0][:, None] * batch.overlap[0]).ravel()
     sequential = simulate_shots(rho, a, b, n, seed).counts.ravel()
     role = role_stream(seed, "sequential_AB").multinomial(n, joint / joint.sum())
     assert np.array_equal(sequential, role)

@@ -91,12 +91,12 @@ def test_every_private_def_is_referenced():
 
 
 # Reductions over an axis that stay numpy's own: the helpers themselves, the
-# single-matrix row and column checks of make_overlap, the d^2-entry
-# Frobenius norm of the Hilbert-Schmidt dephased term, and the count matrix of
-# estimate_coherence. Every other one goes through qstate._row_sum/_row_max.
+# d^2-entry Frobenius norm of the Hilbert-Schmidt dephased term, and the count
+# matrix of estimate_coherence. Every other one goes through
+# qstate._row_sum/_row_max.
 AXIS_REDUCTIONS_ALLOWED = {
     "divergence.py": ["_dephased.sum"],
-    "qstate.py": ["_row_max.max", "_row_sum.sum", "make_overlap.sum", "make_overlap.sum"],
+    "qstate.py": ["_row_max.max", "_row_sum.sum"],
     "experiments.py": ["estimate_coherence.sum", "estimate_coherence.sum"],
 }
 
@@ -260,17 +260,6 @@ def test_divergence_states_each_quantum_formula_once():
     assert owners == {"_dephased", "_sandwiched_trace"}
 
 
-def test_front_ends_reduce_an_instance_only_in_basis_a_frame():
-    # cli and experiments turn one (rho, A, B) into (p, q, C) through
-    # qstate._frame_of_one alone, so a second Born-rule reduction cannot come back
-    second = {"outcome_dist", "overlap_matrix"}
-    for name in ("cli.py", "experiments.py"):
-        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
-        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                    for a in node.names}
-        assert not imported & second, name
-
-
 def raised(source: str) -> list[str]:
     """What each raise statement raises: the exception it calls or names,
     or `raise` for a bare re-raise."""
@@ -322,14 +311,12 @@ def test_source_lines_fit_in_max_columns():
 # comes back into the public surface only by an edit here.
 PUBLIC_SURFACE = (
     "CoherenceBounds", "Counterexample", "DIVERGENCE_KINDS", "DensityMatrix",
-    "DivergenceSpec", "OrthonormalBasis", "OverlapMatrix", "ProbDist", "QudError",
-    "RELATION_IDS", "RelationId", "RelationVerdict", "SAMPLE_KINDS", "ShotCounts",
-    "UMEASURE_KINDS", "UncertaintySpec", "VolumeEstimate", "cdiv", "coherence_bounds",
-    "dpi_margin", "estimate_coherence", "estimate_volume", "estimate_volumes",
-    "eval_with_dual", "fourier_basis", "gauge_inverse", "make_basis",
-    "make_density", "make_overlap", "make_prob", "outcome_dist", "overlap_matrix",
-    "qdiv", "region_grid", "sample", "search_counterexample", "simulate_shots",
-    "standard_basis", "table2_relations", "umeasure",
+    "DivergenceSpec", "OrthonormalBasis", "QudError", "RELATION_IDS", "RelationId",
+    "RelationVerdict", "SAMPLE_KINDS", "ShotCounts", "VolumeEstimate",
+    "coherence_bounds", "dpi_margin", "estimate_coherence", "estimate_volume",
+    "estimate_volumes", "eval_with_dual", "fourier_basis", "gauge_inverse",
+    "make_basis", "make_density", "qdiv", "region_grid", "sample",
+    "search_counterexample", "simulate_shots", "standard_basis", "table2_relations",
 )
 
 

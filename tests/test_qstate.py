@@ -19,16 +19,12 @@ from qud.qstate import (
     fourier_basis,
     make_basis,
     make_density,
-    make_overlap,
-    make_prob,
-    outcome_dist,
-    overlap_matrix,
     sample,
     standard_basis,
 )
 from qud.rng import ROLE_KEYS, role_stream, stream
 
-from conftest import RT2, fidelity, oracle_dephase, power, sequential_dist, triple_of
+from conftest import RT2, born, fidelity, oracle_dephase, power, sequential_dist, triple_of
 
 
 # ---------------------------------------------------------------------------
@@ -116,72 +112,43 @@ def test_make_basis_rejects_non_orthogonal():
         make_basis(kets)
 
 
-def test_make_prob_validation():
-    make_prob([0.2, 0.8])
-    with pytest.raises(ValidationError, match="1-d vector of length >= 2"):
-        make_prob([1.0])
-    with pytest.raises(ValidationError, match="^sum 1.1 differs from 1"):
-        make_prob([0.5, 0.6])
-    with pytest.raises(ValidationError, match="entries outside"):
-        make_prob([-0.2, 1.2])
-    with pytest.raises(ValidationError, match="a probability vector has a non-finite entry"):
-        make_prob([np.nan, 1.0])
-    with pytest.raises(ValidationError, match="a probability vector has a non-finite entry"):
-        make_prob([np.inf, 0.0])
-
-
-def test_make_prob_clips_rounding_noise():
-    p = make_prob([1.0 + 5e-9, -5e-9])
-    assert p.probs.min() == 0.0
-    assert_allclose(p.probs.sum(), 1.0, atol=0)
-
-
-def test_make_overlap_validation():
-    c = make_overlap([[0.3, 0.7], [0.7, 0.3]])
-    assert c.cmax == 0.7
-    with pytest.raises(ValidationError, match="row/column sums off 1"):
-        make_overlap([[0.5, 0.6], [0.5, 0.4]])
-    with pytest.raises(ValidationError, match="negative entry"):
-        make_overlap([[-0.1, 1.1], [1.1, -0.1]])
-    with pytest.raises(ValidationError, match="an overlap matrix has a non-finite entry"):
-        make_overlap([[np.nan, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValidationError, match="an overlap matrix has a non-finite entry"):
-        make_overlap([[np.inf, 0.0], [0.0, 1.0]])
-
-
 # ---------------------------------------------------------------------------
 # bases, statistics, dephasing
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_standard_fourier_are_mutually_unbiased(dim):
-    c = overlap_matrix(standard_basis(dim), fourier_basis(dim))
-    assert_allclose(c.entries, np.full((dim, dim), 1.0 / dim), atol=1e-12)
-    assert_allclose(c.cmax, 1.0 / dim, atol=1e-12)
+    batch = _frame_of_one(make_density(np.eye(dim) / dim), standard_basis(dim),
+                          fourier_basis(dim))
+    assert_allclose(batch.overlap[0], np.full((dim, dim), 1.0 / dim), atol=1e-12)
+    assert_allclose(batch.cmax[0], 1.0 / dim, atol=1e-12)
 
 
 def test_outcome_dist_plus_state(plus_state, z_basis, x_basis):
-    assert_allclose(outcome_dist(plus_state, z_basis).probs, [0.5, 0.5], atol=1e-12)
-    assert_allclose(outcome_dist(plus_state, x_basis).probs, [1.0, 0.0], atol=1e-12)
+    batch = _frame_of_one(plus_state, z_basis, x_basis)
+    assert_allclose(batch.p[0], [0.5, 0.5], atol=1e-12)
+    assert_allclose(batch.q[0], [1.0, 0.0], atol=1e-12)
 
 
 def test_outcome_dist_normalized():
     rho = sample("haar_state_mixed", 4, 11)
     b = sample("haar_unitary_basis", 4, 12)
-    p = outcome_dist(rho, b).probs
-    assert p.min() >= 0.0
-    assert_allclose(p.sum(), 1.0, atol=1e-12)
+    batch = _frame_of_one(rho, b, standard_basis(4))
+    for p in (batch.p[0], batch.q[0]):
+        assert p.min() >= 0.0
+        assert_allclose(p.sum(), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_outcome_dist_is_the_p_of_frame_of_one(dim):
-    # one Born rule: a basis's statistics are the p its instance reduces to
+    # one Born rule: a basis's statistics, read with it as both A and B, are
+    # the p of every instance that measures it first, bit for bit
     for seed in range(20):
         rho = sample("haar_state_mixed", dim, seed)
         b = sample("haar_unitary_basis", dim, 100 + seed)
         for a in (sample("haar_unitary_basis", dim, 200 + seed), fourier_basis(dim)):
             p = _frame_of_one(rho, a, b).p[0]
-            assert outcome_dist(rho, a).probs.tobytes() == p.tobytes()
+            assert _frame_of_one(rho, a, a).p[0].tobytes() == p.tobytes()
 
 
 def test_dephase_kills_off_diagonals(plus_state, z_basis):
@@ -203,27 +170,24 @@ def test_dephase_is_a_fixed_point():
 def test_dephase_preserves_basis_statistics():
     rho = sample("haar_state_mixed", 3, 31)
     b = sample("haar_unitary_basis", 3, 32)
-    assert_allclose(
-        outcome_dist(oracle_dephase(rho, b), b).probs, outcome_dist(rho, b).probs, atol=1e-10
-    )
+    assert_allclose(born(oracle_dephase(rho, b), b), born(rho, b), atol=1e-10)
 
 
 def test_sequential_dist_directions():
-    p = make_prob([1.0, 0.0])
-    c = make_overlap(np.full((2, 2), 0.5))
-    assert_allclose(sequential_dist(p, c).probs, [0.5, 0.5], atol=1e-12)
+    p = np.array([1.0, 0.0])
+    c = np.full((2, 2), 0.5)
+    assert_allclose(sequential_dist(p, c), [0.5, 0.5], atol=1e-12)
     # the dual map p'_i = sum_j c_ij q_j, bases exchanged, is the forward map
     # of the transpose
-    c = make_overlap([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]])
-    q = make_prob([0.2, 0.3, 0.5])
-    assert_allclose(sequential_dist(q, c).probs, [0.3, 0.3, 0.4], atol=1e-12)
-    dual = sequential_dist(q, make_overlap(c.entries.T)).probs
-    assert_allclose(dual, [0.25, 0.375, 0.375], atol=1e-12)
+    c = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]])
+    q = np.array([0.2, 0.3, 0.5])
+    assert_allclose(sequential_dist(q, c), [0.3, 0.3, 0.4], atol=1e-12)
+    assert_allclose(sequential_dist(q, c.T), [0.25, 0.375, 0.375], atol=1e-12)
 
 
 def test_sequential_dist_dimension_mismatch():
     with pytest.raises(ValidationError, match="dimensions differ"):
-        sequential_dist(make_prob([0.5, 0.5]), make_overlap(np.full((3, 3), 1 / 3)))
+        sequential_dist(np.array([0.5, 0.5]), np.full((3, 3), 1 / 3))
 
 
 def test_dephase_factorizes_through_the_overlap_matrix():
@@ -247,7 +211,8 @@ def test_dephase_factorizes_through_the_overlap_matrix():
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
 def test_overlap_matrix_is_the_overlap_of_frame_of_one(dim):
-    # one overlap formula: a basis pair's C is the overlap its instance reduces to
+    # one overlap formula: a basis pair's C = |A^dag B|^2 is the overlap its
+    # instance reduces to, bit for bit, whatever the state
     rng = stream(950 + dim)
     states = _ginibre_states(rng, 200, dim)
     ua = _haar_unitaries(rng, 200, dim)
@@ -255,7 +220,7 @@ def test_overlap_matrix_is_the_overlap_of_frame_of_one(dim):
     for k in range(200):
         a, b = make_basis(ua[k]), make_basis(ub[k])
         c = _frame_of_one(make_density(states[k]), a, b).overlap[0]
-        assert overlap_matrix(a, b).entries.tobytes() == c.tobytes()
+        assert (np.abs(a.kets.conj().T @ b.kets) ** 2).tobytes() == c.tobytes()
 
 
 def test_overlap_matrix_is_doubly_stochastic_in_bulk():
@@ -266,8 +231,11 @@ def test_overlap_matrix_is_doubly_stochastic_in_bulk():
     rng = stream(78)
     ua = _haar_unitaries(rng, 100, 4)
     ub = _haar_unitaries(rng, 100, 4)
+    rho = make_density(np.eye(4) / 4)
     for k in range(100):
-        overlap_matrix(make_basis(ua[k]), make_basis(ub[k]))
+        c = _frame_of_one(rho, make_basis(ua[k]), make_basis(ub[k])).overlap[0]
+        assert np.abs(c.sum(axis=0) - 1.0).max() < 1e-8
+        assert np.abs(c.sum(axis=1) - 1.0).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +297,6 @@ def test_sample_kinds_cover_contract():
         "haar_state_pure",
         "haar_state_mixed",
         "haar_unitary_basis",
-        "simplex",
     }
 
 
@@ -345,18 +312,11 @@ def test_sample_mixed_states_are_valid():
     assert rho.eigenvalues.min() >= 0.0
 
 
-def test_sample_simplex_first_coordinate_is_uniform():
-    u = np.array([sample("simplex", 2, s).probs[0] for s in range(100_000)])
-    assert abs(u.mean() - 0.5) < 0.005
-
-
 def test_sample_is_deterministic():
     for kind in SAMPLE_KINDS:
         first = sample(kind, 3, 123)
         second = sample(kind, 3, 123)
-        if kind == "simplex":
-            assert np.array_equal(first.probs, second.probs)
-        elif kind == "haar_unitary_basis":
+        if kind == "haar_unitary_basis":
             assert np.array_equal(first.kets, second.kets)
         else:
             assert np.array_equal(first.matrix, second.matrix)
@@ -372,7 +332,7 @@ def test_sample_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sample("bell_pair", 2, 0)
     with pytest.raises(ValidationError, match="need dimension >= 2"):
-        sample("simplex", 1, 0)
+        sample("haar_state_mixed", 1, 0)
 
 
 def test_stream_chunks_are_reproducible():
@@ -579,7 +539,7 @@ def test_row_sum_and_row_max_are_numpys_reduce_to_the_bit(dim):
 
 def test_triple_of_helper_consistency(f1):
     p, q, qp, c = triple_of(*f1)
-    assert_allclose(p.probs, [0.5, 0.5], atol=1e-12)
-    assert_allclose(q.probs, [1.0, 0.0], atol=1e-12)
-    assert_allclose(qp.probs, [0.5, 0.5], atol=1e-12)
-    assert_allclose(c.entries, np.full((2, 2), 0.5), atol=1e-12)
+    assert_allclose(p, [0.5, 0.5], atol=1e-12)
+    assert_allclose(q, [1.0, 0.0], atol=1e-12)
+    assert_allclose(qp, [0.5, 0.5], atol=1e-12)
+    assert_allclose(c, np.full((2, 2), 0.5), atol=1e-12)

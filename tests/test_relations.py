@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from qud import relations
 from qud.divergence import (
     DivergenceSpec,
+    _classical,
     _dephased,
-    cdiv,
     classical_infidelity,
     euclidean_distance,
     kl_divergence,
@@ -30,10 +30,6 @@ from qud.qstate import (
     _triples,
     fourier_basis,
     make_density,
-    make_overlap,
-    make_prob,
-    outcome_dist,
-    overlap_matrix,
     sample,
     standard_basis,
 )
@@ -68,6 +64,7 @@ from qud.uncertainty import (
 
 from conftest import (
     RT2,
+    born,
     oracle_dephase,
     oracle_qdiv,
     sequential_dist,
@@ -228,17 +225,14 @@ def test_printed_u_if_holds_at_the_fixture(f1):
 def test_zero_disturbance_always_satisfied(f1):
     rho, a, _ = f1
     p, q, qp, c = triple_of(rho, a, a)
-    assert_allclose(qp.probs, q.probs, atol=1e-12)
+    assert_allclose(qp, q, atol=1e-12)
     for rel in ALL_RELATIONS:
         v = verdict_of(rel, p, q, qp, c)
         assert v.satisfied, rel.label()
 
 
 def test_unbounded_rhs_is_a_violation():
-    p = make_prob([0.5, 0.5])
-    q = make_prob([1.0, 0.0])
-    qp = make_prob([0.0, 1.0])
-    v = verdict_of(RelationId("U_re"), p, q, qp)
+    v = verdict_of(RelationId("U_re"), [0.5, 0.5], [1.0, 0.0], [0.0, 1.0])
     assert v.rhs == np.inf
     assert v.margin == -np.inf
     assert not v.satisfied
@@ -284,7 +278,7 @@ def test_an_eur_relation_without_cmax_is_a_missing_overlap(f1):
     p, q, qp, _ = triple_of(*f1)
     with pytest.raises(ValidationError, match="needs the overlap matrix"):
         relation_sides(RelationId("EUR_MU", alpha=1.0, beta=1.0),
-                       p.probs[None], q.probs[None], qp.probs[None])
+                       p[None], q[None], qp[None])
 
 
 # ---------------------------------------------------------------------------
@@ -426,51 +420,66 @@ def test_universal_bound_is_the_gauged_maximum(dim):
     assert (reference - bound).max() <= 1e-7
     assert (classical_infidelity(q, qp) == 1.0).any()  # some supports are disjoint
     for k in range(0, len(q), len(q) // 16):
-        scalar = cdiv(DivergenceSpec("infidelity"), make_prob(q[k]), make_prob(qp[k]))
+        scalar = _classical("infidelity", None, q[k], qp[k])
         assert_allclose(scalar, bound[k], rtol=1e-12, atol=1e-15)
 
 
 def test_universal_bound_fixture(f1):
     _, q, qp, _ = triple_of(*f1)
-    infidelity = DivergenceSpec("infidelity")
-    assert_allclose(cdiv(infidelity, q, qp), RT2, atol=1e-12)
-    assert cdiv(infidelity, qp, qp) == 0.0
+    assert_allclose(_classical("infidelity", None, q, qp), RT2, atol=1e-12)
+    assert _classical("infidelity", None, qp, qp) == 0.0
 
 
 def test_universal_bound_dominates_components(f1):
     _, q, qp, _ = triple_of(*f1)
-    bound = cdiv(DivergenceSpec("infidelity"), q, qp)
-    assert bound >= cdiv(DivergenceSpec("trace"), q, qp) - 1e-12
+    bound = _classical("infidelity", None, q, qp)
+    assert bound >= _classical("trace", None, q, qp) - 1e-12
 
 
 def test_dual_swaps_roles(f1):
-    p, q, _, c = triple_of(*f1)
-    forward, dual = eval_with_dual(RelationId("U_tr"), p, q, c)
+    rho, a, b = f1
+    forward, dual = eval_with_dual(RelationId("U_tr"), rho, a, b)
     assert_allclose(forward.margin, 0.20710678118654757, atol=1e-12)
     assert_allclose(dual.lhs, 0.0, atol=1e-12)
     assert_allclose(dual.rhs, 0.0, atol=1e-12)
     assert dual.satisfied
-    # the dual equals the forward verdict of the transposed instance
-    swapped, _ = eval_with_dual(
-        RelationId("U_tr"), q, p, make_overlap(c.entries.T)
-    )
+    # the dual equals the forward verdict of the swapped instance (rho, B, A)
+    swapped, _ = eval_with_dual(RelationId("U_tr"), rho, b, a)
     assert_allclose(swapped.lhs, dual.lhs, atol=1e-12)
     assert_allclose(swapped.rhs, dual.rhs, atol=1e-12)
 
 
 def test_eur_mu_is_self_dual(f1):
-    p, q, _, c = triple_of(*f1)
-    forward, dual = eval_with_dual(RelationId("EUR_MU", alpha=1.0, beta=1.0), p, q, c)
+    forward, dual = eval_with_dual(RelationId("EUR_MU", alpha=1.0, beta=1.0), *f1)
     assert forward == dual
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_eval_with_dual_is_the_oracle_verdict_of_the_born_statistics(dim):
+    # the forward pair on (p, q, p C) and the dual on (q, p, C q), each read
+    # by the Born rule apart from the program's A-frame reduction
+    for seed in range(20):
+        rho = sample("haar_state_mixed", dim, seed)
+        b = sample("haar_unitary_basis", dim, 100 + seed)
+        for a in (sample("haar_unitary_basis", dim, 200 + seed), fourier_basis(dim)):
+            p, q, qp, c = triple_of(rho, a, b)
+            for rel in (*table2_relations(), RelationId("THM1_UNIVERSAL")):
+                expected = (verdict_of(rel, p, q, qp, c),
+                            verdict_of(rel, q, p, sequential_dist(q, c.T), c))
+                if rel.id == "EUR_MU":  # self-dual: the forward pair alone
+                    expected = expected[:1] * 2
+                for got, want in zip(eval_with_dual(rel, rho, a, b), expected):
+                    assert_allclose([got.lhs, got.rhs], [want.lhs, want.rhs],
+                                    rtol=0, atol=1e-12, err_msg=rel.label())
+                    assert got.satisfied == want.satisfied, rel.label()
 
 
 def test_dpi_margin_nonnegative_and_consistent(f1):
     rho, a, b = f1
     margin = dpi_margin(DivergenceSpec("trace"), rho, a, b)
     p, q, qp, _ = triple_of(rho, a, b)
-    direct = oracle_qdiv(DivergenceSpec("trace"), rho, oracle_dephase(rho, a)) - cdiv(
-        DivergenceSpec("trace"), q, qp
-    )
+    direct = (oracle_qdiv(DivergenceSpec("trace"), rho, oracle_dephase(rho, a))
+              - _classical("trace", None, q, qp))
     assert_allclose(margin, direct, atol=1e-12)
     for seed in range(25):
         rho_r = sample("haar_state_mixed", 3, 300 + seed)
@@ -483,8 +492,8 @@ def test_dpi_margin_nonnegative_and_consistent(f1):
             spec = DivergenceSpec(kind, alpha)
             margin = dpi_margin(spec, rho_r, a_r, b_r)
             assert margin >= -1e-8
-            direct = oracle_qdiv(spec, rho_r, rho_a) - cdiv(
-                spec, outcome_dist(rho_r, b_r), outcome_dist(rho_a, b_r)
+            direct = oracle_qdiv(spec, rho_r, rho_a) - _classical(
+                kind, alpha, born(rho_r, b_r), born(rho_a, b_r)
             )
             assert abs(margin - direct) < 1e-8, kind
 
@@ -729,11 +738,8 @@ def test_relation_margins_match_scalar_eval():
         margins = relation_margins(rel, batch)
         assert margins.shape == (150,)
         for k in (0, 57, 149):
-            p = make_prob(batch.p[k])
-            q = make_prob(batch.q[k])
-            c = make_overlap(batch.overlap[k])
-            qp = sequential_dist(p, c)
-            v = verdict_of(rel, p, q, qp, c)
+            p, q, c = batch.p[k], batch.q[k], batch.overlap[k]
+            v = verdict_of(rel, p, q, sequential_dist(p, c), c)
             if np.isinf(v.margin):
                 assert np.isinf(margins[k])
             else:
@@ -753,11 +759,7 @@ def test_dpi_margins_match_scalar_eval():
             a = standard_basis(2)
             margin_direct = (
                 oracle_qdiv(DivergenceSpec(kind, alpha), rho, oracle_dephase(rho, a))
-                - cdiv(
-                    DivergenceSpec(kind, alpha),
-                    make_prob(batch.q[k]),
-                    make_prob(batch.qp[k]),
-                )
+                - _classical(kind, alpha, batch.q[k], batch.qp[k])
             )
             assert abs(margins[k] - margin_direct) < 1e-8, kind
 
@@ -797,8 +799,7 @@ def test_chain_margins_match_scalar_eval():
         a = standard_basis(3)
         infid = oracle_qdiv(DivergenceSpec("infidelity"), rho, oracle_dephase(rho, a))
         delta = np.sqrt(max(0.0, 1.0 - float((batch.p[k] ** 2).sum())))
-        bound = cdiv(DivergenceSpec("infidelity"), make_prob(batch.q[k]),
-                     make_prob(batch.qp[k]))
+        bound = _classical("infidelity", None, batch.q[k], batch.qp[k])
         assert abs(first[k] - (delta - infid)) < 1e-9
         assert abs(second[k] - (infid - bound)) < 1e-9
 

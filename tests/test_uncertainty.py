@@ -3,72 +3,50 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qud.errors import ValidationError
-from qud.qstate import _haar_unitaries, make_prob
+from qud.qstate import _haar_unitaries
 from qud.rng import stream
 from qud.uncertainty import (
-    UMEASURE_KINDS,
-    UncertaintySpec,
     _measure,
     delta_measure,
     half_norm_measure,
     renyi_entropy,
     shannon_entropy,
-    umeasure,
 )
 
 from conftest import RT2, majorizes
 
 
-def test_spec_validation():
-    UncertaintySpec("delta")
-    UncertaintySpec("renyi", 2.0)
-    with pytest.raises(ValueError):
-        UncertaintySpec("variance")
-    with pytest.raises(ValidationError, match="renyi needs finite alpha > 0, alpha != 1"):
-        UncertaintySpec("renyi")
-    with pytest.raises(ValidationError, match="renyi needs finite alpha > 0, alpha != 1"):
-        UncertaintySpec("renyi", 0.0)
-    with pytest.raises(ValidationError, match="renyi needs finite alpha > 0, alpha != 1"):
-        UncertaintySpec("renyi", 1.0)
-    for bad in (np.nan, np.inf, -np.inf):  # at construction, not later in renyi_entropy
-        with pytest.raises(ValidationError, match="renyi needs finite alpha > 0, alpha != 1"):
-            UncertaintySpec("renyi", bad)
-    with pytest.raises(ValidationError, match="shannon takes no alpha"):
-        UncertaintySpec("shannon", 2.0)
-
-
 def test_umeasure_fixtures():
-    half = make_prob([0.5, 0.5])
-    assert_allclose(umeasure(UncertaintySpec("delta"), half), RT2, atol=1e-12)
-    assert_allclose(umeasure(UncertaintySpec("renyi", 2.0), half), 1.0, atol=1e-12)
-    assert_allclose(umeasure(UncertaintySpec("shannon"), make_prob([1.0, 0.0])), 0.0, atol=0)
-    assert_allclose(umeasure(UncertaintySpec("half_norm"), half), 0.5, atol=1e-12)
+    half = np.array([0.5, 0.5])
+    assert_allclose(_measure("delta", None, half), RT2, atol=1e-12)
+    assert_allclose(_measure("renyi", 2.0, half), 1.0, atol=1e-12)
+    assert_allclose(_measure("shannon", None, np.array([1.0, 0.0])), 0.0, atol=0)
+    assert_allclose(_measure("half_norm", None, half), 0.5, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", UMEASURE_KINDS)
+@pytest.mark.parametrize("kind", ["delta", "renyi", "shannon", "half_norm"])
 def test_umeasure_is_the_batched_map_on_one_distribution(kind):
-    # rows with zeros and a point mass, so every zero convention is exercised
+    # a 1-d distribution is a batch of one: each row alone gives the batch's
+    # value, bit for bit; rows with zeros and a point mass, so every zero
+    # convention is exercised
     draws = stream(5).dirichlet(np.ones(3), 64)
     draws[:16, 0] = 0.0
     draws[16] = (1.0, 0.0, 0.0)
-    dists = [make_prob(row / row.sum()) for row in draws]
-    probs = np.stack([dist.probs for dist in dists])
+    probs = draws / draws.sum(axis=1, keepdims=True)
     for alpha in ((0.5, 2.0) if kind == "renyi" else (None,)):
-        spec = UncertaintySpec(kind, alpha)
         for base in (2.0, np.e):
-            rows = [umeasure(spec, dist, base) for dist in dists]
+            rows = [float(_measure(kind, alpha, row, base)) for row in probs]
             assert _measure(kind, alpha, probs, base).tolist() == rows, (alpha, base)
 
 
 def test_renyi_three_halves_value():
     # cross-checked against a 30-digit mpmath evaluation
-    p = make_prob([0.85355, 0.14645])
-    got = umeasure(UncertaintySpec("renyi", 1.5), p)
+    got = renyi_entropy(np.array([0.85355, 0.14645]), 1.5)
     assert_allclose(got, 0.4872498464904143, atol=1e-12)
 
 
 def test_renyi_alpha_one_matches_shannon():
-    # UncertaintySpec forbids alpha = 1; the array kernel takes the limit
+    # the relations never ask for alpha = 1; the array kernel takes the limit
     probs = np.array([0.6, 0.3, 0.1])
     assert_allclose(renyi_entropy(probs, 1.0), shannon_entropy(probs), atol=1e-12)
 
@@ -87,51 +65,39 @@ def test_renyi_rejects_negative_alpha():
 def test_renyi_rejects_non_finite_alpha(alpha):
     with pytest.raises(ValidationError, match="alpha must be finite and >= 0"):
         renyi_entropy(np.array([0.5, 0.5]), alpha)
-    with pytest.raises(ValidationError, match="renyi needs finite alpha > 0, alpha != 1"):
-        umeasure(UncertaintySpec("renyi", alpha), make_prob([0.5, 0.5]))
+
+
+MEASURES = (("delta", None), ("shannon", None), ("half_norm", None))
 
 
 def test_zero_exactly_on_deterministic_distributions():
-    point = make_prob([0.0, 1.0, 0.0])
-    spread = make_prob([0.8, 0.1, 0.1])
-    for spec in (
-        UncertaintySpec("delta"),
-        UncertaintySpec("shannon"),
-        UncertaintySpec("half_norm"),
-        UncertaintySpec("renyi", 0.5),
-        UncertaintySpec("renyi", 3.0),
-    ):
-        assert umeasure(spec, point) == pytest.approx(0.0, abs=1e-12)
-        assert umeasure(spec, spread) > 0.01
+    point = np.array([0.0, 1.0, 0.0])
+    spread = np.array([0.8, 0.1, 0.1])
+    for kind, alpha in (*MEASURES, ("renyi", 0.5), ("renyi", 3.0)):
+        assert _measure(kind, alpha, point) == pytest.approx(0.0, abs=1e-12)
+        assert _measure(kind, alpha, spread) > 0.01
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0, 7.0])
 def test_uniform_renyi_is_log_dim(alpha):
     for dim in (2, 3, 5):
-        uniform = make_prob(np.full(dim, 1.0 / dim))
-        assert_allclose(umeasure(UncertaintySpec("renyi", alpha), uniform), np.log2(dim), atol=1e-12)
+        uniform = np.full(dim, 1.0 / dim)
+        assert_allclose(renyi_entropy(uniform, alpha), np.log2(dim), atol=1e-12)
 
 
 def test_uniform_maximizes_every_measure():
     rng = stream(404)
-    for spec in (
-        UncertaintySpec("delta"),
-        UncertaintySpec("shannon"),
-        UncertaintySpec("half_norm"),
-        UncertaintySpec("renyi", 0.5),
-        UncertaintySpec("renyi", 2.0),
-    ):
+    for kind, alpha in (*MEASURES, ("renyi", 0.5), ("renyi", 2.0)):
         for dim in (2, 3, 4):
-            top = umeasure(spec, make_prob(np.full(dim, 1.0 / dim)))
+            top = _measure(kind, alpha, np.full(dim, 1.0 / dim))
             for _ in range(50):
-                p = make_prob(rng.dirichlet(np.ones(dim)))
-                value = umeasure(spec, p)
+                value = _measure(kind, alpha, rng.dirichlet(np.ones(dim)))
                 assert 0.0 <= value <= top + 1e-9
 
 
 def test_base_e_shannon():
-    p = make_prob([0.5, 0.5])
-    assert_allclose(umeasure(UncertaintySpec("shannon"), p, base=np.e), np.log(2.0), atol=1e-12)
+    p = np.array([0.5, 0.5])
+    assert_allclose(shannon_entropy(p, base=np.e), np.log(2.0), atol=1e-12)
 
 
 def test_collision_identity():
@@ -158,30 +124,30 @@ def test_half_norm_matches_pairwise_root_products():
 
 
 def test_majorizes_fixtures():
-    top = make_prob([1.0, 0.0, 0.0])
-    uniform = make_prob(np.full(3, 1 / 3))
-    mid = make_prob([0.6, 0.3, 0.1])
+    top = np.array([1.0, 0.0, 0.0])
+    uniform = np.full(3, 1 / 3)
+    mid = np.array([0.6, 0.3, 0.1])
     assert majorizes(top, uniform)
     assert majorizes(top, mid)
     assert not majorizes(uniform, mid)
     assert majorizes(uniform, uniform)
-    assert majorizes(make_prob([0.7, 0.2, 0.1]), mid)
+    assert majorizes(np.array([0.7, 0.2, 0.1]), mid)
 
 
 def test_majorizes_incomparable_pair():
-    p1 = make_prob([0.5, 0.5, 0.0])
-    p2 = make_prob([0.6, 0.2, 0.2])
+    p1 = np.array([0.5, 0.5, 0.0])
+    p2 = np.array([0.6, 0.2, 0.2])
     assert not majorizes(p1, p2)
     assert not majorizes(p2, p1)
 
 
 def test_majorizes_ignores_ordering_of_entries():
-    assert majorizes(make_prob([0.1, 0.9]), make_prob([0.6, 0.4]))
+    assert majorizes(np.array([0.1, 0.9]), np.array([0.6, 0.4]))
 
 
 def test_majorizes_dimension_mismatch():
     with pytest.raises(ValidationError, match="dimensions differ"):
-        majorizes(make_prob([0.5, 0.5]), make_prob([0.5, 0.3, 0.2]))
+        majorizes(np.array([0.5, 0.5]), np.array([0.5, 0.3, 0.2]))
 
 
 def _mixing_pairs(dim, count, seed):
@@ -197,7 +163,7 @@ def test_schur_concavity_under_mixing():
     for dim in (2, 3, 4):
         sharp, flat = _mixing_pairs(dim, 700, 600 + dim)
         for k in range(0, 700, 7):
-            assert majorizes(make_prob(sharp[k]), make_prob(flat[k]))
+            assert majorizes(sharp[k], flat[k])
         for fn in (
             delta_measure,
             shannon_entropy,
