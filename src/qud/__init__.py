@@ -1,18 +1,13 @@
 """Uncertainty-disturbance trade-offs for sequential projective measurements.
 
 Value types (density matrices and bases) are immutable and validated at
-construction; everything else is pure functions: divergences with their
-distance gauges, uncertainty measures, the relation catalog with duals and
-counterexample search, and Monte-Carlo experiment drivers. All stochastic
-entry points take explicit integer seeds.
+construction; everything else is pure functions: divergences of a state
+from its dephased state, uncertainty measures, the relation catalog with
+duals and counterexample search, and Monte-Carlo experiment drivers. All
+stochastic entry points take explicit integer seeds.
 """
 
-from .divergence import (
-    DIVERGENCE_KINDS,
-    DivergenceSpec,
-    gauge_inverse,
-    qdiv,
-)
+from .divergence import DIVERGENCE_KINDS, DivergenceSpec
 from .errors import QudError
 from .experiments import (
     CoherenceBounds,
@@ -28,11 +23,9 @@ from .experiments import (
 from .qstate import (
     DensityMatrix,
     OrthonormalBasis,
-    SAMPLE_KINDS,
     fourier_basis,
     make_basis,
     make_density,
-    sample,
     standard_basis,
 )
 from .relations import (
@@ -44,7 +37,6 @@ from .relations import (
     search_counterexample,
     table2_relations,
 )
-from .sweeps import dpi_margin
 
 __version__ = "0.1.0"
 
@@ -59,22 +51,17 @@ __all__ = [
     "RELATION_IDS",
     "RelationId",
     "RelationVerdict",
-    "SAMPLE_KINDS",
     "ShotCounts",
     "VolumeEstimate",
     "coherence_bounds",
-    "dpi_margin",
     "estimate_coherence",
     "estimate_volume",
     "estimate_volumes",
     "eval_with_dual",
     "fourier_basis",
-    "gauge_inverse",
     "make_basis",
     "make_density",
-    "qdiv",
     "region_grid",
-    "sample",
     "search_counterexample",
     "simulate_shots",
     "standard_basis",

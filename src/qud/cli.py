@@ -480,6 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("verify", "dpi", "search", "coherence"):  # the commands that take logs
         sub.choices[name].add_argument("--log-base", dest="log_base", choices=("2", "e"),
                                        default="2")
+    for p in sub.choices.values():  # main's own refusals print the subcommand's usage
+        p.set_defaults(refuse=p.error)
     return parser
 
 
@@ -503,14 +505,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # smoothing acts on shot counts only: the exact bracket would ignore it
     if args.command == "coherence" and args.smoothing is not None and args.shots is None:
-        parser.error("argument --smoothing: needs --shots")
+        args.refuse("argument --smoothing: needs --shots")
     # an instance is read from all three files or drawn, never from some of them
     files = [(flag, getattr(args, flag[2:].replace("-", "_"), None))
              for flag in ("--state", "--basis-a", "--basis-b")]
     given = [flag for flag, path in files if path is not None]
     if 0 < len(given) < len(files):
         missing = " and ".join(flag for flag, path in files if path is None)
-        parser.error(f"argument {given[0]}: needs {missing}")
+        args.refuse(f"argument {given[0]}: needs {missing}")
     try:
         _check_output(args.output)
         code = args.handler(args)

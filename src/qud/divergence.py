@@ -1,14 +1,12 @@
-"""Distinguishability measures, quantum and classical, plus their gauges.
+"""Distinguishability measures, quantum and classical.
 
 Six kinds are supported: trace, infidelity, renyi_sandwiched, tsallis,
-relative_entropy, hilbert_schmidt. The first four admit a gauge G putting
-them on the common [0, 1] distance scale used by the trade-off relations;
-`gauge_inverse` maps a divergence value back through G^{-1}. `qdiv` and
-`gauge_inverse` work in bits; the array kernels, which accept any batch
-shape (a single 1-d distribution included), take a log base. Divergences
-that can diverge return math.inf, and every consumer of these values
-(gauges, verdicts) handles inf. The kind maps `_dephased` and `_classical`
-give the two sides of each kind's data processing inequality.
+relative_entropy, hilbert_schmidt. The classical kernels accept any batch
+shape, a single 1-d distribution included, and take a log base.
+Divergences that can diverge return math.inf, and every consumer of these
+values (verdicts, margins) handles inf. The kind maps `_dephased` and
+`_classical` give the two sides of each kind's data processing inequality:
+a state against its A-dephased state, and (q, q') after the second basis.
 """
 
 import math
@@ -17,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qstate import (
-    ZERO_CUTOFF,
-    DensityMatrix,
-    TripleBatch,
-    _check_same_dim,
-    _diagonal_probs,
-    _pseudo_power,
-    _row_sum,
-)
+from .qstate import ZERO_CUTOFF, TripleBatch, _pseudo_power, _row_sum
 from .uncertainty import shannon_entropy
 
 DIVERGENCE_KINDS = (
@@ -36,11 +26,6 @@ DIVERGENCE_KINDS = (
     "relative_entropy",
     "hilbert_schmidt",
 )
-
-GAUGEABLE_KINDS = ("trace", "infidelity", "renyi_sandwiched", "tsallis")
-
-# Mass of rho1 allowed outside the support of rho2 before declaring +inf.
-SUPPORT_LEAK_TOL = 1e-9
 
 
 # The orders at which each kind's data processing inequality holds, as
@@ -159,7 +144,7 @@ def kl_divergence(q, qp, base: float = 2.0):
 
 
 # ---------------------------------------------------------------------------
-# the kind maps and the scalar front end
+# the kind maps
 
 
 def _classical(kind: str, alpha: float | None, q, qp, base: float = 2.0):
@@ -182,24 +167,22 @@ def _sandwiched_trace(batch: TripleBatch, alpha: float):
     the sandwiched Renyi trace of each state against diag(p), from one
     batched eigh.
 
-    It is 0 where s rho s has no more than ZERO_CUTOFF of trace: there the
-    supports clash, and the power alpha < 1 would lift eigh's rounding on
-    the empty overlap to a finite trace.
+    diag rho is p, so tr s rho s = sum p^(1/alpha) >= d^(1 - 1/alpha), and
+    for alpha < 1 the trace is at least that: it never nears 0.
     """
     scale = _pseudo_power(batch.p, (1.0 - alpha) / (2.0 * alpha))
     core = batch.rho * scale[:, :, None]
     core *= scale[:, None, :]
     lam = np.clip(np.linalg.eigvalsh(core), 0.0, None)
-    return np.where(_row_sum(lam) > ZERO_CUTOFF, _row_sum(_pseudo_power(lam, alpha)), 0.0)
+    return _row_sum(_pseudo_power(lam, alpha))
 
 
 def _dephased(kind: str, alpha: float | None, batch: TripleBatch, base: float = 2.0):
-    """The divergence of each state from diag(p), both in the batch's frame.
+    """D(rho || rho_A) of each state of an A-frame batch, where rho_A = diag(p).
 
-    In A's frame diag(p) is the A-dephased state, so this is the quantum side
-    of `kind`'s data processing inequality; for relative_entropy it is the
-    relative entropy of coherence. renyi_sandwiched and relative_entropy
-    read +inf on a support clash.
+    This is the quantum side of `kind`'s data processing inequality; for
+    relative_entropy it is the relative entropy of coherence, H(p) - S(rho).
+    rho_A's support holds rho's, so every value is finite.
     """
     p = batch.p
     if kind in ("trace", "hilbert_schmidt"):
@@ -215,58 +198,11 @@ def _dephased(kind: str, alpha: float | None, batch: TripleBatch, base: float = 
     if kind == "renyi_sandwiched":
         total = _sandwiched_trace(batch, alpha)
         # an incoherent state's log 1 / (alpha - 1) is -0.0; + 0.0 makes it +0.0
-        with np.errstate(divide="ignore"):
-            value = np.log(total) / (np.log(base) * (alpha - 1.0)) + 0.0
-        return np.where(total > ZERO_CUTOFF, value, np.inf)
+        return np.log(total) / (np.log(base) * (alpha - 1.0)) + 0.0
     if kind == "tsallis":
         lam, vec = np.linalg.eigh(batch.rho)
         lam_a = _pseudo_power(np.clip(lam, 0.0, None), alpha)
         diag_pow = np.einsum("nik,nk->ni", np.abs(vec) ** 2, lam_a)
         cross = _row_sum(diag_pow * _pseudo_power(p, 1.0 - alpha))
         return (1.0 - cross) / (1.0 - alpha)
-    # -sum w log p - S(rho), with w rho's diagonal reduced as p is, so on an
-    # A-frame batch w is p and this is H(p) - S(rho) to the bit
-    w = _diagonal_probs(batch.rho)
-    on = p > ZERO_CUTOFF
-    cross = -_row_sum(np.where(on, w * np.log(np.maximum(p, ZERO_CUTOFF)), 0.0))
-    value = cross / np.log(base) + 0.0 - shannon_entropy(batch.spectrum, base=base)
-    return np.where(_row_sum(np.where(on, 0.0, w)) > SUPPORT_LEAK_TOL, np.inf, value)
-
-
-def qdiv(spec: DivergenceSpec, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Divergence between two states; entropic kinds are in bits.
-
-    In rho2's eigenframe rho2 is diag(lambda), so this is `_dephased` on a
-    batch of one: rho1 in that frame, with p = lambda. Rounding can leave an
-    equal pair a hair below zero, which reads as +0.0.
-    """
-    _check_same_dim(rho1, rho2)
-    v = rho2.eigenvectors
-    batch = TripleBatch((v.conj().T @ rho1.matrix @ v)[None], rho2.eigenvalues[None],
-                        None, None, None, rho1.eigenvalues[None])
-    return max(0.0, float(_dephased(spec.kind, spec.alpha, batch)[0]))
-
-
-def gauge_inverse(spec: DivergenceSpec, value: float) -> float:
-    """Map a divergence value back to the common [0, 1] distance scale.
-
-    trace and infidelity are already on that scale (identity gauge). For
-    renyi_sandwiched the gauge is G(x) = (alpha/(alpha-1)) log2(1 - x^2), so
-    G^{-1}(y) = sqrt(1 - 2^((alpha-1) y / alpha)); for tsallis
-    G(x) = x^2 / (1 - alpha), so G^{-1}(y) = sqrt((1 - alpha) y). Infinite
-    input maps to 1.
-    """
-    if spec.kind not in GAUGEABLE_KINDS:
-        raise ValidationError(f"{spec.kind} has no distance gauge")
-    if not value >= 0:  # a NaN fails this comparison, as a negative value does
-        raise ValidationError(f"gauge input must be >= 0, got {value}")
-    if spec.kind in ("trace", "infidelity"):
-        return float(min(value, 1.0))
-    if spec.kind == "renyi_sandwiched":
-        if math.isinf(value):
-            return 1.0
-        inner = 1.0 - 2.0 ** ((spec.alpha - 1.0) * value / spec.alpha)
-        return float(np.sqrt(min(max(inner, 0.0), 1.0)))
-    if math.isinf(value):
-        return 1.0
-    return float(np.sqrt(min((1.0 - spec.alpha) * value, 1.0)))
+    return shannon_entropy(p, base=base) - shannon_entropy(batch.spectrum, base=base)

@@ -3,9 +3,6 @@
 Everything downstream works with the two frozen value types defined here,
 DensityMatrix and OrthonormalBasis, or with TripleBatch, an ensemble of
 (state, A, B) instances reduced in the first basis's frame.
-A density matrix is eigendecomposed once at construction; `qdiv` reads the
-cleaned spectrum (clipped to [0, 1], renormalized) and its eigenframe, so
-it never re-diagonalizes a validated state.
 """
 
 from dataclasses import dataclass
@@ -23,8 +20,6 @@ RANK_TOL = 1e-13
 # probabilities below ZERO_CUTOFF count as exact zeros before any log or power
 ZERO_CUTOFF = 1e-15
 
-SAMPLE_KINDS = ("haar_state_pure", "haar_state_mixed", "haar_unitary_basis")
-
 # Rows per scan chunk of search and dpi up to d=4. Above that a chunk's rows
 # shrink as 1/d^2, so each complex d x d array of a chunk stays at
 # _SCAN_ENTRIES entries (1 MB) and a scan's memory does not grow with d.
@@ -37,16 +32,16 @@ _SHORT_AXIS = 8
 
 
 def _row_sum(x):
-    """x.sum(axis=-1), bit for bit.
+    """x.sum(axis=-1), bit for bit, for an axis of at least one entry.
 
     numpy's reduce pays a per-row cost that dwarfs the arithmetic of a short
-    axis. Below 8 entries it adds in order from 0.0, so d-1 elementwise adds
-    in place give its result; from 8 entries on it sums pairwise, so its own
+    axis. Below 8 entries it adds in order from 0.0, so elementwise adds in
+    place give its result; from 8 entries on it sums pairwise, so its own
     reduce is kept.
     """
     if x.shape[-1] >= _SHORT_AXIS:
         return x.sum(axis=-1)
-    out = x[..., 0] + x[..., 1]
+    out = x[..., 0] + (x[..., 1] if x.shape[-1] > 1 else 0.0)
     for k in range(2, x.shape[-1]):
         out += x[..., k]
     out += 0.0  # numpy's start: an all -0.0 row sums to +0.0
@@ -108,16 +103,10 @@ def _check_same_dim(x, y):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated density matrix with its cleaned eigendecomposition.
-
-    `eigenvalues[k]` pairs with column k of `eigenvectors`; the spectrum is
-    clipped to [0, 1] and renormalized to unit sum, and `matrix` is rebuilt
-    from the cleaned decomposition so it is exactly Hermitian.
-    """
+    """Validated density matrix, exactly Hermitian and rebuilt by
+    `make_density` from its cleaned spectrum."""
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -140,7 +129,8 @@ def make_density(entries) -> DensityMatrix:
 
     Rejects non-square or dim<2 input, non-finite entries, Hermiticity drift,
     eigenvalues below -1e-8, and trace off 1 by more than 1e-8. Accepted
-    spectra are clipped to [0, 1] and renormalized.
+    spectra are clipped to [0, 1] and renormalized, and the matrix is rebuilt
+    from the cleaned eigendecomposition.
     """
     m = np.asarray(entries, dtype=np.complex128)
     _check_matrix(m, "a density matrix")
@@ -158,7 +148,7 @@ def make_density(entries) -> DensityMatrix:
     lam = lam / lam.sum()
     cleaned = (vec * lam) @ vec.conj().T
     cleaned = (cleaned + cleaned.conj().T) / 2.0
-    return DensityMatrix(_frozen(cleaned), _frozen(lam), _frozen(vec))
+    return DensityMatrix(_frozen(cleaned))
 
 
 def make_basis(kets) -> OrthonormalBasis:
@@ -358,15 +348,3 @@ def _frame_of_one(rho: DensityMatrix, a: OrthonormalBasis,
     _check_same_dim(a, b)
     to_a = a.kets.conj().T
     return _triples((to_a @ rho.matrix @ a.kets)[None], (to_a @ b.kets)[None], pure=False)
-
-
-def sample(kind: str, dim: int, seed: int):
-    """Draw one object of the given kind; bit-reproducible in (kind, dim, seed)."""
-    _check_dim(dim)
-    rng = stream(seed)
-    if kind in ("haar_state_pure", "haar_state_mixed"):
-        rho = _haar_frames(rng, 1, dim, pure=kind == "haar_state_pure")[0]
-        return make_density(rho[0])
-    if kind == "haar_unitary_basis":
-        return make_basis(_haar_unitaries(rng, 1, dim)[0])
-    raise ValidationError(f"unknown sample kind {kind!r}; expected one of {SAMPLE_KINDS}")

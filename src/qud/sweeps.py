@@ -1,26 +1,16 @@
 """Batched Haar ensembles and vectorized margins for large property sweeps.
 
-These front ends reproduce the scalar `qdiv` and `eval_with_dual` results
-on whole ensembles at once, which is what makes the 10^5-sample soundness
-sweeps affordable; both sides of each data processing inequality come from
-the kind maps of `divergence`. Ensembles are drawn in the frame of the first
-basis, where the dephased state is diagonal, so nothing is rotated; the
-scalar `dpi_margin` is a batch of one, rotated into that frame first.
+These front ends reproduce the `eval_with_dual` results on whole ensembles
+at once, which is what makes the 10^5-sample soundness sweeps affordable;
+both sides of each data processing inequality come from the kind maps of
+`divergence`. Ensembles are drawn in the frame of the first basis, where
+the dephased state is diagonal, so nothing is rotated.
 """
 
 import numpy as np
 
 from .divergence import DivergenceSpec, _classical, _dephased
-from .qstate import (
-    DensityMatrix,
-    OrthonormalBasis,
-    TripleBatch,
-    _frame_of_one,
-    _haar_frames,
-    _scan_chunk,
-    _scan_rows,
-    _triples,
-)
+from .qstate import TripleBatch, _haar_frames, _scan_chunk, _scan_rows, _triples
 from .relations import RelationId, _dpi_chain, relation_sides
 from .rng import _map_chunks, stream
 
@@ -62,17 +52,6 @@ def dpi_scan(kind: str, alpha: float | None, dim: int, samples: int, seed: int,
     for _ in _map_chunks(scan, samples, _scan_rows(dim), 1):
         pass
     return margins
-
-
-def dpi_margin(spec: DivergenceSpec, rho: DensityMatrix, a: OrthonormalBasis,
-               b: OrthonormalBasis) -> float:
-    """qdiv(rho, dephased rho) minus its classical counterpart after B, in bits.
-
-    Data processing makes this nonnegative (to 1e-8) for every supported
-    divergence; Hilbert-Schmidt is only monotone under the dephasing step
-    checked here, not under general channels.
-    """
-    return float(dpi_margins(spec.kind, spec.alpha, _frame_of_one(rho, a, b))[0])
 
 
 def chain_margins(batch: TripleBatch):

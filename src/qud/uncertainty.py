@@ -16,9 +16,12 @@ from .qstate import ZERO_CUTOFF, _row_sum
 
 
 def delta_measure(p):
-    """sqrt(1 - sum p^2): purity deficit of the dephased state."""
+    """sqrt(1 - sum p^2), the purity deficit of the dephased state, as
+    sqrt(2 sum_{i<j} p_i p_j): the cross terms keep the digits that
+    1 - sum p^2 cancels near a point mass."""
     p = np.asarray(p, dtype=np.float64)
-    return np.sqrt(np.clip(1.0 - _row_sum(p**2), 0.0, None))
+    i, j = np.triu_indices(p.shape[-1], 1)
+    return np.sqrt(2.0 * _row_sum(p[..., i] * p[..., j]))
 
 
 def shannon_entropy(p, base: float = 2.0):

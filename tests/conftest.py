@@ -1,8 +1,10 @@
 """Shared fixtures: the qubit instance used throughout (plus state, Z then X),
 and the independent checks the tests hold the program to:
 
-- `oracle_qdiv`, the scalar quantum divergences as first written, one
-  kernel per kind, kept as the reference `qdiv` must match;
+- `oracle_qdiv`, the scalar quantum divergences of two states as first
+  written, one kernel per kind, kept as the reference `_dephased` must
+  match on an A-frame pair (rho, diag p);
+- `sample`, one seeded Haar state or basis;
 - `born`, a basis's outcome distribution by the Born rule, and
   `triple_of`, an instance's (p, q, q', C) read from it and from
   C = |A^dag B|^2, apart from the program's A-frame reduction;
@@ -10,7 +12,8 @@ and the independent checks the tests hold the program to:
   rule, and `sequential_dist`, the classical q' = p C, which the A-frame
   reduction must factor through;
 - `majorizes`, the partial-sum order behind the Schur-concavity checks;
-- `power`, a state's pseudo-power from its eigendecomposition, and
+- `power`, a state's pseudo-power from the eigendecomposition of its
+  matrix, and
   `fidelity`, the Uhlmann fidelity from an SVD of sqrt(rho1) sqrt(rho2),
   a second formula beside the sandwiched trace the kernels use;
 - `verdict_of`, one relation judged on one (p, q, q') triple of plain
@@ -23,19 +26,24 @@ import math
 import numpy as np
 import pytest
 
-from qud.divergence import SUPPORT_LEAK_TOL, DivergenceSpec
+from qud.divergence import DivergenceSpec
 from qud.errors import ValidationError
 from qud.qstate import (
     ZERO_CUTOFF,
     DensityMatrix,
     OrthonormalBasis,
+    _check_dim,
     _check_same_dim,
+    _haar_frames,
+    _haar_unitaries,
     _pseudo_power,
     fourier_basis,
+    make_basis,
     make_density,
     standard_basis,
 )
 from qud.relations import RelationId, RelationVerdict, relation_sides, satisfied_mask
+from qud.rng import stream
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -64,6 +72,21 @@ def x_basis():
 def f1(plus_state, z_basis, x_basis):
     """(rho, A, B) with p = (1/2, 1/2), q = (1, 0), q' = (1/2, 1/2)."""
     return plus_state, z_basis, x_basis
+
+
+SAMPLE_KINDS = ("haar_state_pure", "haar_state_mixed", "haar_unitary_basis")
+
+
+def sample(kind: str, dim: int, seed: int):
+    """Draw one object of the given kind; bit-reproducible in (kind, dim, seed)."""
+    _check_dim(dim)
+    rng = stream(seed)
+    if kind in ("haar_state_pure", "haar_state_mixed"):
+        rho = _haar_frames(rng, 1, dim, pure=kind == "haar_state_pure")[0]
+        return make_density(rho[0])
+    if kind == "haar_unitary_basis":
+        return make_basis(_haar_unitaries(rng, 1, dim)[0])
+    raise ValidationError(f"unknown sample kind {kind!r}; expected one of {SAMPLE_KINDS}")
 
 
 def triple_of(rho, a, b):
@@ -95,8 +118,7 @@ def oracle_dephase(rho: DensityMatrix, basis: OrthonormalBasis) -> DensityMatrix
     u = basis.kets
     p = born(rho, basis)
     matrix = (u * p) @ u.conj().T
-    matrix = (matrix + matrix.conj().T) / 2.0
-    return DensityMatrix(matrix, p.copy(), u.copy())
+    return DensityMatrix((matrix + matrix.conj().T) / 2.0)
 
 
 def sequential_dist(p, c) -> np.ndarray:
@@ -109,10 +131,16 @@ def sequential_dist(p, c) -> np.ndarray:
     return out / out.sum()
 
 
+def spectrum(rho: DensityMatrix):
+    """(eigenvalues clipped to [0, 1], eigenvectors) of the state's matrix."""
+    lam, vec = np.linalg.eigh(rho.matrix)
+    return np.clip(lam, 0.0, 1.0), vec
+
+
 def power(rho: DensityMatrix, exponent: float) -> np.ndarray:
     """Pseudo-power on the support: kernel eigenvalues stay zero."""
-    powered = _pseudo_power(rho.eigenvalues, exponent)
-    return (rho.eigenvectors * powered) @ rho.eigenvectors.conj().T
+    lam, vec = spectrum(rho)
+    return (vec * _pseudo_power(lam, exponent)) @ vec.conj().T
 
 
 def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -141,7 +169,10 @@ def verdict_of(rel: RelationId, p, q, qp, c=None) -> RelationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the oracle: qdiv's scalar kernels, which batch-of-one qdiv replaced
+# the oracle: the scalar quantum kernels that `_dephased` replaced
+
+# mass of rho1 allowed outside the support of rho2 before declaring +inf
+SUPPORT_LEAK_TOL = 1e-9
 
 
 def _trace_distance(rho1, rho2):
@@ -166,12 +197,10 @@ def _tsallis_quantum(rho1, rho2, alpha):
 
 
 def _relative_entropy(rho1, rho2):
-    lam1 = rho1.eigenvalues
-    lam2 = rho2.eigenvalues
+    lam1 = spectrum(rho1)[0]
+    lam2, vec2 = spectrum(rho2)
     # mass of rho1 on the kernel of rho2
-    weights = np.real(
-        np.einsum("ij,ik,jk->k", rho1.matrix, rho2.eigenvectors.conj(), rho2.eigenvectors)
-    )
+    weights = np.real(np.einsum("ij,ik,jk->k", rho1.matrix, vec2.conj(), vec2))
     weights = np.clip(weights, 0.0, None)
     kernel = lam2 <= ZERO_CUTOFF
     if float(weights[kernel].sum()) > SUPPORT_LEAK_TOL:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qud.cli import main
-from qud.divergence import DivergenceSpec, _classical, qdiv
+from qud.divergence import _classical, _dephased
 from qud.experiments import (
     TABLE2_REFERENCE,
     _draw_parameters,
@@ -30,8 +30,10 @@ from qud.experiments import (
     simulate_shots,
 )
 from qud.qstate import (
+    _frame_of_one,
     _ginibre_states,
     _haar_unitaries,
+    _triples,
     make_density,
 )
 from qud.relations import (
@@ -52,7 +54,7 @@ from qud.uncertainty import (
     shannon_entropy,
 )
 
-from conftest import RT2, majorizes, oracle_dephase, triple_of, verdict_of
+from conftest import RT2, majorizes, triple_of, verdict_of
 
 MILLION = 1_000_000
 
@@ -341,13 +343,13 @@ def test_printed_variant_adjudication(plus_state, zero_state, z_basis, x_basis):
 
 def test_tightness_fixtures(plus_state, z_basis, x_basis):
     p, q, qp, _ = triple_of(plus_state, z_basis, x_basis)
-    rho_a = oracle_dephase(plus_state, z_basis)
+    batch = _frame_of_one(plus_state, z_basis, x_basis)
     checks = [
         ("delta(p)", float(_measure("delta", None, p)), RT2, 1e-9),
-        ("IF(rho,rho_A)", qdiv(DivergenceSpec("infidelity"), plus_state, rho_a), RT2, 1e-9),
+        ("IF(rho,rho_A)", float(_dephased("infidelity", None, batch)[0]), RT2, 1e-9),
         ("universal bound", float(_classical("infidelity", None, q, qp)), RT2, 1e-9),
         ("H(p)", float(_measure("shannon", None, p)), 1.0, 1e-9),
-        ("S(rho||rho_A)", qdiv(DivergenceSpec("relative_entropy"), plus_state, rho_a), 1.0, 1e-9),
+        ("S(rho||rho_A)", float(_dephased("relative_entropy", None, batch)[0]), 1.0, 1e-9),
         ("KL(q||q')", float(_classical("relative_entropy", None, q, qp)), 1.0, 1e-9),
     ]
     pure = coherence_bounds(plus_state, z_basis, x_basis)
@@ -385,13 +387,13 @@ def test_limits_and_structure():
     problems = []
     worst_gap = 0.0
     for dim, count in ((2, 400), (3, 300), (4, 300)):
-        rhos = _ginibre_states(stream(70 + dim), 2 * count, dim)
-        for k in range(count):
-            r1 = make_density(rhos[2 * k])
-            r2 = make_density(rhos[2 * k + 1])
-            exact = qdiv(DivergenceSpec("relative_entropy"), r1, r2)
-            near = qdiv(DivergenceSpec("renyi_sandwiched", 0.999), r1, r2)
-            worst_gap = max(worst_gap, abs(near - exact) / exact)
+        # Ginibre states in the frame of a Haar basis A, against rho_A
+        rng = stream(70 + dim)
+        batch = _triples(_ginibre_states(rng, count, dim), _haar_unitaries(rng, count, dim),
+                         pure=False)
+        exact = _dephased("relative_entropy", None, batch)
+        near = _dephased("renyi_sandwiched", 0.999, batch)
+        worst_gap = max(worst_gap, float((np.abs(near - exact) / exact).max()))
     if worst_gap > 1e-2:
         problems.append(f"alpha=0.999 limit off by {worst_gap:.3e} relative")
 

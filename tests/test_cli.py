@@ -17,9 +17,12 @@ from qud import cli
 from qud.cli import _cell, _emit, main
 from qud.io import save_basis, save_state
 from qud.experiments import VOLUME_CHUNK, ShotCounts, estimate_coherence
-from qud.qstate import fourier_basis, make_density, sample, standard_basis
+from qud.qstate import _haar_unitaries, fourier_basis, make_basis, make_density, standard_basis
 from qud.relations import SEARCH_CHUNK, RelationId, _accepts, _shared_arrays
+from qud.rng import stream
 from qud.sweeps import dpi_margins, haar_triples
+
+from conftest import sample
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,23 @@ def test_zero_entropies_print_without_a_sign(argv, point_mass_files, capsys):
     else:
         cells = [c for row in csv.reader(io.StringIO(out)) for c in row]
         assert "0" in cells and not any(c.startswith("-0") for c in cells)
+
+
+@pytest.mark.parametrize("relation", ["U_hs", "U_tr", "THM1_UNIVERSAL"])
+def test_verify_keeps_delta_digits_near_a_point_mass(relation, tmp_path, capsys):
+    # psi = (sqrt(1 - eps), sqrt(eps), 0) at eps = 1e-16: delta(p) is about
+    # sqrt(2 eps), which 1 - sum p^2 would cancel to 0 below a rhs of ~7e-9
+    eps = 1e-16
+    psi = np.array([np.sqrt(1.0 - eps), np.sqrt(eps), 0.0])
+    files = [str(tmp_path / name) for name in ("psi.json", "a.json", "b.json")]
+    save_state(files[0], make_density(np.outer(psi, psi)))
+    save_basis(files[1], standard_basis(3))
+    save_basis(files[2], make_basis(_haar_unitaries(stream(5), 1, 3)[0]))
+    code, out, err = run(["verify", "--relation", relation, *FILE_FLAGS(files)], capsys)
+    assert code == 0 and err == ""
+    forward = rows_of(out)[0]
+    assert forward["satisfied"] == "true"
+    assert float(forward["lhs"]) == pytest.approx(np.sqrt(2.0 * eps), rel=1e-6)
 
 
 def test_verify_sampled_instance_is_deterministic(capsys):
@@ -675,6 +695,8 @@ def test_bad_integer_is_rejected_at_parse_time(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err
+    # argparse's refusals and main's own both show the subcommand's usage
+    assert captured.err.startswith(f"usage: qud {argv[0]} ")
 
 
 @pytest.mark.parametrize("argv", [

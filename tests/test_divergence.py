@@ -6,23 +6,30 @@ from numpy.testing import assert_allclose
 
 from qud.divergence import (
     DIVERGENCE_KINDS,
-    GAUGEABLE_KINDS,
     DivergenceSpec,
     _classical,
-    gauge_inverse,
+    _dephased,
+    _sandwiched_trace,
     kl_divergence,
     power_overlap,
-    qdiv,
     renyi_divergence,
     tsallis_divergence,
 )
 from qud.errors import ValidationError
 from qud.qstate import (
+    _diagonal_probs,
+    _frame_of_one,
     _ginibre_states,
     _haar_unitaries,
+    _scan_chunk,
+    _triples,
+    fourier_basis,
+    make_basis,
     make_density,
+    standard_basis,
 )
 from qud.rng import stream
+from qud.sweeps import haar_triples
 
 from conftest import RT2, fidelity, oracle_qdiv
 
@@ -68,74 +75,104 @@ def test_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# quantum divergences
+# the A-frame invariant: every state _dephased reads has diag rho = p
 
 
-def test_qdiv_fixtures_plus_vs_maximally_mixed(plus_state):
-    eye2 = _eye(2)
-    assert_allclose(qdiv(DivergenceSpec("trace"), plus_state, eye2), 0.5, atol=1e-12)
-    assert_allclose(qdiv(DivergenceSpec("infidelity"), plus_state, eye2), RT2, atol=1e-12)
-    assert_allclose(
-        qdiv(DivergenceSpec("relative_entropy"), plus_state, eye2), 1.0, atol=1e-12
-    )
-    assert_allclose(
-        qdiv(DivergenceSpec("renyi_sandwiched", 0.5), plus_state, eye2), 1.0, atol=1e-12
-    )
-    assert_allclose(
-        qdiv(DivergenceSpec("tsallis", 0.5), plus_state, eye2),
-        2.0 * (1.0 - RT2),
-        atol=1e-12,
-    )
-    assert_allclose(qdiv(DivergenceSpec("hilbert_schmidt"), plus_state, eye2), RT2, atol=1e-12)
+def _a_frame_batches():
+    """A-frame batches from each of the three constructors: haar_triples,
+    scan chunks and single instances, mixed and pure, with incoherent states
+    and point masses (plain and rotated into a Haar basis A) among them."""
+    for dim in (2, 3, 4, 6):
+        for pure in (False, True):
+            yield haar_triples(dim, 2000, 30 + dim, pure)
+            yield _scan_chunk(dim, 40 + dim, pure, 1, 500)[0]
+        u = _haar_unitaries(stream(50 + dim), 2, dim)
+        a, b = make_basis(u[0]), make_basis(u[1])
+        p = stream(60 + dim).dirichlet(np.ones(dim))
+        point = np.eye(dim)[0]
+        for rho in (np.diag(p), np.diag(point), np.diag(point[::-1])):
+            yield _frame_of_one(make_density(rho), standard_basis(dim), b)
+            yield _frame_of_one(make_density(u[0] @ rho @ u[0].conj().T), a, b)
+        yield _frame_of_one(make_density(np.eye(dim) / dim), fourier_basis(dim), b)
+
+
+def test_dephased_inputs_are_a_frame_batches():
+    # _dephased reads diag(p) as the A-dephased state of rho, so its
+    # relative_entropy is H(p) - S(rho) and its sandwiched trace is at least
+    # (sum p^(1/alpha))^alpha >= d^(1 - 1/alpha): no support rule is needed
+    for batch in _a_frame_batches():
+        assert _diagonal_probs(batch.rho).tobytes() == batch.p.tobytes()
+        for alpha in (0.5, 0.75, 0.999):
+            floor = batch.dim ** (1.0 - 1.0 / alpha) * (1.0 - 1e-12)
+            assert _sandwiched_trace(batch, alpha).min() >= floor, (batch.dim, alpha)
+
+
+# ---------------------------------------------------------------------------
+# quantum divergences: D(rho || rho_A) through _dephased on A-frame batches
+
+
+def _dephased_of(spec, batch):
+    """`_dephased` of spec on every state of an A-frame batch, as floats."""
+    return _dephased(spec.kind, spec.alpha, batch).tolist()
+
+
+def test_qdiv_fixtures_plus_vs_maximally_mixed(plus_state, z_basis, x_basis):
+    # |+> dephased in Z is I/2
+    batch = _frame_of_one(plus_state, z_basis, x_basis)
+    for spec, want in ((DivergenceSpec("trace"), 0.5), (DivergenceSpec("infidelity"), RT2),
+                       (DivergenceSpec("relative_entropy"), 1.0),
+                       (DivergenceSpec("renyi_sandwiched", 0.5), 1.0),
+                       (DivergenceSpec("tsallis", 0.5), 2.0 * (1.0 - RT2)),
+                       (DivergenceSpec("hilbert_schmidt"), RT2)):
+        assert_allclose(_dephased_of(spec, batch), [want], atol=1e-12, err_msg=spec.kind)
 
 
 def test_qdiv_zero_on_identical_states():
+    # measured in its own eigenbasis, a state is its A-dephased state
     rho = make_density(_ginibre_states(stream(7), 1, 3)[0])
+    a = make_basis(np.linalg.eigh(rho.matrix)[1])
+    batch = _frame_of_one(rho, a, fourier_basis(3))
     for spec in _all_specs():
         # sqrt(1 - F^2) turns the ~1e-15 fidelity rounding into ~1e-8
         tol = 1e-7 if spec.kind == "infidelity" else 1e-9
-        assert abs(qdiv(spec, rho, rho)) < tol
+        assert abs(_dephased_of(spec, batch)[0]) < tol, spec
 
 
 def test_qdiv_faithful():
     rng = stream(8)
-    pair = _ginibre_states(rng, 2, 3)
-    r1, r2 = make_density(pair[0]), make_density(pair[1])
+    rho = _ginibre_states(rng, 2, 3)
+    batch = _triples(rho, _haar_unitaries(rng, 2, 3), pure=False)
     for spec in _all_specs():
         if spec.kind == "tsallis" and spec.alpha == 0.0:
             # order zero only sees the support projector, not the weights
             continue
-        assert qdiv(spec, r1, r2) > 1e-4
+        assert min(_dephased_of(spec, batch)) > 1e-4, spec
 
 
-def test_relative_entropy_support_violation(plus_state, zero_state):
-    one = make_density(np.diag([0.0, 1.0]))
-    assert qdiv(DivergenceSpec("relative_entropy"), zero_state, one) == np.inf
-    assert qdiv(DivergenceSpec("relative_entropy"), _eye(2), zero_state) == np.inf
-    # support contained the other way round stays finite
-    assert np.isfinite(qdiv(DivergenceSpec("relative_entropy"), zero_state, _eye(2)))
-
-
-def test_sandwiched_renyi_disjoint_support_is_infinite(zero_state):
-    one = make_density(np.diag([0.0, 1.0]))
-    assert qdiv(DivergenceSpec("renyi_sandwiched", 0.5), zero_state, one) == np.inf
-
-
-def test_qdiv_dimension_mismatch(plus_state):
+def test_qdiv_dimension_mismatch(plus_state, z_basis):
+    # an instance's state and bases share one dimension
+    three = standard_basis(3)
     with pytest.raises(ValidationError, match="dimensions differ"):
-        qdiv(DivergenceSpec("trace"), plus_state, _eye(3))
+        _frame_of_one(plus_state, three, three)
+    with pytest.raises(ValidationError, match="dimensions differ"):
+        _frame_of_one(plus_state, z_basis, three)
 
 
 def test_qdiv_unitary_invariance():
+    # one unitary V on the state and both bases leaves every A-frame datum,
+    # and so D(rho || rho_A), as it is
     rng = stream(9)
-    pair = _ginibre_states(rng, 2, 3)
-    r1, r2 = make_density(pair[0]), make_density(pair[1])
+    rho = make_density(_ginibre_states(rng, 1, 3)[0])
+    u = _haar_unitaries(rng, 2, 3)
+    a, b = make_basis(u[0]), make_basis(u[1])
+    batch = _frame_of_one(rho, a, b)
     for k in range(20):
-        u = _haar_unitaries(rng, 1, 3)[0]
-        s1 = make_density(u @ r1.matrix @ u.conj().T)
-        s2 = make_density(u @ r2.matrix @ u.conj().T)
+        v = _haar_unitaries(rng, 1, 3)[0]
+        turned = _frame_of_one(make_density(v @ rho.matrix @ v.conj().T),
+                               make_basis(v @ u[0]), make_basis(v @ u[1]))
         for spec in _all_specs():
-            assert abs(qdiv(spec, s1, s2) - qdiv(spec, r1, r2)) < 1e-9
+            got, want = _dephased_of(spec, turned)[0], _dephased_of(spec, batch)[0]
+            assert abs(got - want) < 1e-9, spec
 
 
 # every kind on an order grid; tsallis at order 0 is left out, since there a
@@ -145,18 +182,19 @@ ORACLE_SPECS = [DivergenceSpec(kind, alpha) for kind in DIVERGENCE_KINDS
                               "tsallis": (0.25, 0.5, 0.9)}.get(kind, (None,))]
 
 
-def _assert_matches_oracle(spec, r1, r2):
+def _assert_matches_oracle(spec, got, rho, p):
     # near 0 the rounding of a log near 1, over 1 - alpha, is ~1e-14 absolute
-    got, want = qdiv(spec, r1, r2), oracle_qdiv(spec, r1, r2)
-    if math.isinf(want) or math.isinf(got):
-        assert got == want, spec
-    else:
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-13), (spec, got, want)
+    want = oracle_qdiv(spec, rho, make_density(np.diag(p)))
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-13), (spec, got, want)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_qdiv_matches_the_oracle_on_general_pairs(dim):
-    # Ginibre-mixed, Haar-pure and rank-2 states, every ordered pair
+    # Ginibre-mixed, Haar-pure and rank-2 states, each in the frame of 17
+    # bases A, one of them the standard basis, against their A-dephased
+    # state: 306 pairs (rho, diag p), as many as the ordered pairs of the 18
+    # states. Six states on the first two basis vectors add 102 pairs, whose
+    # p in the standard basis's frame has d - 2 zeros.
     rng = stream(20 + dim)
     mixed = _ginibre_states(rng, 6, dim)
     kets = _haar_unitaries(rng, 6, dim, 1)[:, :, 0]
@@ -165,43 +203,28 @@ def test_qdiv_matches_the_oracle_on_general_pairs(dim):
     lam[:, :-2] = 0.0
     lam /= lam.sum(axis=1, keepdims=True)
     rank2 = (vec * lam[:, None, :]) @ vec.conj().transpose(0, 2, 1)
-    states = [make_density(m) for m in (*mixed, *pure, *rank2)]
-    for i, r1 in enumerate(states):
-        for r2 in states[:i] + states[i + 1:]:
-            for spec in ORACLE_SPECS:
-                _assert_matches_oracle(spec, r1, r2)
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 5])
-def test_qdiv_matches_the_oracle_on_rotated_support_clashes(dim):
-    # U|0><0|U^dag against U diag(0, 1/(d-1), ...) U^dag and U diag(1/2, 1/2, 0, ...)
-    # U^dag, both ways: the +inf rules meet eigh's rounding on an empty overlap
-    ket, rest, half = np.eye(dim)[0], np.full(dim, 1 / (dim - 1)), np.zeros(dim)
-    rest[0], half[:2] = 0.0, 0.5
-    for seed in range(12):
-        u = _haar_unitaries(stream(seed), 1, dim)[0]
-        zero, off, two = (make_density((u * x) @ u.conj().T) for x in (ket, rest, half))
-        for r1, r2, clash in ((zero, off, True), (off, zero, True),
-                              (zero, two, False), (two, zero, False)):
-            for spec in ORACLE_SPECS:
-                if clash and spec.kind == "renyi_sandwiched":
-                    # the oracle lifts eigh's ~1e-17 overlap to a finite 50-190
-                    # bits by the power alpha; the supports are disjoint
-                    assert qdiv(spec, r1, r2) == np.inf
-                else:
-                    _assert_matches_oracle(spec, r1, r2)
+    edge = np.zeros_like(mixed)
+    edge[:, :2, :2] = _ginibre_states(rng, 6, 2)
+    states = np.concatenate([mixed, pure, rank2, edge])
+    bases = np.concatenate([np.eye(dim)[None], _haar_unitaries(rng, 16, dim)])
+    frames = np.einsum("bji,njk,bkl->bnil", bases.conj(), states, bases)
+    frames = frames.reshape(-1, dim, dim)
+    batch = _triples(frames, np.broadcast_to(np.eye(dim), frames.shape), pure=False)
+    rhos = [make_density(m) for m in frames]
+    for spec in ORACLE_SPECS:
+        for k, got in enumerate(_dephased_of(spec, batch)):
+            _assert_matches_oracle(spec, got, rhos[k], batch.p[k])
 
 
 def test_renyi_alpha_near_one_approaches_relative_entropy():
     rng = stream(10)
-    spec = DivergenceSpec("renyi_sandwiched", 0.99)
+    near, exact = DivergenceSpec("renyi_sandwiched", 0.99), DivergenceSpec("relative_entropy")
     for dim in (2, 3, 4):
-        for _ in range(60):
-            pair = _ginibre_states(rng, 2, dim)
-            r1, r2 = make_density(pair[0]), make_density(pair[1])
-            near = qdiv(spec, r1, r2)
-            exact = qdiv(DivergenceSpec("relative_entropy"), r1, r2)
-            assert abs(near - exact) <= 5e-2 * (1.0 + exact)
+        # Ginibre states in the frame they are drawn in, which is a Haar basis
+        batch = _triples(_ginibre_states(rng, 60, dim), _haar_unitaries(rng, 60, dim),
+                         pure=False)
+        for got, want in zip(_dephased_of(near, batch), _dephased_of(exact, batch)):
+            assert abs(got - want) <= 5e-2 * (1.0 + want)
 
 
 # ---------------------------------------------------------------------------
@@ -262,101 +285,7 @@ def test_renyi_divergence_rejects_non_finite_alpha(alpha):
         renyi_divergence(np.array([0.3, 0.7]), np.array([0.5, 0.5]), alpha)
 
 
-def test_cdiv_matches_qdiv_on_diagonal_states():
-    rng = stream(11)
-    for _ in range(40):
-        q = rng.dirichlet(np.ones(3))
-        qp = rng.dirichlet(np.ones(3))
-        dq = make_density(np.diag(q))
-        dqp = make_density(np.diag(qp))
-        for spec in _all_specs():
-            classical = _cdiv(spec, q, qp)
-            quantum = qdiv(spec, dq, dqp)
-            assert abs(classical - quantum) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# gauge machinery
-
-
-def test_gauge_inverse_fixtures():
-    assert_allclose(
-        gauge_inverse(DivergenceSpec("renyi_sandwiched", 0.5), 1.0), RT2, atol=1e-12
-    )
-    assert gauge_inverse(DivergenceSpec("trace"), 0.37) == 0.37
-    assert_allclose(
-        gauge_inverse(DivergenceSpec("tsallis", 0.5), 2.0 * (1.0 - RT2)),
-        0.541196100146197,
-        atol=1e-12,
-    )
-
-
-def test_gauge_inverse_edge_cases():
-    for kind, alpha in (("trace", None), ("infidelity", None),
-                        ("renyi_sandwiched", 0.5), ("tsallis", 0.5)):
-        spec = DivergenceSpec(kind, alpha)
-        assert gauge_inverse(spec, 0.0) == 0.0
-        assert gauge_inverse(spec, np.inf) == 1.0
-    assert gauge_inverse(DivergenceSpec("infidelity"), 1.7) == 1.0
-
-
-@pytest.mark.parametrize("value", [-0.1, -np.inf, np.nan])
-@pytest.mark.parametrize("kind", GAUGEABLE_KINDS)
-def test_gauge_inverse_rejects_negative_and_nan_input(kind, value):
-    with pytest.raises(ValueError, match="gauge input must be >= 0"):
-        gauge_inverse(DivergenceSpec(kind, _alpha_for(kind)), value)
-
-
-def test_gauge_inverse_rejects_ungaugeable_kinds():
-    for kind in ("relative_entropy", "hilbert_schmidt"):
-        with pytest.raises(ValidationError, match="has no distance gauge"):
-            gauge_inverse(DivergenceSpec(kind), 0.5)
-    assert set(GAUGEABLE_KINDS) == {"trace", "infidelity", "renyi_sandwiched", "tsallis"}
-
-
-def test_pure_state_gauge_law():
-    # on pure pairs the gauged divergence collapses to the infidelity
-    rng = stream(12)
-    for dim in (2, 3):
-        kets1 = _haar_unitaries(rng, 250, dim, 1)[:, :, 0]
-        kets2 = _haar_unitaries(rng, 250, dim, 1)[:, :, 0]
-        for k in range(250):
-            phi = make_density(np.outer(kets1[k], kets1[k].conj()))
-            psi = make_density(np.outer(kets2[k], kets2[k].conj()))
-            target = qdiv(DivergenceSpec("infidelity"), phi, psi)
-            for kind in GAUGEABLE_KINDS:
-                spec = DivergenceSpec(kind, _alpha_for(kind))
-                gauged = gauge_inverse(spec, qdiv(spec, phi, psi))
-                assert abs(gauged - target) < 1e-8
-
-
-def test_gauged_value_never_exceeds_one():
-    rng = stream(13)
-    pair = _ginibre_states(rng, 2, 4)
-    r1, r2 = make_density(pair[0]), make_density(pair[1])
-    for kind in GAUGEABLE_KINDS:
-        spec = DivergenceSpec(kind, _alpha_for(kind))
-        assert 0.0 <= gauge_inverse(spec, qdiv(spec, r1, r2)) <= 1.0
-
-
-def test_a_divergence_of_equal_inputs_gauges_to_plus_zero():
-    # rounding can leave D(x||x) a hair below zero, which gauge_inverse
-    # rejects; qdiv reads it as +0.0
-    rng = stream(14)
-    for dim in (2, 3, 4):
-        states = _ginibre_states(rng, 100, dim)
-        rng.dirichlet(np.ones(dim), 100)  # keeps the next dimension's states on their stream
-        for k in range(100):
-            rho = make_density(states[k])
-            for kind in GAUGEABLE_KINDS:
-                spec = DivergenceSpec(kind, _alpha_for(kind))
-                value = qdiv(spec, rho, rho)
-                assert math.copysign(1.0, value) == 1.0 and value >= 0.0, spec
-                gauged = gauge_inverse(spec, value)
-                assert math.copysign(1.0, gauged) == 1.0 and gauged >= 0.0, spec
-
-
-def test_fidelity_infidelity_consistency(plus_state):
+def test_fidelity_infidelity_consistency(plus_state, z_basis, x_basis):
+    infid = _dephased("infidelity", None, _frame_of_one(plus_state, z_basis, x_basis))[0]
     eye2 = _eye(2)
-    infid = qdiv(DivergenceSpec("infidelity"), plus_state, eye2)
     assert_allclose(infid, np.sqrt(1.0 - fidelity(plus_state, eye2) ** 2), atol=1e-12)

@@ -19,12 +19,7 @@ from qud.experiments import (
     region_grid,
     simulate_shots,
 )
-from qud.divergence import DivergenceSpec
-from qud.qstate import (
-    _frame_of_one,
-    make_density,
-    sample,
-)
+from qud.qstate import _frame_of_one, make_density
 from qud.relations import (
     RelationId,
     _accepts,
@@ -32,9 +27,9 @@ from qud.relations import (
     table2_relations,
 )
 from qud.rng import role_stream, stream
-from qud.sweeps import dpi_margin
+from qud.sweeps import dpi_margins
 
-from conftest import sequential_dist, verdict_of
+from conftest import sample, sequential_dist, verdict_of
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +259,14 @@ def test_coherence_bounds_are_ordered():
 
 def test_coherence_gap_is_the_relative_entropy_dpi_margin():
     # exact - lower and the relative_entropy DPI margin read the same A-frame arrays
-    spec = DivergenceSpec("relative_entropy")
     for dim in (2, 3, 4):
         for seed in range(40):
             rho = sample("haar_state_mixed", dim, seed)
             a = sample("haar_unitary_basis", dim, 1000 + seed)
             b = sample("haar_unitary_basis", dim, 2000 + seed)
             bounds = coherence_bounds(rho, a, b)
-            assert bounds.exact - bounds.lower == dpi_margin(spec, rho, a, b), (dim, seed)
+            margin = dpi_margins("relative_entropy", None, _frame_of_one(rho, a, b))[0]
+            assert bounds.exact - bounds.lower == margin, (dim, seed)
 
 
 def test_coherence_bounds_incoherent_state(z_basis, x_basis):

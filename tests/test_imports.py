@@ -8,9 +8,10 @@ complex Gaussians are drawn only by the Haar sampler and the Ginibre states,
 random streams are made only by `qud.rng`, for the roles it names, relations
 and sweeps reach the kernels through the kind maps, only `divergence` and
 `uncertainty` import a kernel, `divergence` states each quantum divergence
-once, `qud.errors` defines three classes and only two of them are raised
-outside the CLI, and every source line fits in MAX_COLUMNS. `qud.__all__` is
-pinned, and every qud name the benchmark's probes read resolves.
+once, only the A-frame reduction builds a TripleBatch, `qud.errors` defines
+three classes and only two of them are raised outside the CLI, and every
+source line fits in MAX_COLUMNS. `qud.__all__` is pinned, and every qud name
+the benchmark's probes read resolves.
 """
 
 import ast
@@ -175,7 +176,7 @@ def test_random_streams_are_made_only_by_the_rng_roles():
              for callee in ("stream", "role_stream")}
     assert found == {
         "stream": ["cli.py:_load_instance", "experiments.py:estimate_volumes",
-                   "qstate.py:_scan_chunk", "qstate.py:sample", "sweeps.py:haar_triples"],
+                   "qstate.py:_scan_chunk", "sweeps.py:haar_triples"],
         "role_stream": ["experiments.py:simulate_shots"],
     }
     for path in MODULES:
@@ -251,13 +252,40 @@ def test_sweeps_reads_both_dpi_sides_through_the_kind_maps():
 
 
 def test_divergence_states_each_quantum_formula_once():
-    # qdiv is _dephased on a batch of one, so only the batched kernels call
-    # into np.linalg and no second quantum kernel can come back
+    # the quantum side is D(rho || rho_A), read only by _dephased on A-frame
+    # batches, so only the batched kernels call into np.linalg and no second
+    # quantum kernel, of a general pair of states, can come back
     tree = ast.parse((SRC / "divergence.py").read_text(encoding="utf-8"))
     owners = {getattr(stmt, "name", "<module>") for stmt in tree.body
               for node in ast.walk(stmt)
               if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.linalg.")}
     assert owners == {"_dephased", "_sandwiched_trace"}
+
+
+def constructors(source: str, cls: str) -> list[str]:
+    """The module-level function or class around each call of `cls`, by
+    name or as an attribute (`module.cls(...)`)."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and cls in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None)):
+                found.append(getattr(stmt, "name", "<module>"))
+    return sorted(found)
+
+
+def test_guard_finds_constructors():
+    source = ("def f():\n    return K(1), m.K(2), m.J(3)\n\n"
+              "class C:\n    def g(self):\n        return K()\n")
+    assert constructors(source, "K") == ["C", "f", "f"]
+
+
+def test_only_the_a_frame_reduction_builds_a_triple_batch():
+    # _triples makes p the diagonal of rho, so every batch _dephased reads
+    # has rho_A = diag(p); no second constructor can feed it a general pair
+    found = [f"{path.name}:{owner}" for path in MODULES
+             for owner in constructors(path.read_text(encoding="utf-8"), "TripleBatch")]
+    assert found == ["qstate.py:_triples"]
 
 
 def raised(source: str) -> list[str]:
@@ -312,10 +340,9 @@ def test_source_lines_fit_in_max_columns():
 PUBLIC_SURFACE = (
     "CoherenceBounds", "Counterexample", "DIVERGENCE_KINDS", "DensityMatrix",
     "DivergenceSpec", "OrthonormalBasis", "QudError", "RELATION_IDS", "RelationId",
-    "RelationVerdict", "SAMPLE_KINDS", "ShotCounts", "VolumeEstimate",
-    "coherence_bounds", "dpi_margin", "estimate_coherence", "estimate_volume",
-    "estimate_volumes", "eval_with_dual", "fourier_basis", "gauge_inverse",
-    "make_basis", "make_density", "qdiv", "region_grid", "sample",
+    "RelationVerdict", "ShotCounts", "VolumeEstimate", "coherence_bounds",
+    "estimate_coherence", "estimate_volume", "estimate_volumes", "eval_with_dual",
+    "fourier_basis", "make_basis", "make_density", "region_grid",
     "search_counterexample", "simulate_shots", "standard_basis", "table2_relations",
 )
 

@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 
 from qud.errors import SchemaError
 from qud.io import load_basis, load_state, save_basis, save_state
-from qud.qstate import fourier_basis, make_density, sample
+from qud.qstate import fourier_basis, make_density
+
+from conftest import sample
 
 
 def test_state_round_trip(tmp_path):

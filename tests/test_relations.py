@@ -30,7 +30,6 @@ from qud.qstate import (
     _triples,
     fourier_basis,
     make_density,
-    sample,
     standard_basis,
 )
 from qud.relations import (
@@ -49,7 +48,6 @@ from qud.relations import (
 from qud.rng import stream
 from qud.sweeps import (
     chain_margins,
-    dpi_margin,
     dpi_margins,
     dpi_scan,
     haar_triples,
@@ -67,6 +65,7 @@ from conftest import (
     born,
     oracle_dephase,
     oracle_qdiv,
+    sample,
     sequential_dist,
     triple_of,
     verdict_of,
@@ -476,7 +475,7 @@ def test_eval_with_dual_is_the_oracle_verdict_of_the_born_statistics(dim):
 
 def test_dpi_margin_nonnegative_and_consistent(f1):
     rho, a, b = f1
-    margin = dpi_margin(DivergenceSpec("trace"), rho, a, b)
+    margin = dpi_margins("trace", None, _frame_of_one(rho, a, b))[0]
     p, q, qp, _ = triple_of(rho, a, b)
     direct = (oracle_qdiv(DivergenceSpec("trace"), rho, oracle_dephase(rho, a))
               - _classical("trace", None, q, qp))
@@ -490,7 +489,7 @@ def test_dpi_margin_nonnegative_and_consistent(f1):
                             ("renyi_sandwiched", 0.75), ("tsallis", 0.5),
                             ("relative_entropy", None), ("hilbert_schmidt", None)):
             spec = DivergenceSpec(kind, alpha)
-            margin = dpi_margin(spec, rho_r, a_r, b_r)
+            margin = dpi_margins(kind, alpha, _frame_of_one(rho_r, a_r, b_r))[0]
             assert margin >= -1e-8
             direct = oracle_qdiv(spec, rho_r, rho_a) - _classical(
                 kind, alpha, born(rho_r, b_r), born(rho_a, b_r)
@@ -500,15 +499,16 @@ def test_dpi_margin_nonnegative_and_consistent(f1):
 
 def _incoherent_qubit():
     # the dephasing leaves diag(0.7, 0.3) as it is, so both DPI sides vanish
-    return make_density(np.diag([0.7, 0.3])), standard_basis(2), fourier_basis(2)
+    rho = make_density(np.diag([0.7, 0.3]))
+    return _frame_of_one(rho, standard_basis(2), fourier_basis(2))
 
 
 def test_infidelity_dpi_margin_of_an_incoherent_state_keeps_the_floor():
-    assert dpi_margin(DivergenceSpec("infidelity"), *_incoherent_qubit()) >= -1e-8
+    assert dpi_margins("infidelity", None, _incoherent_qubit())[0] >= -1e-8
 
 
 def test_sandwiched_renyi_dpi_margin_of_an_incoherent_state_is_plus_zero():
-    margin = dpi_margin(DivergenceSpec("renyi_sandwiched", 0.5), *_incoherent_qubit())
+    margin = dpi_margins("renyi_sandwiched", 0.5, _incoherent_qubit())[0]
     assert math.copysign(1.0, margin) == 1.0
 
 
@@ -524,7 +524,8 @@ def test_hilbert_schmidt_side_keeps_its_digits_near_incoherence():
         side = _dephased("hilbert_schmidt", None, _frame_of_one(rho(eps), z, x))[0]
         assert abs(side / (np.sqrt(2.0) * eps) - 1.0) <= 1e-12, eps
     for eps in np.linspace(1e-9, 5e-8, 200):
-        assert dpi_margin(DivergenceSpec("hilbert_schmidt"), rho(eps), z, x) >= -1e-12, eps
+        margin = dpi_margins("hilbert_schmidt", None, _frame_of_one(rho(eps), z, x))[0]
+        assert margin >= -1e-12, eps
 
 
 def test_classical_infidelity_is_exact_at_equal_and_disjoint_rows():

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -106,6 +109,16 @@ def test_collision_identity():
     h2 = renyi_entropy(probs, 2.0)
     delta = delta_measure(probs)
     assert np.abs(h2 + np.log2(1.0 - delta**2)).max() < 1e-9
+
+
+@pytest.mark.parametrize("k", range(2, 19))
+def test_delta_keeps_its_digits_near_a_point_mass(k):
+    # p = (1 - eps, eps, 0): delta(p) = sqrt(2 eps (1 - eps)) exactly, and
+    # 1 - sum p^2 would cancel all but the last bits of it
+    eps = 10.0**-k
+    exact = math.sqrt(2 * Fraction(eps) * (1 - Fraction(eps)))
+    got = float(delta_measure(np.array([1.0 - eps, eps, 0.0])))
+    assert abs(got - exact) <= 1e-12 * exact, (got, exact)
 
 
 def test_renyi_entropy_decreases_in_alpha():
