@@ -1,17 +1,15 @@
 """Uncertainty-disturbance trade-offs for sequential projective measurements.
 
-Value types (density matrices and bases) are immutable and validated at
-construction; everything else is pure functions: divergences of a state
-from its dephased state, uncertainty measures, the relation catalog with
-duals and counterexample search, and Monte-Carlo experiment drivers. All
-stochastic entry points take explicit integer seeds.
+Density matrices and bases are immutable and validated at construction;
+everything else is pure functions of them, arrays and plain numbers:
+divergences of a state from its dephased state, uncertainty measures, the
+relation catalog with duals and counterexample search, and Monte-Carlo
+experiment drivers. All stochastic entry points take explicit integer seeds.
 """
 
-from .divergence import DIVERGENCE_KINDS, DivergenceSpec
+from .divergence import DIVERGENCE_KINDS
 from .errors import QudError
 from .experiments import (
-    CoherenceBounds,
-    ShotCounts,
     VolumeEstimate,
     coherence_bounds,
     estimate_coherence,
@@ -41,17 +39,14 @@ from .relations import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoherenceBounds",
     "Counterexample",
     "DIVERGENCE_KINDS",
     "DensityMatrix",
-    "DivergenceSpec",
     "OrthonormalBasis",
     "QudError",
     "RELATION_IDS",
     "RelationId",
     "RelationVerdict",
-    "ShotCounts",
     "VolumeEstimate",
     "coherence_bounds",
     "estimate_coherence",

@@ -23,7 +23,7 @@ import types
 
 import numpy as np
 
-from .divergence import DIVERGENCE_KINDS, DivergenceSpec
+from .divergence import DIVERGENCE_KINDS, _check_divergence
 from .errors import QudError, ValidationError
 from .experiments import (
     MIN_VOLUME_SAMPLES,
@@ -244,12 +244,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dpi(args) -> int:
-    spec = DivergenceSpec(args.divergence, args.alpha)
+    _check_divergence(args.divergence, args.alpha)
     base = _base_value(args.log_base)
-    margins = dpi_scan(spec.kind, spec.alpha, args.dim, args.samples, args.seed, base=base)
+    margins = dpi_scan(args.divergence, args.alpha, args.dim, args.samples, args.seed,
+                       base=base)
     _emit({
-        "divergence": spec.kind,
-        "alpha": spec.alpha,
+        "divergence": args.divergence,
+        "alpha": args.alpha,
         "dim": args.dim,
         "samples": args.samples,
         "seed": args.seed,
@@ -357,27 +358,26 @@ def _cmd_coherence(args) -> int:
             "unbounded": math.isinf(lower),
         }, args)
         return 0
-    bounds = coherence_bounds(rho, a, b, base=base)
-    _emit({"upper": bounds.upper, "exact": bounds.exact, "lower": bounds.lower,
-           "log_base": args.log_base}, args)
+    upper, exact, lower = coherence_bounds(rho, a, b, base=base)
+    _emit({"upper": upper, "exact": exact, "lower": lower, "log_base": args.log_base}, args)
     return 0
 
 
 def _cmd_shots(args) -> int:
     rho, a, b, source = _load_instance(args)
-    record = simulate_shots(rho, a if args.kind == "sequential_AB" else None, b, args.n,
+    counts = simulate_shots(rho, a if args.kind == "sequential_AB" else None, b, args.n,
                             args.seed)
     # direct_B counts are indexed by i alone, sequential_AB counts by (i, j)
-    i, *j = np.indices(record.counts.shape).reshape(record.counts.ndim, -1)
+    i, *j = np.indices(counts.shape).reshape(counts.ndim, -1)
     _emit({
-        "kind": record.kind,
-        "dim": record.dim,
-        "total": record.total,
-        "seed": record.seed,
+        "kind": args.kind,
+        "dim": rho.dim,
+        "total": args.n,
+        "seed": args.seed,
         "source": source,
         "i": i,
         "j": j[0] if j else None,
-        "count": record.counts.ravel(),
+        "count": counts.ravel(),
     }, args)
     return 0
 

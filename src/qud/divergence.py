@@ -10,7 +10,6 @@ a state against its A-dephased state, and (q, q') after the second basis.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,17 +44,11 @@ def _check_order(kind: str | None, alpha: float | None, name: str) -> None:
         raise ValidationError(f"{name} takes no alpha")
 
 
-@dataclass(frozen=True)
-class DivergenceSpec:
-    """Choice of divergence; alpha is legal only where the kind uses it."""
-
-    kind: str
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in DIVERGENCE_KINDS:
-            raise ValidationError(f"unknown divergence kind {self.kind!r}")
-        _check_order(self.kind, self.alpha, self.kind)
+def _check_divergence(kind: str, alpha: float | None) -> None:
+    """Raise ValidationError unless kind is a divergence kind and alpha is legal for it."""
+    if kind not in DIVERGENCE_KINDS:
+        raise ValidationError(f"unknown divergence kind {kind!r}")
+    _check_order(kind, alpha, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .errors import ValidationError
 from .qstate import (
     DensityMatrix,
     OrthonormalBasis,
-    _check_same_dim,
     _frame_of_one,
     _frozen,
     _haar_overlaps,
@@ -43,23 +42,6 @@ class VolumeEstimate:
     accepted: int
     volume: float
     std_error: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class CoherenceBounds:
-    upper: float
-    exact: float
-    lower: float
-    base: float
-
-
-@dataclass(frozen=True, eq=False)
-class ShotCounts:
-    kind: str
-    dim: int
-    counts: np.ndarray
-    total: int
     seed: int
 
 
@@ -151,20 +133,22 @@ def region_grid(rel: RelationId, c00: float, resolution: int):
 
 
 def coherence_bounds(rho: DensityMatrix, a: OrthonormalBasis, b: OrthonormalBasis,
-                     base: float = 2.0) -> CoherenceBounds:
-    """U_re's `_dpi_chain` on one instance: the operational sandwich around the
-    relative entropy of coherence. upper = H(p), exact = H(p) - S(rho) clipped
-    at 0, lower = KL(q || q') with q' the post-dephasing statistics of the
-    second basis. exact and lower are the two sides of the relative_entropy
-    DPI, so exact - lower is its margin.
+                     base: float = 2.0) -> tuple[float, float, float]:
+    """U_re's `_dpi_chain` on one instance, (upper, exact, lower): the
+    operational sandwich around the relative entropy of coherence.
+    upper = H(p), exact = H(p) - S(rho) clipped at 0, lower = KL(q || q')
+    with q' the post-dephasing statistics of the second basis. exact and
+    lower are the two sides of the relative_entropy DPI, so exact - lower is
+    its margin.
     """
     upper, exact, lower = _dpi_chain(RelationId("U_re"), _frame_of_one(rho, a, b), base)
-    return CoherenceBounds(float(upper[0]), max(float(exact[0]), 0.0), float(lower[0]), base)
+    return float(upper[0]), max(float(exact[0]), 0.0), float(lower[0])
 
 
 def simulate_shots(rho: DensityMatrix, a: OrthonormalBasis | None,
-                   b: OrthonormalBasis, n: int, seed: int) -> ShotCounts:
-    """Multinomial shot counts for measuring B directly (a=None) or A then B.
+                   b: OrthonormalBasis, n: int, seed: int) -> np.ndarray:
+    """Read-only multinomial counts of n shots measuring B directly (a=None),
+    shape (d,), or A then B, shape (d, d) indexed by (A outcome, B outcome).
 
     p and C are those of `_frame_of_one`; measuring B directly is measuring
     it first, so its probabilities are the p of the instance (rho, B, B).
@@ -177,29 +161,30 @@ def simulate_shots(rho: DensityMatrix, a: OrthonormalBasis | None,
     batch = _frame_of_one(rho, b if a is None else a, b)
     joint = batch.p[0] if a is None else batch.p[0][:, None] * batch.overlap[0]
     counts = role_stream(seed, kind).multinomial(n, joint.ravel() / joint.sum())
-    return ShotCounts(kind, rho.dim, _frozen(counts.reshape(joint.shape)), n, seed)
+    return _frozen(counts.reshape(joint.shape))
 
 
-def estimate_coherence(direct: ShotCounts, sequential: ShotCounts,
-                       smoothing: float = 0.5, base: float = 2.0):
+def estimate_coherence(direct, sequential, smoothing: float = 0.5, base: float = 2.0):
     """Plug-in coherence bounds (lower, upper): U_re's sides on finite counts.
 
-    Adds `smoothing` pseudo-counts per cell before normalizing; smoothing 0
-    keeps the support-violation semantics (lower may be +inf).
+    direct holds the (d,) counts of measuring B directly and sequential the
+    (d, d) counts of A then B, as `simulate_shots` returns them. Adds
+    `smoothing` pseudo-counts per cell before normalizing; smoothing 0 keeps
+    the support-violation semantics (lower may be +inf).
     """
-    if direct.kind != "direct_B":
-        raise ValidationError(f"first record must be direct_B, got {direct.kind}")
-    if sequential.kind != "sequential_AB":
-        raise ValidationError(f"second record must be sequential_AB, got {sequential.kind}")
-    _check_same_dim(direct, sequential)
-    if direct.total == 0 or sequential.total == 0:
+    direct, sequential = np.asarray(direct), np.asarray(sequential)
+    d = direct.size
+    if direct.shape != (d,) or sequential.shape != (d, d) or d < 2:
+        raise ValidationError(f"counts must have shapes (d,) and (d, d), d >= 2, "
+                              f"got {direct.shape} and {sequential.shape}")
+    total, seq_total = direct.sum(), sequential.sum()
+    if total == 0 or seq_total == 0:
         raise ValidationError("need at least one shot in each record")
     if not 0.0 <= smoothing < math.inf:
         raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
-    d = direct.dim
-    q_hat = (direct.counts + smoothing) / (direct.total + d * smoothing)
-    p_hat = (sequential.counts.sum(axis=1) + smoothing) / (sequential.total + d * smoothing)
-    qp_hat = (sequential.counts.sum(axis=0) + smoothing) / (sequential.total + d * smoothing)
+    q_hat = (direct + smoothing) / (total + d * smoothing)
+    p_hat = (sequential.sum(axis=1) + smoothing) / (seq_total + d * smoothing)
+    qp_hat = (sequential.sum(axis=0) + smoothing) / (seq_total + d * smoothing)
     upper, lower = relation_sides(RelationId("U_re"), p_hat, q_hat, qp_hat, base=base)
     return float(lower), float(upper)
 

@@ -32,7 +32,7 @@ _SHORT_AXIS = 8
 
 
 def _row_sum(x):
-    """x.sum(axis=-1), bit for bit, for an axis of at least one entry.
+    """x.sum(axis=-1), bit for bit, over an axis of two or more entries.
 
     numpy's reduce pays a per-row cost that dwarfs the arithmetic of a short
     axis. Below 8 entries it adds in order from 0.0, so elementwise adds in
@@ -41,7 +41,7 @@ def _row_sum(x):
     """
     if x.shape[-1] >= _SHORT_AXIS:
         return x.sum(axis=-1)
-    out = x[..., 0] + (x[..., 1] if x.shape[-1] > 1 else 0.0)
+    out = x[..., 0] + x[..., 1]
     for k in range(2, x.shape[-1]):
         out += x[..., k]
     out += 0.0  # numpy's start: an all -0.0 row sums to +0.0
@@ -184,18 +184,14 @@ def _complex_normal(rng, shape):
     return z
 
 
-def _haar_unitaries(rng, count: int, dim: int, columns: int | None = None):
+def _haar_unitaries(rng, count: int, dim: int):
     """Modified Gram-Schmidt on the columns of complex Ginibre matrices.
 
     Its R factor has a positive real diagonal, so Q is the QR factor with the
-    phase fix that makes it Haar distributed (Mezzadri 2007). Given fewer
-    `columns` than dim, it draws a (count, dim, columns) Ginibre array: column
-    k of Q depends only on Ginibre columns 0..k, so these are the first
-    columns of a Haar unitary.
+    phase fix that makes it Haar distributed (Mezzadri 2007).
     """
-    columns = dim if columns is None else columns
-    q = _complex_normal(rng, (count, dim, columns))
-    for k in range(columns):
+    q = _complex_normal(rng, (count, dim, dim))
+    for k in range(dim):
         col = q[:, :, k:k + 1]
         col /= np.linalg.norm(col, axis=1, keepdims=True)
         rest = q[:, :, k + 1:]
@@ -259,14 +255,15 @@ def _ginibre_states(rng, count: int, dim: int):
 def _haar_frames(rng, count: int, dim: int, pure: bool):
     """(rho, w): states in basis A's frame, then W = U_A^dag U_B, one stream.
 
-    States are Hilbert-Schmidt mixed, or Haar pure: a pure state is the first
-    Gram-Schmidt column of a Haar unitary. These measures and Haar's are
+    States are Hilbert-Schmidt mixed, or Haar pure: a Gaussian ket over its
+    norm, in law a Haar unitary's column. These measures and Haar's are
     unitarily invariant, so this is the law of an independent (rho, U_A, U_B)
     draw rotated into A's frame (Zyczkowski & Sommers 2001).
     """
     _check_dim(dim)
     if pure:
-        kets = _haar_unitaries(rng, count, dim, 1)[:, :, 0]
+        kets = _complex_normal(rng, (count, dim))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
         rho = kets[:, :, None] * kets[:, None, :].conj()
     else:
         rho = _ginibre_states(rng, count, dim)

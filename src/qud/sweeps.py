@@ -9,7 +9,7 @@ the dephased state is diagonal, so nothing is rotated.
 
 import numpy as np
 
-from .divergence import DivergenceSpec, _classical, _dephased
+from .divergence import _check_divergence, _classical, _dephased
 from .qstate import TripleBatch, _haar_frames, _scan_chunk, _scan_rows, _triples
 from .relations import RelationId, _dpi_chain, relation_sides
 from .rng import _map_chunks, stream
@@ -32,7 +32,7 @@ def dpi_margins(kind: str, alpha: float | None, batch: TripleBatch,
                 base: float = 2.0):
     """Quantum-minus-classical divergence margins, `_dephased` - `_classical`,
     across the batch. Data processing keeps every margin >= -1e-8."""
-    DivergenceSpec(kind, alpha)  # rejects unknown kinds and orders
+    _check_divergence(kind, alpha)
     quantum = _dephased(kind, alpha, batch, base)
     return quantum - _classical(kind, alpha, batch.q, batch.qp, base)
 

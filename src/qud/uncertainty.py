@@ -15,13 +15,23 @@ from .errors import ValidationError
 from .qstate import ZERO_CUTOFF, _row_sum
 
 
+def _pair_sum(x):
+    """sum_{i<j} x_i x_j over the last axis, as sum_j x_j (x_0 + ... + x_{j-1}):
+    products and sums only, so no digits cancel near a point mass."""
+    prefix = x[..., 0].copy()
+    out = x[..., 1] * prefix
+    for j in range(2, x.shape[-1]):
+        prefix += x[..., j - 1]
+        out += x[..., j] * prefix
+    out += 0.0  # an all -0.0 sum is +0.0, as numpy's reduce gives
+    return out
+
+
 def delta_measure(p):
     """sqrt(1 - sum p^2), the purity deficit of the dephased state, as
     sqrt(2 sum_{i<j} p_i p_j): the cross terms keep the digits that
     1 - sum p^2 cancels near a point mass."""
-    p = np.asarray(p, dtype=np.float64)
-    i, j = np.triu_indices(p.shape[-1], 1)
-    return np.sqrt(2.0 * _row_sum(p[..., i] * p[..., j]))
+    return np.sqrt(2.0 * _pair_sum(np.asarray(p, dtype=np.float64)))
 
 
 def shannon_entropy(p, base: float = 2.0):
@@ -49,10 +59,9 @@ def renyi_entropy(p, alpha: float, base: float = 2.0):
 
 
 def half_norm_measure(p):
-    """Half of ((sum sqrt(p))^2 - 1), the 1/2-quasinorm overshoot."""
-    p = np.asarray(p, dtype=np.float64)
-    root_sum = _row_sum(np.sqrt(np.clip(p, 0.0, None)))
-    return 0.5 * (root_sum**2 - 1.0)
+    """Half of ((sum sqrt(p))^2 - 1), the 1/2-quasinorm overshoot, as
+    sum_{i<j} sqrt(p_i p_j), which keeps its digits near a point mass."""
+    return _pair_sum(np.sqrt(np.clip(np.asarray(p, dtype=np.float64), 0.0, None)))
 
 
 def _measure(kind: str, alpha: float | None, p, base: float = 2.0):

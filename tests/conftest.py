@@ -26,7 +26,6 @@ import math
 import numpy as np
 import pytest
 
-from qud.divergence import DivergenceSpec
 from qud.errors import ValidationError
 from qud.qstate import (
     ZERO_CUTOFF,
@@ -212,18 +211,20 @@ def _relative_entropy(rho1, rho2):
     return (term1 - term2) / math.log(2.0)
 
 
-def oracle_qdiv(spec: DivergenceSpec, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Divergence between two states; entropic kinds are in bits."""
+def oracle_qdiv(kind: str, alpha: float | None, rho1: DensityMatrix,
+                rho2: DensityMatrix) -> float:
+    """Divergence `kind` at order alpha between two states; entropic kinds
+    are in bits."""
     _check_same_dim(rho1, rho2)
-    if spec.kind == "trace":
+    if kind == "trace":
         return _trace_distance(rho1, rho2)
-    if spec.kind == "infidelity":
+    if kind == "infidelity":
         f = fidelity(rho1, rho2)
         return float(np.sqrt(max(1.0 - f * f, 0.0)))
-    if spec.kind == "renyi_sandwiched":
-        return _sandwiched_renyi(rho1, rho2, spec.alpha)
-    if spec.kind == "tsallis":
-        return _tsallis_quantum(rho1, rho2, spec.alpha)
-    if spec.kind == "relative_entropy":
+    if kind == "renyi_sandwiched":
+        return _sandwiched_renyi(rho1, rho2, alpha)
+    if kind == "tsallis":
+        return _tsallis_quantum(rho1, rho2, alpha)
+    if kind == "relative_entropy":
         return _relative_entropy(rho1, rho2)
     return float(np.linalg.norm(rho1.matrix - rho2.matrix))

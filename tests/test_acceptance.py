@@ -352,18 +352,18 @@ def test_tightness_fixtures(plus_state, z_basis, x_basis):
         ("S(rho||rho_A)", float(_dephased("relative_entropy", None, batch)[0]), 1.0, 1e-9),
         ("KL(q||q')", float(_classical("relative_entropy", None, q, qp)), 1.0, 1e-9),
     ]
-    pure = coherence_bounds(plus_state, z_basis, x_basis)
+    upper, exact, lower = coherence_bounds(plus_state, z_basis, x_basis)
     checks += [
-        ("coherence upper (pure)", pure.upper, 1.0, 1e-9),
-        ("coherence exact (pure)", pure.exact, 1.0, 1e-9),
-        ("coherence lower (pure)", pure.lower, 1.0, 1e-9),
+        ("coherence upper (pure)", upper, 1.0, 1e-9),
+        ("coherence exact (pure)", exact, 1.0, 1e-9),
+        ("coherence lower (pure)", lower, 1.0, 1e-9),
     ]
     mixed = make_density(np.array([[0.5, 0.25], [0.25, 0.5]]))
-    mb = coherence_bounds(mixed, z_basis, x_basis)
+    upper, exact, lower = coherence_bounds(mixed, z_basis, x_basis)
     checks += [
-        ("coherence upper (mixed)", mb.upper, 1.0, 1e-4),
-        ("coherence exact (mixed)", mb.exact, 0.18872, 1e-4),
-        ("coherence lower (mixed)", mb.lower, 0.18872, 1e-4),
+        ("coherence upper (mixed)", upper, 1.0, 1e-4),
+        ("coherence exact (mixed)", exact, 0.18872, 1e-4),
+        ("coherence lower (mixed)", lower, 0.18872, 1e-4),
     ]
     problems = [
         f"{name} = {value:.10f}, expected {target} +/- {tol}"

@@ -16,7 +16,7 @@ import pytest
 from qud import cli
 from qud.cli import _cell, _emit, main
 from qud.io import save_basis, save_state
-from qud.experiments import VOLUME_CHUNK, ShotCounts, estimate_coherence
+from qud.experiments import VOLUME_CHUNK, estimate_coherence
 from qud.qstate import _haar_unitaries, fourier_basis, make_basis, make_density, standard_basis
 from qud.relations import SEARCH_CHUNK, RelationId, _accepts, _shared_arrays
 from qud.rng import stream
@@ -538,14 +538,13 @@ def test_coherence_shots_are_the_shots_reports_of_its_seed(capsys):
     instance = ["--dim", "3", "--seed", "7"]
     _, out, _ = run(["coherence", *instance, "--shots", "5000", "--format", "json"], capsys)
     row = json.loads(out)["rows"][0]
-    records = []
+    counts = []
     for kind in ("direct_B", "sequential_AB"):
         _, out, _ = run(["shots", *instance, "--kind", kind, "--n", "5000", "--format",
                          "json"], capsys)
         rows = json.loads(out)["rows"]
-        counts = np.array([r["count"] for r in rows])
-        records.append(ShotCounts(kind, 3, counts.reshape(3, -1).squeeze(), 5000, 7))
-    lower, upper = estimate_coherence(*records)
+        counts.append(np.array([r["count"] for r in rows]).reshape(3, -1).squeeze())
+    lower, upper = estimate_coherence(*counts)
     assert (row["lower_estimate"], row["upper_estimate"]) == (lower, upper)
 
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qud.divergence import (
     DIVERGENCE_KINDS,
-    DivergenceSpec,
+    _check_divergence,
     _classical,
     _dephased,
     _sandwiched_trace,
@@ -17,6 +17,7 @@ from qud.divergence import (
 )
 from qud.errors import ValidationError
 from qud.qstate import (
+    _complex_normal,
     _diagonal_probs,
     _frame_of_one,
     _ginibre_states,
@@ -29,7 +30,7 @@ from qud.qstate import (
     standard_basis,
 )
 from qud.rng import stream
-from qud.sweeps import haar_triples
+from qud.sweeps import dpi_margins, haar_triples
 
 from conftest import RT2, fidelity, oracle_qdiv
 
@@ -43,14 +44,15 @@ def _alpha_for(kind):
 
 
 def _all_specs():
+    """(kind, alpha) for every kind on an order grid."""
     out = []
     for kind in DIVERGENCE_KINDS:
         if kind == "renyi_sandwiched":
-            out += [DivergenceSpec(kind, a) for a in (0.5, 0.75, 0.99)]
+            out += [(kind, a) for a in (0.5, 0.75, 0.99)]
         elif kind == "tsallis":
-            out += [DivergenceSpec(kind, a) for a in (0.0, 0.5, 0.9)]
+            out += [(kind, a) for a in (0.0, 0.5, 0.9)]
         else:
-            out.append(DivergenceSpec(kind))
+            out.append((kind, None))
     return out
 
 
@@ -59,19 +61,20 @@ def _all_specs():
 
 
 def test_spec_validation():
-    DivergenceSpec("trace")
-    DivergenceSpec("renyi_sandwiched", 0.5)
-    DivergenceSpec("tsallis", 0.0)
-    with pytest.raises(ValueError):
-        DivergenceSpec("bures")
-    for bad in (0.4, 1.0, None):
-        with pytest.raises(ValidationError, match="renyi_sandwiched needs 0.5 <= alpha < 1,"):
-            DivergenceSpec("renyi_sandwiched", bad)
-    for bad in (-0.1, 1.0, None):
-        with pytest.raises(ValidationError, match="tsallis needs 0 <= alpha < 1,"):
-            DivergenceSpec("tsallis", bad)
-    with pytest.raises(ValidationError, match="trace takes no alpha"):
-        DivergenceSpec("trace", 0.5)
+    # the CLI's check and dpi_margins accept and refuse the same (kind, alpha)
+    batch = haar_triples(2, 4, 0)
+    for kind, alpha in (("trace", None), ("renyi_sandwiched", 0.5), ("tsallis", 0.0)):
+        _check_divergence(kind, alpha)
+        assert dpi_margins(kind, alpha, batch).shape == (4,)
+    refused = [("bures", None, "unknown divergence kind 'bures'"),
+               ("trace", 0.5, "trace takes no alpha")]
+    refused += [("renyi_sandwiched", bad, "renyi_sandwiched needs 0.5 <= alpha < 1,")
+                for bad in (0.4, 1.0, None)]
+    refused += [("tsallis", bad, "tsallis needs 0 <= alpha < 1,") for bad in (-0.1, 1.0, None)]
+    for kind, alpha, message in refused:
+        for check in (_check_divergence, lambda k, a: dpi_margins(k, a, batch)):
+            with pytest.raises(ValidationError, match=message):
+                check(kind, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +115,20 @@ def test_dephased_inputs_are_a_frame_batches():
 
 
 def _dephased_of(spec, batch):
-    """`_dephased` of spec on every state of an A-frame batch, as floats."""
-    return _dephased(spec.kind, spec.alpha, batch).tolist()
+    """`_dephased` of spec = (kind, alpha) on every state of an A-frame
+    batch, as floats."""
+    return _dephased(*spec, batch).tolist()
 
 
 def test_qdiv_fixtures_plus_vs_maximally_mixed(plus_state, z_basis, x_basis):
     # |+> dephased in Z is I/2
     batch = _frame_of_one(plus_state, z_basis, x_basis)
-    for spec, want in ((DivergenceSpec("trace"), 0.5), (DivergenceSpec("infidelity"), RT2),
-                       (DivergenceSpec("relative_entropy"), 1.0),
-                       (DivergenceSpec("renyi_sandwiched", 0.5), 1.0),
-                       (DivergenceSpec("tsallis", 0.5), 2.0 * (1.0 - RT2)),
-                       (DivergenceSpec("hilbert_schmidt"), RT2)):
-        assert_allclose(_dephased_of(spec, batch), [want], atol=1e-12, err_msg=spec.kind)
+    for spec, want in ((("trace", None), 0.5), (("infidelity", None), RT2),
+                       (("relative_entropy", None), 1.0),
+                       (("renyi_sandwiched", 0.5), 1.0),
+                       (("tsallis", 0.5), 2.0 * (1.0 - RT2)),
+                       (("hilbert_schmidt", None), RT2)):
+        assert_allclose(_dephased_of(spec, batch), [want], atol=1e-12, err_msg=spec[0])
 
 
 def test_qdiv_zero_on_identical_states():
@@ -134,7 +138,7 @@ def test_qdiv_zero_on_identical_states():
     batch = _frame_of_one(rho, a, fourier_basis(3))
     for spec in _all_specs():
         # sqrt(1 - F^2) turns the ~1e-15 fidelity rounding into ~1e-8
-        tol = 1e-7 if spec.kind == "infidelity" else 1e-9
+        tol = 1e-7 if spec[0] == "infidelity" else 1e-9
         assert abs(_dephased_of(spec, batch)[0]) < tol, spec
 
 
@@ -143,7 +147,7 @@ def test_qdiv_faithful():
     rho = _ginibre_states(rng, 2, 3)
     batch = _triples(rho, _haar_unitaries(rng, 2, 3), pure=False)
     for spec in _all_specs():
-        if spec.kind == "tsallis" and spec.alpha == 0.0:
+        if spec == ("tsallis", 0.0):
             # order zero only sees the support projector, not the weights
             continue
         assert min(_dephased_of(spec, batch)) > 1e-4, spec
@@ -177,14 +181,14 @@ def test_qdiv_unitary_invariance():
 
 # every kind on an order grid; tsallis at order 0 is left out, since there a
 # full-rank pair's value is a rounding-level zero
-ORACLE_SPECS = [DivergenceSpec(kind, alpha) for kind in DIVERGENCE_KINDS
+ORACLE_SPECS = [(kind, alpha) for kind in DIVERGENCE_KINDS
                 for alpha in {"renyi_sandwiched": (0.5, 0.75, 0.95),
                               "tsallis": (0.25, 0.5, 0.9)}.get(kind, (None,))]
 
 
 def _assert_matches_oracle(spec, got, rho, p):
     # near 0 the rounding of a log near 1, over 1 - alpha, is ~1e-14 absolute
-    want = oracle_qdiv(spec, rho, make_density(np.diag(p)))
+    want = oracle_qdiv(*spec, rho, make_density(np.diag(p)))
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-13), (spec, got, want)
 
 
@@ -197,7 +201,8 @@ def test_qdiv_matches_the_oracle_on_general_pairs(dim):
     # p in the standard basis's frame has d - 2 zeros.
     rng = stream(20 + dim)
     mixed = _ginibre_states(rng, 6, dim)
-    kets = _haar_unitaries(rng, 6, dim, 1)[:, :, 0]
+    kets = _complex_normal(rng, (6, dim))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
     pure = kets[:, :, None] * kets[:, None, :].conj()
     lam, vec = np.linalg.eigh(_ginibre_states(rng, 6, dim))
     lam[:, :-2] = 0.0
@@ -218,7 +223,7 @@ def test_qdiv_matches_the_oracle_on_general_pairs(dim):
 
 def test_renyi_alpha_near_one_approaches_relative_entropy():
     rng = stream(10)
-    near, exact = DivergenceSpec("renyi_sandwiched", 0.99), DivergenceSpec("relative_entropy")
+    near, exact = ("renyi_sandwiched", 0.99), ("relative_entropy", None)
     for dim in (2, 3, 4):
         # Ginibre states in the frame they are drawn in, which is a Haar basis
         batch = _triples(_ginibre_states(rng, 60, dim), _haar_unitaries(rng, 60, dim),
@@ -232,21 +237,21 @@ def test_renyi_alpha_near_one_approaches_relative_entropy():
 
 
 def _cdiv(spec, q, qp):
-    """The classical divergence of one (q, q') pair, in bits."""
-    return float(_classical(spec.kind, spec.alpha, np.asarray(q), np.asarray(qp)))
+    """The classical divergence spec = (kind, alpha) of one (q, q') pair, in bits."""
+    return float(_classical(*spec, np.asarray(q), np.asarray(qp)))
 
 
 def test_cdiv_fixtures():
     q = [1.0, 0.0]
     qp = [0.5, 0.5]
-    assert_allclose(_cdiv(DivergenceSpec("renyi_sandwiched", 0.5), q, qp), 1.0, atol=1e-12)
-    assert_allclose(_cdiv(DivergenceSpec("relative_entropy"), q, qp), 1.0, atol=1e-12)
-    assert_allclose(_cdiv(DivergenceSpec("trace"), q, qp), 0.5, atol=1e-12)
-    assert_allclose(_cdiv(DivergenceSpec("infidelity"), q, qp), RT2, atol=1e-12)
+    assert_allclose(_cdiv(("renyi_sandwiched", 0.5), q, qp), 1.0, atol=1e-12)
+    assert_allclose(_cdiv(("relative_entropy", None), q, qp), 1.0, atol=1e-12)
+    assert_allclose(_cdiv(("trace", None), q, qp), 0.5, atol=1e-12)
+    assert_allclose(_cdiv(("infidelity", None), q, qp), RT2, atol=1e-12)
     assert_allclose(
-        _cdiv(DivergenceSpec("tsallis", 0.5), q, qp), 2.0 * (1.0 - RT2), atol=1e-12
+        _cdiv(("tsallis", 0.5), q, qp), 2.0 * (1.0 - RT2), atol=1e-12
     )
-    assert_allclose(_cdiv(DivergenceSpec("hilbert_schmidt"), q, qp), RT2, atol=1e-12)
+    assert_allclose(_cdiv(("hilbert_schmidt", None), q, qp), RT2, atol=1e-12)
     for spec in _all_specs():
         assert abs(_cdiv(spec, qp, qp)) < 1e-12
 

@@ -10,7 +10,6 @@ from qud.errors import ValidationError
 from qud.experiments import (
     TABLE2_REFERENCE,
     VOLUME_CHUNK,
-    ShotCounts,
     _draw_parameters,
     coherence_bounds,
     estimate_coherence,
@@ -19,10 +18,18 @@ from qud.experiments import (
     region_grid,
     simulate_shots,
 )
-from qud.qstate import _frame_of_one, make_density
+from qud.qstate import (
+    _frame_of_one,
+    _haar_frames,
+    _triples,
+    make_basis,
+    make_density,
+    standard_basis,
+)
 from qud.relations import (
     RelationId,
     _accepts,
+    _dpi_chain,
     _shared_arrays,
     table2_relations,
 )
@@ -231,19 +238,17 @@ def test_region_grid_argument_validation():
 
 
 def test_coherence_bounds_pure_fixture(f1):
-    bounds = coherence_bounds(*f1)
-    assert_allclose([bounds.upper, bounds.exact, bounds.lower], [1.0, 1.0, 1.0], atol=1e-9)
-    assert bounds.base == 2.0
+    assert_allclose(coherence_bounds(*f1), [1.0, 1.0, 1.0], atol=1e-9)
 
 
 def test_coherence_bounds_mixed_fixture(z_basis, x_basis):
     rho = make_density(
         0.75 * np.full((2, 2), 0.5) + 0.25 * np.array([[0.5, -0.5], [-0.5, 0.5]])
     )
-    bounds = coherence_bounds(rho, z_basis, x_basis)
-    assert_allclose(bounds.upper, 1.0, atol=1e-9)
-    assert_allclose(bounds.exact, 0.18872187554086717, atol=1e-9)
-    assert_allclose(bounds.lower, 0.18872187554086717, atol=1e-9)
+    upper, exact, lower = coherence_bounds(rho, z_basis, x_basis)
+    assert_allclose(upper, 1.0, atol=1e-9)
+    assert_allclose(exact, 0.18872187554086717, atol=1e-9)
+    assert_allclose(lower, 0.18872187554086717, atol=1e-9)
 
 
 def test_coherence_bounds_are_ordered():
@@ -251,10 +256,10 @@ def test_coherence_bounds_are_ordered():
         rho = sample("haar_state_mixed", 3, seed)
         a = sample("haar_unitary_basis", 3, 700 + seed)
         b = sample("haar_unitary_basis", 3, 800 + seed)
-        bounds = coherence_bounds(rho, a, b)
-        assert bounds.upper >= bounds.exact - 1e-9
-        assert bounds.exact >= bounds.lower - 1e-9
-        assert bounds.lower >= -1e-12
+        upper, exact, lower = coherence_bounds(rho, a, b)
+        assert upper >= exact - 1e-9
+        assert exact >= lower - 1e-9
+        assert lower >= -1e-12
 
 
 def test_coherence_gap_is_the_relative_entropy_dpi_margin():
@@ -264,16 +269,28 @@ def test_coherence_gap_is_the_relative_entropy_dpi_margin():
             rho = sample("haar_state_mixed", dim, seed)
             a = sample("haar_unitary_basis", dim, 1000 + seed)
             b = sample("haar_unitary_basis", dim, 2000 + seed)
-            bounds = coherence_bounds(rho, a, b)
+            _, exact, lower = coherence_bounds(rho, a, b)
             margin = dpi_margins("relative_entropy", None, _frame_of_one(rho, a, b))[0]
-            assert bounds.exact - bounds.lower == margin, (dim, seed)
+            assert exact - lower == margin, (dim, seed)
 
 
 def test_coherence_bounds_incoherent_state(z_basis, x_basis):
     rho = make_density(np.diag([0.6, 0.4]))
-    bounds = coherence_bounds(rho, z_basis, x_basis)
-    assert abs(bounds.exact) < 1e-9
-    assert abs(bounds.lower) < 1e-9
+    _, exact, lower = coherence_bounds(rho, z_basis, x_basis)
+    assert abs(exact) < 1e-9
+    assert abs(lower) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_coherence_bounds_are_the_batched_u_re_chain(dim):
+    # (upper, exact, lower) is _dpi_chain's order: U_re's chain on 100 Haar
+    # instances at once, each then read alone from its state and bases
+    rho, w = _haar_frames(stream(40 + dim), 100, dim, pure=False)
+    chain = _dpi_chain(RelationId("U_re"), _triples(rho, w, pure=False))
+    for k in range(100):
+        got = coherence_bounds(make_density(rho[k]), standard_basis(dim), make_basis(w[k]))
+        upper, exact, lower = (float(side[k]) for side in chain)
+        assert_allclose(got, (upper, max(exact, 0.0), lower), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +300,21 @@ def test_coherence_bounds_incoherent_state(z_basis, x_basis):
 def test_simulate_shots_direct(f1):
     rho, _, b = f1
     counts = simulate_shots(rho, None, b, 1000, 7)
-    assert counts.kind == "direct_B"
-    assert counts.counts.shape == (2,)
-    assert counts.counts.sum() == 1000
-    assert counts.counts[1] == 0  # q = (1, 0)
-    assert np.array_equal(simulate_shots(rho, None, b, 1000, 7).counts, counts.counts)
+    assert counts.shape == (2,)
+    assert counts.sum() == 1000
+    assert counts[1] == 0  # q = (1, 0)
+    assert not counts.flags.writeable
+    assert np.array_equal(simulate_shots(rho, None, b, 1000, 7), counts)
 
 
 def test_simulate_shots_sequential(f1):
     rho, a, b = f1
     counts = simulate_shots(rho, a, b, 4000, 8)
-    assert counts.kind == "sequential_AB"
-    assert counts.counts.shape == (2, 2)
-    assert counts.counts.sum() == 4000
+    assert counts.shape == (2, 2)
+    assert counts.sum() == 4000
+    assert not counts.flags.writeable
     # joint law is uniform on the four cells
-    assert np.abs(counts.counts / 4000 - 0.25).max() < 0.05
+    assert np.abs(counts / 4000 - 0.25).max() < 0.05
 
 
 def test_shot_streams_are_not_the_instance_stream():
@@ -307,12 +324,12 @@ def test_shot_streams_are_not_the_instance_stream():
     rho, a, b = (sample("haar_state_mixed", 3, seed), sample("haar_unitary_basis", 3, 1),
                  sample("haar_unitary_basis", 3, 2))
     q = _frame_of_one(rho, b, b).p[0]
-    direct = simulate_shots(rho, None, b, n, seed).counts
+    direct = simulate_shots(rho, None, b, n, seed)
     assert np.array_equal(direct, role_stream(seed, "direct_B").multinomial(n, q / q.sum()))
     assert not np.array_equal(direct, stream(seed).multinomial(n, q / q.sum()))
     batch = _frame_of_one(rho, a, b)
     joint = (batch.p[0][:, None] * batch.overlap[0]).ravel()
-    sequential = simulate_shots(rho, a, b, n, seed).counts.ravel()
+    sequential = simulate_shots(rho, a, b, n, seed).ravel()
     role = role_stream(seed, "sequential_AB").multinomial(n, joint / joint.sum())
     assert np.array_equal(sequential, role)
     assert not np.array_equal(sequential, stream(seed).multinomial(n, joint / joint.sum()))
@@ -334,9 +351,7 @@ def test_estimate_coherence_recovers_the_fixture(f1):
 
 
 def test_estimate_coherence_unsmoothed_can_be_unbounded():
-    direct = ShotCounts("direct_B", 2, np.array([2, 0]), 2, 0)
-    sequential = ShotCounts("sequential_AB", 2, np.array([[0, 2], [0, 0]]), 2, 0)
-    lower, upper = estimate_coherence(direct, sequential, smoothing=0.0)
+    lower, upper = estimate_coherence([2, 0], [[0, 2], [0, 0]], smoothing=0.0)
     assert lower == np.inf
     assert np.isfinite(upper)
 
@@ -345,16 +360,21 @@ def test_estimate_coherence_error_paths(f1):
     rho, a, b = f1
     direct = simulate_shots(rho, None, b, 100, 1)
     sequential = simulate_shots(rho, a, b, 100, 2)
-    with pytest.raises(ValidationError, match="first record must be direct_B"):
-        estimate_coherence(sequential, direct)
-    with pytest.raises(ValidationError, match="second record must be sequential_AB"):
-        estimate_coherence(direct, direct)
     for smoothing in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             estimate_coherence(direct, sequential, smoothing=smoothing)
-    empty = ShotCounts("direct_B", 2, np.zeros(2, dtype=int), 0, 0)
-    with pytest.raises(ValidationError, match="need at least one shot"):
-        estimate_coherence(empty, sequential)
-    other = ShotCounts("sequential_AB", 3, np.zeros((3, 3), dtype=int) + 1, 9, 0)
-    with pytest.raises(ValidationError, match="dimensions differ"):
-        estimate_coherence(direct, other)
+    # swapped arrays, a mismatched d and records without shots
+    shapes = r"counts must have shapes \(d,\) and \(d, d\), d >= 2, got "
+    refused = [
+        ((sequential, direct), shapes + r"\(2, 2\) and \(2,\)"),
+        ((direct, direct), shapes + r"\(2,\) and \(2,\)"),
+        ((direct, np.ones((3, 3), dtype=int)), shapes + r"\(2,\) and \(3, 3\)"),
+        ((np.ones(3, dtype=int), sequential), shapes + r"\(3,\) and \(2, 2\)"),
+        ((np.zeros(0, dtype=int), np.zeros((0, 0), dtype=int)),
+         shapes + r"\(0,\) and \(0, 0\)"),
+        ((np.zeros(2, dtype=int), sequential), "need at least one shot in each record"),
+        ((direct, np.zeros((2, 2), dtype=int)), "need at least one shot in each record"),
+    ]
+    for counts, message in refused:
+        with pytest.raises(ValidationError, match=message):
+            estimate_coherence(*counts)

@@ -153,10 +153,12 @@ def test_guard_finds_callers():
 
 
 def test_complex_normals_feed_only_the_haar_sampler_and_ginibre_states():
-    # a Haar ket is the first column of _haar_unitaries, not a second sampler
+    # a Haar ket is a Gaussian ket over its norm, drawn by _haar_frames: the
+    # first column of _haar_unitaries' law, not a second unitary sampler
     found = [f"{path.name}:{owner}" for path in MODULES
              for owner in callers(path.read_text(encoding="utf-8"), "_complex_normal")]
-    assert found == ["qstate.py:_ginibre_states", "qstate.py:_haar_unitaries"]
+    assert found == ["qstate.py:_ginibre_states", "qstate.py:_haar_frames",
+                     "qstate.py:_haar_unitaries"]
 
 
 def test_every_chunked_run_goes_through_the_one_chunk_runner():
@@ -200,7 +202,7 @@ def test_relations_reach_the_kernels_through_the_kind_maps():
 # What a module outside the kernel layer may import from it: names, order
 # checks and the kind maps, never a kernel
 KERNEL_LAYER_EXPORTS = {
-    "divergence": {"DIVERGENCE_KINDS", "DivergenceSpec", "_check_order", "_classical",
+    "divergence": {"DIVERGENCE_KINDS", "_check_divergence", "_check_order", "_classical",
                    "_dephased"},
     "uncertainty": {"_measure"},
 }
@@ -244,7 +246,7 @@ def test_sweeps_reads_both_dpi_sides_through_the_kind_maps():
     tree = ast.parse((SRC / "sweeps.py").read_text(encoding="utf-8"))
     found = {node.module: sorted(a.name for a in node.names) for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module in ("divergence", "qstate")}
-    assert found["divergence"] == ["DivergenceSpec", "_classical", "_dephased"]
+    assert found["divergence"] == ["_check_divergence", "_classical", "_dephased"]
     assert not {"_pseudo_power", "_row_sum"} & set(found["qstate"])
     compared = {side.value for node in ast.walk(tree) if isinstance(node, ast.Compare)
                 for side in (node.left, *node.comparators) if isinstance(side, ast.Constant)}
@@ -338,11 +340,10 @@ def test_source_lines_fit_in_max_columns():
 # What the instrument, its README quick start and its benchmark call. A name
 # comes back into the public surface only by an edit here.
 PUBLIC_SURFACE = (
-    "CoherenceBounds", "Counterexample", "DIVERGENCE_KINDS", "DensityMatrix",
-    "DivergenceSpec", "OrthonormalBasis", "QudError", "RELATION_IDS", "RelationId",
-    "RelationVerdict", "ShotCounts", "VolumeEstimate", "coherence_bounds",
-    "estimate_coherence", "estimate_volume", "estimate_volumes", "eval_with_dual",
-    "fourier_basis", "make_basis", "make_density", "region_grid",
+    "Counterexample", "DIVERGENCE_KINDS", "DensityMatrix", "OrthonormalBasis",
+    "QudError", "RELATION_IDS", "RelationId", "RelationVerdict", "VolumeEstimate",
+    "coherence_bounds", "estimate_coherence", "estimate_volume", "estimate_volumes",
+    "eval_with_dual", "fourier_basis", "make_basis", "make_density", "region_grid",
     "search_counterexample", "simulate_shots", "standard_basis", "table2_relations",
 )
 

@@ -25,6 +25,9 @@ def test_umeasure_fixtures():
     assert_allclose(_measure("renyi", 2.0, half), 1.0, atol=1e-12)
     assert_allclose(_measure("shannon", None, np.array([1.0, 0.0])), 0.0, atol=0)
     assert_allclose(_measure("half_norm", None, half), 0.5, atol=1e-12)
+    signed_point_mass = np.array([[1.0, -0.0, -0.0]])
+    for kind in ("delta", "half_norm"):  # its value is +0.0, as numpy's reduce gives
+        assert math.copysign(1.0, _measure(kind, None, signed_point_mass)[0]) == 1.0
 
 
 @pytest.mark.parametrize("kind", ["delta", "renyi", "shannon", "half_norm"])
@@ -121,6 +124,16 @@ def test_delta_keeps_its_digits_near_a_point_mass(k):
     assert abs(got - exact) <= 1e-12 * exact, (got, exact)
 
 
+@pytest.mark.parametrize("k", range(2, 19))
+def test_half_norm_keeps_its_digits_near_a_point_mass(k):
+    # p = (1 - eps, eps, 0): the half-norm is sqrt(eps (1 - eps)) exactly,
+    # and ((sum sqrt p)^2 - 1) / 2 would cancel half its digits at eps = 1e-16
+    eps = 10.0**-k
+    exact = math.sqrt(Fraction(eps) * (1 - Fraction(eps)))
+    got = float(half_norm_measure(np.array([1.0 - eps, eps, 0.0])))
+    assert abs(got - exact) <= 1e-12 * exact, (got, exact)
+
+
 def test_renyi_entropy_decreases_in_alpha():
     probs = stream(18).dirichlet(np.ones(3), size=300)
     alphas = [0.3, 0.5, 0.9, 1.0, 1.5, 2.0, 5.0]
@@ -134,6 +147,18 @@ def test_half_norm_matches_pairwise_root_products():
     probs = stream(19).dirichlet(np.ones(2), size=200)
     expected = np.sqrt(probs[:, 0] * probs[:, 1])
     assert_allclose(half_norm_measure(probs), expected, atol=1e-10)
+    # both cross-term measures against the loop over i < j: the same products
+    # added in another order, so within one rounding per pair
+    for dim in (3, 5, 9):
+        probs = stream(19 + dim).dirichlet(np.ones(dim), size=200)
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        roots = np.sqrt(probs)
+        tol = len(pairs) * np.finfo(np.float64).eps
+        assert_allclose(half_norm_measure(probs),
+                        sum(roots[:, i] * roots[:, j] for i, j in pairs), rtol=tol, atol=0)
+        assert_allclose(delta_measure(probs),
+                        np.sqrt(sum(2.0 * probs[:, i] * probs[:, j] for i, j in pairs)),
+                        rtol=tol, atol=0)
 
 
 def test_majorizes_fixtures():

@@ -6,8 +6,9 @@ Runs `python -m pytest -q --continue-on-collection-errors --durations=10`
 from the repo root with src on PYTHONPATH (so every log lists the ten
 slowest tests), under `python -X dev` and without pytest's cache, and
 reads each test's outcome from a JUnit XML report written to a temporary
-directory. pyproject.toml's filterwarnings makes a RuntimeWarning an
-error, so a floating-point warning that escapes a kernel fails its test.
+directory. pyproject.toml's filterwarnings makes every warning an error,
+so a floating-point warning that escapes a kernel fails its test, and so
+does any other warning, a deprecation or an unclosed resource say.
 The d=2 U_tr volume cell is expected to stay red (the stated relation
 admits about 0.80 of the cube against the reference 0.930; see README
 "Reference volumes and known gaps"), and only on that cell's assertion:
