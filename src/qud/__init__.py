@@ -17,6 +17,7 @@ from .experiments import (
     estimate_volumes,
     region_grid,
     simulate_shots,
+    table2_relations,
 )
 from .qstate import (
     DensityMatrix,
@@ -33,7 +34,6 @@ from .relations import (
     RelationVerdict,
     eval_with_dual,
     search_counterexample,
-    table2_relations,
 )
 
 __version__ = "0.1.0"

@@ -23,11 +23,10 @@ import types
 
 import numpy as np
 
-from .divergence import DIVERGENCE_KINDS, _check_divergence
+from .divergence import DIVERGENCE_KINDS
 from .errors import QudError, ValidationError
 from .experiments import (
     MIN_VOLUME_SAMPLES,
-    SHOT_KINDS,
     TABLE2_REFERENCE,
     VOLUME_DIMS,
     _grid_axis,
@@ -36,17 +35,12 @@ from .experiments import (
     estimate_volumes,
     region_grid,
     simulate_shots,
+    table2_relations,
 )
 from .io import _basis_record, _state_record, load_basis, load_state
 from .qstate import _haar_frames, make_basis, make_density, standard_basis
-from .relations import (
-    RELATION_IDS,
-    RelationId,
-    eval_with_dual,
-    search_counterexample,
-    table2_relations,
-)
-from .rng import MAX_WORKERS, stream
+from .relations import RELATION_IDS, RelationId, eval_with_dual, search_counterexample
+from .rng import MAX_WORKERS, ROLE_KEYS, stream
 from .sweeps import dpi_scan
 
 DPI_EXIT_TOL = -1e-8
@@ -244,7 +238,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dpi(args) -> int:
-    _check_divergence(args.divergence, args.alpha)
     base = _base_value(args.log_base)
     margins = dpi_scan(args.divergence, args.alpha, args.dim, args.samples, args.seed,
                        base=base)
@@ -286,12 +279,12 @@ def _cmd_search(args) -> int:
     return 1 if found is not None else 0
 
 
-def _volume_table(estimates, args) -> dict:
-    """The volume and table2 report: one row per estimate."""
+def _volume_table(relations, estimates, args) -> dict:
+    """The volume and table2 report: one row per relation and its estimate."""
     return {
-        "relation": [est.relation.id for est in estimates],
-        "variant": [est.relation.variant for est in estimates],
-        "alpha": [est.relation.alpha for est in estimates],
+        "relation": [rel.id for rel in relations],
+        "variant": [rel.variant for rel in relations],
+        "alpha": [rel.alpha for rel in relations],
         "dim": args.dim,
         "samples": args.samples,
         "seed": args.seed,
@@ -301,9 +294,10 @@ def _volume_table(estimates, args) -> dict:
 
 
 def _cmd_volume(args) -> int:
-    estimates = estimate_volumes([_relation_from_args(args)], args.dim, args.samples,
-                                 args.seed, workers=args.workers)
-    _emit(_volume_table(estimates, args), args)
+    relations = [_relation_from_args(args)]
+    estimates = estimate_volumes(relations, args.dim, args.samples, args.seed,
+                                 workers=args.workers)
+    _emit(_volume_table(relations, estimates, args), args)
     return 0
 
 
@@ -311,10 +305,9 @@ def _cmd_table2(args) -> int:
     relations = [*table2_relations(), RelationId("U_ts", "printed", 0.5)]
     estimates = estimate_volumes(relations, args.dim, args.samples, args.seed,
                                  workers=args.workers)
-    table = _volume_table(estimates, args)
+    table = _volume_table(relations, estimates, args)
     if args.compare:
-        reference = TABLE2_REFERENCE.get(args.dim, {})
-        refs = [reference.get(rel.label()) for rel in relations]
+        refs = [TABLE2_REFERENCE.get(rel, {}).get(args.dim) for rel in relations]
         table["reference"] = refs
         table["gap"] = [None if ref is None else est.volume - ref
                         for ref, est in zip(refs, estimates)]
@@ -472,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shots", help="simulate measurement shot counts")
     _add_instance_flags(p)
-    p.add_argument("--kind", choices=SHOT_KINDS, default="direct_B")
+    p.add_argument("--kind", choices=tuple(ROLE_KEYS), default="direct_B")
     p.add_argument("--n", type=_bounded(int, 0, MAX_SHOTS), default=1000)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_shots)

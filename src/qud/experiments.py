@@ -31,18 +31,12 @@ VOLUME_CHUNK = 1 << 14
 VOLUME_DIMS = (2, 3)
 MIN_VOLUME_SAMPLES = 1000
 
-SHOT_KINDS = ("direct_B", "sequential_AB")
-
 
 @dataclass(frozen=True)
 class VolumeEstimate:
-    relation: RelationId
-    dim: int
-    samples: int
     accepted: int
     volume: float
     std_error: float
-    seed: int
 
 
 def _qubit_rows(x):
@@ -79,7 +73,8 @@ def estimate_volumes(rels, dim: int, samples: int, seed: int,
     flat simplex measure and C = |U|^2 of a Haar-random unitary U, whose law
     `_haar_overlaps` draws in closed form, with no unitary built. Each chunk is
     drawn once and every relation is evaluated on it, so each estimate
-    equals the one a separate run for its relation alone would give.
+    equals the one a separate run for its relation alone would give. The
+    estimates are in the order of rels, and each holds only what it measured.
     """
     rels = tuple(rels)
     if dim not in VOLUME_DIMS:
@@ -96,12 +91,9 @@ def estimate_volumes(rels, dim: int, samples: int, seed: int,
     totals = [0] * len(rels)
     for counts in _map_chunks(chunk_counts, samples, VOLUME_CHUNK, workers):
         totals = [total + n for total, n in zip(totals, counts)]
-    estimates = []
-    for rel, accepted in zip(rels, totals):
-        volume = accepted / samples
-        std_error = math.sqrt(volume * (1.0 - volume) / samples)
-        estimates.append(VolumeEstimate(rel, dim, samples, accepted, volume, std_error, seed))
-    return tuple(estimates)
+    volumes = [accepted / samples for accepted in totals]
+    return tuple(VolumeEstimate(accepted, v, math.sqrt(v * (1.0 - v) / samples))
+                 for accepted, v in zip(totals, volumes))
 
 
 def estimate_volume(rel: RelationId, dim: int, samples: int, seed: int,
@@ -168,7 +160,8 @@ def estimate_coherence(direct, sequential, smoothing: float = 0.5, base: float =
     """Plug-in coherence bounds (lower, upper): U_re's sides on finite counts.
 
     direct holds the (d,) counts of measuring B directly and sequential the
-    (d, d) counts of A then B, as `simulate_shots` returns them. Adds
+    (d, d) counts of A then B, as `simulate_shots` returns them; every entry
+    must be a finite, non-negative whole number. Adds
     `smoothing` pseudo-counts per cell before normalizing; smoothing 0 keeps
     the support-violation semantics (lower may be +inf).
     """
@@ -177,6 +170,9 @@ def estimate_coherence(direct, sequential, smoothing: float = 0.5, base: float =
     if direct.shape != (d,) or sequential.shape != (d, d) or d < 2:
         raise ValidationError(f"counts must have shapes (d,) and (d, d), d >= 2, "
                               f"got {direct.shape} and {sequential.shape}")
+    cells = np.concatenate([direct, sequential.ravel()])
+    if not np.all(np.isfinite(cells) & (cells >= 0) & (cells == np.floor(cells))):
+        raise ValidationError("counts must be finite, non-negative whole numbers")
     total, seq_total = direct.sum(), sequential.sum()
     if total == 0 or seq_total == 0:
         raise ValidationError("need at least one shot in each record")
@@ -189,25 +185,20 @@ def estimate_coherence(direct, sequential, smoothing: float = 0.5, base: float =
     return float(lower), float(upper)
 
 
-# Reference feasible-region volumes used by the regression suite and the
-# table2 --compare report.
+# The paper's Table 2: reference feasible-region volumes by relation, at
+# d=2 and d=3, that the regression suite and the table2 --compare report read.
+# Its keys, in order, are the relations table2 tabulates.
 TABLE2_REFERENCE = {
-    2: {
-        "U_tr": 0.930,
-        "U_tr_prime": 0.705,
-        "U_rd[alpha=0.5]": 0.787,
-        "U_re": 0.770,
-        "U_ts[alpha=0.5]": 0.814,
-        "U_hs": 0.705,
-        "EUR_MU[alpha=1,beta=1]": 0.974,
-    },
-    3: {
-        "U_tr": 0.94675,
-        "U_tr_prime": 0.94682,
-        "U_rd[alpha=0.5]": 0.917,
-        "U_re": 0.905,
-        "U_ts[alpha=0.5]": 0.937,
-        "U_hs": 0.887,
-        "EUR_MU[alpha=1,beta=1]": 0.999,
-    },
+    RelationId("U_tr"): {2: 0.930, 3: 0.94675},
+    RelationId("U_tr_prime"): {2: 0.705, 3: 0.94682},
+    RelationId("U_rd", alpha=0.5): {2: 0.787, 3: 0.917},
+    RelationId("U_re"): {2: 0.770, 3: 0.905},
+    RelationId("U_ts", alpha=0.5): {2: 0.814, 3: 0.937},
+    RelationId("U_hs"): {2: 0.705, 3: 0.887},
+    RelationId("EUR_MU", alpha=1.0, beta=1.0): {2: 0.974, 3: 0.999},
 }
+
+
+def table2_relations() -> tuple[RelationId, ...]:
+    """The seven relations whose feasible-region volumes are tabulated."""
+    return tuple(TABLE2_REFERENCE)

@@ -116,19 +116,6 @@ class Counterexample:
     sample_index: int
 
 
-def table2_relations() -> tuple[RelationId, ...]:
-    """The seven relations whose feasible-region volumes are tabulated."""
-    return (
-        RelationId("U_tr"),
-        RelationId("U_tr_prime"),
-        RelationId("U_rd", alpha=0.5),
-        RelationId("U_re"),
-        RelationId("U_ts", alpha=0.5),
-        RelationId("U_hs"),
-        RelationId("EUR_MU", alpha=1.0, beta=1.0),
-    )
-
-
 def relation_sides(rel: RelationId, p, q, qp, cmax=None, base: float = 2.0):
     """Vectorized (lhs, rhs) arrays for batches of distributions.
 

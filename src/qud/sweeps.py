@@ -42,7 +42,9 @@ def dpi_scan(kind: str, alpha: float | None, dim: int, samples: int, seed: int,
     """`dpi_margins` over `samples` Haar mixed triples, drawn by the chunk
     rule of `search_counterexample`: chunk k is drawn whole, its first rows
     are read, and only their margins, one float per sample, are kept. So a
-    larger budget's margins begin with a smaller one's."""
+    larger budget's margins begin with a smaller one's. (kind, alpha) is
+    checked before the margins are allocated."""
+    _check_divergence(kind, alpha)
     margins = np.empty(samples)
 
     def scan(index, offset, count):

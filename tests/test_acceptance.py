@@ -28,6 +28,7 @@ from qud.experiments import (
     estimate_volume,
     estimate_volumes,
     simulate_shots,
+    table2_relations,
 )
 from qud.qstate import (
     _frame_of_one,
@@ -42,7 +43,6 @@ from qud.relations import (
     _shared_arrays,
     relation_sides,
     search_counterexample,
-    table2_relations,
 )
 from qud.rng import stream
 from qud.sweeps import chain_margins, dpi_margins, haar_triples
@@ -87,7 +87,7 @@ def d2_volumes():
 
 def test_volume_table_d2(d2_volumes):
     volumes, _ = d2_volumes
-    ref = TABLE2_REFERENCE[2]["U_tr"]
+    ref = TABLE2_REFERENCE[RelationId("U_tr")][2]
     gap = volumes["U_tr"] - ref
     detail = (f"U_tr measured {volumes['U_tr']:.4f} vs reference {ref} "
               f"(gap {gap:+.4f}; see README reference-volume notes)")
@@ -98,15 +98,16 @@ def test_volume_table_d2(d2_volumes):
 def test_volume_table_d2_other_cells_and_adjudication(d2_volumes):
     volumes, elapsed = d2_volumes
     problems = []
-    for label, ref in TABLE2_REFERENCE[2].items():
+    for rel, refs in TABLE2_REFERENCE.items():
+        label, ref = rel.label(), refs[2]
         gap = volumes[label] - ref
         if label != "U_tr" and abs(gap) > 0.01:
             problems.append(f"{label} measured {volumes[label]:.4f} vs reference {ref} "
                             f"(gap {gap:+.4f})")
     # adjudication: canonical forms are the hypothesis for the 0.814 / 0.787
     # cells; the printed variants must sit further from them
-    uts_ref = TABLE2_REFERENCE[2]["U_ts[alpha=0.5]"]
-    uif_ref = TABLE2_REFERENCE[2]["U_rd[alpha=0.5]"]
+    uts_ref = TABLE2_REFERENCE[RelationId("U_ts", alpha=0.5)][2]
+    uif_ref = TABLE2_REFERENCE[RelationId("U_rd", alpha=0.5)][2]
     uts_canon, uts_printed = volumes["U_ts[alpha=0.5]"], volumes["U_ts[alpha=0.5,printed]"]
     uif_canon, uif_printed = volumes["U_if"], volumes["U_if[printed]"]
     if abs(uts_canon - uts_ref) >= abs(uts_printed - uts_ref):
@@ -154,13 +155,10 @@ D3_PINNED = {
 
 def test_volume_table_d3(tmp_path):
     table = table2_relations()
-    estimates = {
-        rel.label(): est
-        for rel, est in zip(table, estimate_volumes(table, 3, MILLION, seed=1))
-    }
+    estimates = dict(zip(table, estimate_volumes(table, 3, MILLION, seed=1)))
     rows, outside, off_pinned = [], [], []
-    for label, ref in TABLE2_REFERENCE[3].items():
-        est = estimates[label]
+    for rel, refs in TABLE2_REFERENCE.items():
+        label, ref, est = rel.label(), refs[3], estimates[rel]
         pinned = D3_PINNED[label]
         se = math.hypot(est.std_error,
                         math.sqrt(pinned * (1.0 - pinned) / D3_PINNED_SAMPLES))
@@ -169,7 +167,7 @@ def test_volume_table_d3(tmp_path):
             off_pinned.append(f"{label} {est.volume:.6f} vs pinned {pinned} (z {z:+.2f})")
         gap = est.volume - ref
         within = abs(gap) <= 0.015
-        rows.append([label, 3, est.samples, est.seed,
+        rows.append([label, 3, MILLION, 1,
                      f"{est.volume:.6f}", ref, f"{gap:+.6f}", within])
         if not within:
             outside.append(f"{label} {gap:+.4f}")

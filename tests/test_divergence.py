@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from qud.qstate import (
     standard_basis,
 )
 from qud.rng import stream
-from qud.sweeps import dpi_margins, haar_triples
+from qud.sweeps import dpi_margins, dpi_scan, haar_triples
 
 from conftest import RT2, fidelity, oracle_qdiv
 
@@ -61,19 +62,24 @@ def _all_specs():
 
 
 def test_spec_validation():
-    # the CLI's check and dpi_margins accept and refuse the same (kind, alpha)
+    # _check_divergence, dpi_margins and dpi_scan accept and refuse the same
+    # (kind, alpha); dpi_scan refuses before it allocates its margins, so a
+    # budget no host could hold still gets the order error
     batch = haar_triples(2, 4, 0)
     for kind, alpha in (("trace", None), ("renyi_sandwiched", 0.5), ("tsallis", 0.0)):
         _check_divergence(kind, alpha)
         assert dpi_margins(kind, alpha, batch).shape == (4,)
     refused = [("bures", None, "unknown divergence kind 'bures'"),
                ("trace", 0.5, "trace takes no alpha")]
-    refused += [("renyi_sandwiched", bad, "renyi_sandwiched needs 0.5 <= alpha < 1,")
-                for bad in (0.4, 1.0, None)]
-    refused += [("tsallis", bad, "tsallis needs 0 <= alpha < 1,") for bad in (-0.1, 1.0, None)]
+    refused += [("renyi_sandwiched", bad, f"renyi_sandwiched needs 0.5 <= alpha < 1, "
+                                          f"got {bad}") for bad in (0.4, 1.0, None)]
+    refused += [("tsallis", bad, f"tsallis needs 0 <= alpha < 1, got {bad}")
+                for bad in (-0.1, 1.0, None)]
+    checks = (_check_divergence, lambda k, a: dpi_margins(k, a, batch),
+              lambda k, a: dpi_scan(k, a, 2, 10**15, 0))
     for kind, alpha, message in refused:
-        for check in (_check_divergence, lambda k, a: dpi_margins(k, a, batch)):
-            with pytest.raises(ValidationError, match=message):
+        for check in checks:
+            with pytest.raises(ValidationError, match=re.escape(message)):
                 check(kind, alpha)
 
 

@@ -17,6 +17,7 @@ from qud.experiments import (
     estimate_volumes,
     region_grid,
     simulate_shots,
+    table2_relations,
 )
 from qud.qstate import (
     _frame_of_one,
@@ -26,13 +27,7 @@ from qud.qstate import (
     make_density,
     standard_basis,
 )
-from qud.relations import (
-    RelationId,
-    _accepts,
-    _dpi_chain,
-    _shared_arrays,
-    table2_relations,
-)
+from qud.relations import RelationId, _accepts, _dpi_chain, _shared_arrays
 from qud.rng import role_stream, stream
 from qud.sweeps import dpi_margins
 
@@ -93,9 +88,8 @@ def test_estimate_volume_counts_the_short_last_chunk():
 def test_estimate_volume_fields_and_determinism():
     rel = RelationId("EUR_MU", alpha=1.0, beta=1.0)
     est = estimate_volume(rel, 2, 65_536, 1)
-    assert est.samples == 65_536 and est.seed == 1 and est.dim == 2
-    assert est.accepted == round(est.volume * est.samples)
-    assert_allclose(est.std_error, np.sqrt(est.volume * (1 - est.volume) / est.samples))
+    assert est.accepted == round(est.volume * 65_536)
+    assert_allclose(est.std_error, np.sqrt(est.volume * (1 - est.volume) / 65_536))
     assert abs(est.volume - 0.974) < 0.01
     again = estimate_volume(rel, 2, 65_536, 1)
     assert again == est
@@ -117,7 +111,6 @@ def test_estimate_volumes_matches_estimate_volume(dim, workers):
         RelationId("THM1_UNIVERSAL"),
     )
     shared = estimate_volumes(rels, dim, 70_000, 4, workers=workers)
-    assert [est.relation for est in shared] == list(rels)
     for rel, est in zip(rels, shared):
         assert est == estimate_volume(rel, dim, 70_000, 4, workers=workers)
     assert estimate_volumes(rels[::-1], dim, 70_000, 4, workers=workers) == shared[::-1]
@@ -202,10 +195,9 @@ def test_estimate_volume_rejects_bad_arguments():
 
 
 def test_table2_reference_keys_match_catalog():
-    labels = {rel.label() for rel in table2_relations()}
-    assert set(TABLE2_REFERENCE) == {2, 3}
-    for dim in (2, 3):
-        assert set(TABLE2_REFERENCE[dim]) == labels
+    assert table2_relations() == tuple(TABLE2_REFERENCE)
+    for rel, reference in TABLE2_REFERENCE.items():
+        assert set(reference) == {2, 3}, rel.label()
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +367,15 @@ def test_estimate_coherence_error_paths(f1):
         ((np.zeros(2, dtype=int), sequential), "need at least one shot in each record"),
         ((direct, np.zeros((2, 2), dtype=int)), "need at least one shot in each record"),
     ]
+    # entries that are not counts: negative, fractional or not finite
+    whole = "counts must be finite, non-negative whole numbers"
+    refused += [
+        ((np.array([-1, 3]), np.ones((2, 2), dtype=int)), whole),
+        ((np.array([0.5, 0.25]), sequential), whole),
+        ((direct, np.array([[1, 1], [1, -1]])), whole),
+        ((direct, np.array([[1.0, 2.5], [0.0, 1.0]])), whole),
+    ] + [((np.array([1.0, bad]), sequential), whole)
+         for bad in (float("inf"), float("-inf"), float("nan"))]
     for counts, message in refused:
         with pytest.raises(ValidationError, match=message):
             estimate_coherence(*counts)

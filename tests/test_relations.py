@@ -19,7 +19,7 @@ from qud.divergence import (
     renyi_divergence,
 )
 from qud.errors import ValidationError
-from qud.experiments import _draw_parameters
+from qud.experiments import _draw_parameters, table2_relations
 from qud.qstate import (
     TripleBatch,
     _complex_normal,
@@ -44,7 +44,6 @@ from qud.relations import (
     relation_sides,
     satisfied_mask,
     search_counterexample,
-    table2_relations,
 )
 from qud.rng import stream
 from qud.sweeps import (
@@ -777,18 +776,6 @@ def test_an_empty_batch_gives_empty_margins(dim):
                                     _shared_arrays(batch.p, batch.q, batch.overlap),
                                     satisfied_mask)
     assert [m.shape for m in masks] == [(0,), (0,)]
-
-
-def test_dpi_margins_check_orders_like_divergence_spec():
-    batch = haar_triples(2, 4, 15)
-    for kind, alpha, broken in (("trace", 0.5, "trace takes no alpha"),
-                                ("renyi_sandwiched", 0.4, "needs 0.5 <= alpha < 1, got 0.4"),
-                                ("renyi_sandwiched", None, "needs 0.5 <= alpha < 1, got None"),
-                                ("tsallis", 1.0, "tsallis needs 0 <= alpha < 1, got 1.0")):
-        with pytest.raises(ValidationError, match=broken):
-            dpi_margins(kind, alpha, batch)
-    with pytest.raises(ValueError):
-        dpi_margins("bures", None, batch)
 
 
 def test_chain_margins_match_scalar_eval():

@@ -9,6 +9,8 @@ reads each test's outcome from a JUnit XML report written to a temporary
 directory. pyproject.toml's filterwarnings makes every warning an error,
 so a floating-point warning that escapes a kernel fails its test, and so
 does any other warning, a deprecation or an unclosed resource say.
+After its pass/fail line it prints `src/qud: N lines`, the size of the
+package as `cat src/qud/*.py | wc -l` counts it.
 The d=2 U_tr volume cell is expected to stay red (the stated relation
 admits about 0.80 of the cube against the reference 0.930; see README
 "Reference volumes and known gaps"), and only on that cell's assertion:
@@ -68,6 +70,8 @@ def main() -> int:
     failed = sorted(t for t, (r, _) in results.items() if r == "failed")
     passed = sum(r == "passed" for r, _ in results.values())
     print(f"tier1: {passed} passed, {len(failed)} failed")
+    lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src/qud").glob("*.py"))
+    print(f"src/qud: {lines} lines")
     unexpected = [t for t in failed if t != EXPECTED_RED]
     for test in unexpected:
         print(f"tier1: unexpected failure: {test}", file=sys.stderr)
