@@ -6,8 +6,9 @@ from its own two-element key in ROLE_KEYS, so no two roles share a seed
 sequence. Every Monte-Carlo command is a per-chunk reduction `_map_chunks` runs.
 """
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
+from queue import SimpleQueue
+from threading import Thread
 
 import numpy as np
 
@@ -32,9 +33,8 @@ def stream(seed: int, chunk: int | None = None) -> np.random.Generator:
     computation draws the same numbers no matter how chunks are scheduled
     across workers. Chunk indices start at 0.
     """
-    if chunk is None:
-        return np.random.default_rng(np.random.SeedSequence(seed))
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+    key = () if chunk is None else (chunk,)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def role_stream(seed: int, role: str) -> np.random.Generator:
@@ -46,28 +46,47 @@ def _map_chunks(fn, samples: int, size: int, workers: int):
     """Yield fn(index, offset, count) for the chunks of `samples`, full chunks
     of `size` and then the rest, in chunk order, computed on `workers` threads.
 
-    At most 2 * `workers` chunks are submitted and not yet consumed: one
-    running and one queued per thread, so a thread that finishes a chunk
-    need not wait for the consumer to hand it the next (with none queued,
-    two workers on 2^18 d=3 volume samples took 5-8 % longer). Only a
-    running chunk holds its arrays, so a run holds `workers` chunks' arrays
-    and at most 2 * `workers` results however many chunks it has. With one
-    worker each chunk runs in the consumer's thread. A consumer may stop:
-    closing the generator waits only for the chunks already submitted.
+    Thread k runs chunks k, k + `workers`, ...: two freely, then one more per
+    result of k's that the consumer takes. So at most 2 * `workers` chunks are
+    started and not consumed (with fewer, two workers on 2^18 d=3 volume
+    samples took 5-8 % longer), and `workers` chunks hold arrays. One worker
+    runs each chunk in the consumer's thread. A consumer may stop: closing the
+    generator waits only for the chunks its threads may already run.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ValidationError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
-    chunks = ((index, offset, min(size, samples - offset))
-              for index, offset in enumerate(range(0, samples, size)))
+    offsets = range(0, samples, size)
+
+    def run(index):
+        return fn(index, offsets[index], min(size, samples - offsets[index]))
+
     if workers == 1:
-        for chunk in chunks:
-            yield fn(*chunk)
+        yield from map(run, range(len(offsets)))
         return
-    pending = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk in chunks:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, *chunk))
-        while pending:
-            yield pending.popleft().result()
+
+    def work(k, tickets, results):
+        try:
+            for index in range(k, len(offsets), workers):
+                if index >= k + 2 * workers and not tickets.get():
+                    return
+                results.put((run(index), None))
+        except BaseException as exc:  # the consumer's failed.result() raises it again
+            failed = Future()
+            failed.set_exception(exc)
+            results.put((None, failed))
+
+    queues = [(SimpleQueue(), SimpleQueue()) for _ in range(workers)]  # tickets, results
+    threads = [Thread(target=work, args=(k, *queues[k])) for k in range(workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        for index in range(len(offsets)):
+            result, failed = queues[index % workers][1].get()
+            if failed is not None:
+                failed.result()
+            yield result
+            queues[index % workers][0].put(True)
+    finally:
+        for (tickets, _), thread in zip(queues, threads):
+            tickets.put(False)
+            thread.join()

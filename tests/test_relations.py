@@ -778,6 +778,18 @@ def test_an_empty_batch_gives_empty_margins(dim):
     assert [m.shape for m in masks] == [(0,), (0,)]
 
 
+def test_dpi_margins_check_orders_like_divergence_spec():
+    batch = haar_triples(2, 4, 15)
+    for kind, alpha, broken in (("trace", 0.5, "trace takes no alpha"),
+                                ("renyi_sandwiched", 0.4, "needs 0.5 <= alpha < 1, got 0.4"),
+                                ("renyi_sandwiched", None, "needs 0.5 <= alpha < 1, got None"),
+                                ("tsallis", 1.0, "tsallis needs 0 <= alpha < 1, got 1.0")):
+        with pytest.raises(ValidationError, match=broken):
+            dpi_margins(kind, alpha, batch)
+    with pytest.raises(ValueError):
+        dpi_margins("bures", None, batch)
+
+
 def test_chain_margins_match_scalar_eval():
     batch = haar_triples(3, 40, 16)
     first, second = chain_margins(batch)
